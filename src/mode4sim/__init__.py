@@ -14,7 +14,7 @@ from .metrics import (HiddenNodeAccumulator, PrrAccumulator, UdTracker,
                       hidden_node_probability, record_beacon, ud_percentile)
 from .mobility import (HighwayConfig, HighwayState, TraceRecord, load_trace,
                        neighbors, spawn_highway, step_highway)
-from .mode4 import (Mode4Params, Mode4State, candidate_set, mac_select,
+from .mode4 import (Mode4Params, SensingMemory, candidate_set, mac_select,
                     on_beacon_period_end, power_threshold)
 from .phy import (RxOutcome, SenseSample, TxEvent, receive_subframe,
                   sense_subframe, sinr)

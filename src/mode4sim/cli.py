@@ -1,9 +1,9 @@
 """Command-line front-end: simulate / sweep / analyze / hidden-node.
 
-Exit codes: 2 for configuration problems, 3 for trace I/O failures. All
-result files are plain CSV plus a key:value summary echoing the fully
-resolved configuration, so a (config, seed) pair reproduces byte-identical
-outputs.
+Exit codes: 2 for configuration problems and outputs that cannot be
+written, 3 for trace I/O failures. All result files are plain CSV plus a
+key:value summary echoing the fully resolved configuration, so a (config,
+seed) pair reproduces byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -28,14 +28,22 @@ EXIT_TRACE_IO = 3
 UD_QUANTILES = (0.5, 0.9, 0.95, 0.99, 0.999, 0.9999)
 
 
+class OutputError(Exception):
+    """An output file or directory could not be written."""
+
+
 def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    """Write `lines` to `path`, creating its directory first."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def write_run_outputs(result: SimulationResult, outdir: str):
-    os.makedirs(outdir, exist_ok=True)
     centers, prr, samples = result.prr.by_bin()
     rows = ["bin_center_m,prr,samples"]
     for c, p, s in zip(centers, prr, samples):
@@ -59,8 +67,7 @@ def write_run_outputs(result: SimulationResult, outdir: str):
     _write_lines(os.path.join(outdir, "hold_times.csv"), rows)
 
     summary = [
-        f"pooled_prr: {result.prr.pooled():.6f}" if result.prr.neighbor_count.sum()
-        else "pooled_prr: nan",
+        f"pooled_prr: {result.prr.pooled():.6f}",
         f"beacons_sent: {result.beacons_sent}",
         f"reselections: {result.reselections}",
         f"mean_neighbors: {result.mean_neighbors:.3f}",
@@ -127,7 +134,6 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(run_scenario, points))
     else:
         results = [run_scenario(point) for point in points]
-    os.makedirs(args.out, exist_ok=True)
     combined = ["param,value,pooled_prr,ud_p0.999_s,mean_neighbors,beacons"]
     for value, result in zip(values, results):
         subdir = os.path.join(args.out, f"{args.param}={value}")
@@ -149,7 +155,6 @@ def cmd_analyze(args) -> int:
     dist = tbc_distribution(args.n_min, args.n_max, args.p_keep,
                             eps=args.eps, tbe_form=args.tbe_form)
     ccdf = tbc_ccdf(dist)
-    os.makedirs(args.out, exist_ok=True)
     rows = ["hold_periods,hold_seconds,ccdf"]
     step = args.beacon_period_ms / 1000.0
     for n, value in enumerate(ccdf):
@@ -167,7 +172,6 @@ def cmd_analyze(args) -> int:
 def cmd_hidden_node(args) -> int:
     cfg = _load_with_overrides(args)
     acc = run_hidden_node(cfg, sample_every_periods=args.sample_every)
-    os.makedirs(args.out, exist_ok=True)
     centers, prob, _pairs = acc.by_bin()
     rows = ["d_bin_m,probability"]
     for c, p in zip(centers, prob):
@@ -237,6 +241,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (TraceError, OSError) as exc:
         # TraceError subclasses ValueError; match it before the config catch.
         print(f"trace error: {exc}", file=sys.stderr)

@@ -39,8 +39,6 @@ class RunConfig:
     beacon_period_ms: int = 100
     mcs: int = 7
     sinr_min_db: float | None = None
-    bandwidth_mhz: float = 10.0
-    subchannel_size_rb_pairs: int = 10
     ibe_attenuation_db: float = 25.0
     # channel
     carrier_ghz: float = 5.9
@@ -61,9 +59,6 @@ class RunConfig:
     p_keep: float = 0.4
     nr_basis: str = "total"
     nonstandard: bool = False
-    # analysis defaults (analyze subcommand)
-    tbe_form: str = "uniform"
-    eps: float = 1e-6
 
     def validate(self) -> "RunConfig":
         if self.scenario not in ("highway", "trace"):
@@ -74,10 +69,6 @@ class RunConfig:
             raise ConfigError("exactly one scenario source: drop 'trace' or switch scenario")
         if self.allocation not in ("mode4", "random"):
             raise ConfigError("allocation must be 'mode4' or 'random'")
-        if self.bandwidth_mhz != 10.0:
-            raise ConfigError("only the 10 MHz channelization is modeled")
-        if self.subchannel_size_rb_pairs != 10:
-            raise ConfigError("subchannel size is fixed at 10 RB pairs")
         if self.mcs not in MCS_BRS_PER_TTI:
             raise ConfigError(f"mcs must be one of {sorted(MCS_BRS_PER_TTI)}")
         if self.duration_s <= self.warmup_s:

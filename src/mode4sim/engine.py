@@ -1,10 +1,12 @@
 """Discrete-time scenario runner.
 
 The clock ticks in 1 ms subframes. Each period (every beacon_period_ms
-ticks) mobility advances, the channel realization refreshes, and the oldest
-sensing-memory slot is recycled. Within a subframe the tick is two-phase:
-first propagation (reception outcomes, sensing samples for every listener),
-then per-vehicle MAC updates, so state updates never see partial data.
+ticks) the world advances (mobility, geometry, LOS, channel realization),
+then the protocol starts its period (neighbour sets, metric bins, the
+oldest sensing-memory slot recycled, trace churn). Within a subframe the
+tick is two-phase: first propagation (reception outcomes, sensing samples
+for every listener), then per-vehicle MAC updates, so state updates never
+see partial data.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import numpy as np
 from . import mode4, phy
 from .channel import ChannelRealization, ObstacleMap, dbm_to_mw, los_state
 from .config import RunConfig
-from .grid import br_from_flat
 from .metrics import (HiddenNodeAccumulator, PrrAccumulator, UdTracker,
                       hidden_node_probability)
 from .mobility import TraceError, load_trace, spawn_highway, step_highway
@@ -95,11 +96,11 @@ class SimulationEngine:
 
     def _setup_state(self):
         cfg, n = self.cfg, self.n
-        r = self.grid.br_count
         self.next_tx = np.full(n, -1, dtype=np.int64)
         self.select_at = np.full(n, -1, dtype=np.int64)
         self.cur_offset = np.full(n, -1, dtype=np.int32)
         self.cur_slot = np.zeros(n, dtype=np.int32)
+        self.counter = np.zeros(n, dtype=np.int64)  # reselection counters
         self.seq = np.full(n, -1, dtype=np.int64)
         self.held = np.zeros(n, dtype=np.int64)
         self.present = np.ones(n, dtype=bool)
@@ -108,20 +109,10 @@ class SimulationEngine:
         self.shadow_rng = substream(cfg.seed, "shadow")
         self.mac_rngs = [substream(cfg.seed, "mac", v) for v in range(n)]
 
-        self.sensing = cfg.allocation == "mode4"
-        self.states: list[mode4.Mode4State | None] = [None] * n
-        if self.sensing:
-            slots = cfg.t_sense_ms // self.t_b
-            self.mem_srssi = np.zeros((n, slots, r), dtype=np.float32)
-            self.mem_rsrp_sum = np.zeros((n, slots, r), dtype=np.float32)
-            self.mem_rsrp_cnt = np.zeros((n, slots, r), dtype=np.int32)
-            self.mem_monitored = np.ones((n, slots, self.t_b), dtype=bool)
-            for v in range(n):
-                self.states[v] = mode4.Mode4State(
-                    self.grid, self.params, self.chan_params.noise_floor_dbm,
-                    arrays=(self.mem_srssi[v], self.mem_rsrp_sum[v],
-                            self.mem_rsrp_cnt[v], self.mem_monitored[v]),
-                )
+        self.memory = None
+        if cfg.allocation == "mode4":
+            self.memory = mode4.SensingMemory(n, self.grid, self.params,
+                                              self.chan_params.noise_floor_dbm)
 
         self.prr = PrrAccumulator(cfg.prr_bin_width_m, self.awareness_m)
         self.ud = UdTracker(n, self.t_b / 1000.0)
@@ -177,10 +168,9 @@ class SimulationEngine:
                 los[b, a] = ok
         return los
 
-    def _begin_period(self, t: int):
-        period = t // self.t_b
-        pos, present, disp = self._period_positions(period)
-        was_present = self.present.copy()
+    def _advance_world(self, t: int):
+        """Positions, presence, geometry, LOS and channel of the period at t."""
+        pos, present, disp = self._period_positions(t // self.t_b)
         self.positions, self.present = pos, present
         self.prev_positions = pos.copy()
 
@@ -205,6 +195,11 @@ class SimulationEngine:
             self.channel.advance(dist, moved, los=los, legs=legs,
                                  rng=self.shadow_rng, rho=rho)
 
+    def _begin_period(self, t: int):
+        """Advance the world, then start the protocol's period at t."""
+        was_present = self.present
+        self._advance_world(t)
+        present, dist = self.present, self.dist
         pair_present = present[:, None] & present[None, :]
         neigh = (dist <= self.awareness_m) & pair_present
         np.fill_diagonal(neigh, False)
@@ -216,14 +211,8 @@ class SimulationEngine:
             self.neighbor_samples += neigh.sum(axis=1)[present].mean()
             self.neighbor_periods += 1
 
-        self.period_slot = 0
-        if self.sensing:
-            slot = period % (self.cfg.t_sense_ms // self.t_b)
-            self.mem_srssi[:, slot] = 0.0
-            self.mem_rsrp_sum[:, slot] = 0.0
-            self.mem_rsrp_cnt[:, slot] = 0
-            self.mem_monitored[:, slot] = True
-            self.period_slot = slot
+        if self.memory is not None:
+            self.memory.begin_period(t // self.t_b)
 
         # Trace churn: departures drop their allocation, arrivals schedule a
         # first selection within this period.
@@ -233,9 +222,8 @@ class SimulationEngine:
                 self.next_tx[v] = -1
                 self.select_at[v] = -1
                 self.cur_offset[v] = -1
+                self.counter[v] = 0
                 self.held[v] = 0
-                if self.states[v] is not None:
-                    self.states[v].current = None
             fresh = present & ~was_present
             for v in np.flatnonzero(fresh):
                 if self.next_tx[v] < 0 and self.select_at[v] < 0:
@@ -249,24 +237,21 @@ class SimulationEngine:
 
     def _select(self, v: int, t: int):
         rng = self.mac_rngs[v]
-        if self.sensing:
-            state = self.states[v]
-            cands = mode4.candidate_set(state, self.params, self.grid, t)
-            br, counter = mode4.mac_select(cands, self.params, rng)
-            state.current = br
-            state.counter = counter
+        if self.memory is not None:
+            cands = mode4.candidate_set(self.memory, v, self.params, self.grid, t)
+            r, self.counter[v] = mode4.mac_select(cands, self.params, rng)
         else:
-            br = br_from_flat(self.grid, int(rng.integers(self.grid.br_count)))
-        self.cur_offset[v] = br.subframe
-        self.cur_slot[v] = br.freq_slot
-        self.next_tx[v] = t + self._delta_to_offset(br.subframe, t)
+            r = int(rng.integers(self.grid.br_count))
+        offset, self.cur_slot[v] = divmod(r, self.grid.brs_per_tti)
+        self.cur_offset[v] = offset
+        self.next_tx[v] = t + self._delta_to_offset(offset, t)
 
     def _mac_after_tx(self, v: int, t: int):
-        if not self.sensing:
+        if self.memory is None:
             self._select(v, t)  # random allocation redraws every period
             return
-        state = self.states[v]
-        action = mode4.on_beacon_period_end(state, self.params, self.mac_rngs[v])
+        action = mode4.on_beacon_period_end(self.counter, v, self.params,
+                                            self.mac_rngs[v])
         if action == "keep":
             self.next_tx[v] = t + self.t_b
         else:
@@ -285,14 +270,9 @@ class SimulationEngine:
                 self._select(int(v), t)
 
         txs = np.flatnonzero(self.next_tx == t)
-        slot = self.period_slot
-        base = subframe * self.grid.brs_per_tti
-
         if len(txs) == 0:
-            if self.sensing:
-                obs = self.present
-                for f in range(self.grid.brs_per_tti):
-                    self.mem_srssi[obs, slot, base + f] = self.noise_lin
+            if self.memory is not None:
+                self.memory.record_srssi(self.present, subframe)
             return
 
         tx_mask = np.zeros(self.n, dtype=bool)
@@ -305,34 +285,29 @@ class SimulationEngine:
             power_rows, tx_slots, self.noise_lin, self.gamma_lin,
             self.ibe_lin, recv_mask, slot_sums=slot_sums)
 
-        # Half-duplex audit on the outcome log: decoded entries whose
-        # destination transmits in this subframe are protocol violations.
+        # Half-duplex audit: sensing samples (counted by the memory) and
+        # PRR/UD credits (counted below) that go to a vehicle transmitting
+        # in the same subframe are protocol violations.
         self.hd_checked += int(len(txs) * (len(txs) - 1))
-        self.hd_violations += int(decoded[:, tx_mask].sum())
 
-        if self.sensing:
+        if self.memory is not None:
+            self.memory.mark_transmissions(txs, subframe)
             srssi = phy.subframe_srssi(power_rows, tx_slots, self.noise_lin,
                                        self.ibe_lin, self.grid.brs_per_tti,
                                        slot_sums=slot_sums)
-            obs = recv_mask
-            for f in range(self.grid.brs_per_tti):
-                self.mem_srssi[obs, slot, base + f] = srssi[f, obs]
-            for k, v in enumerate(txs):
-                dec = decoded[k]
-                if dec.any():
-                    r = base + int(tx_slots[k])
-                    self.mem_rsrp_sum[dec, slot, r] += power_rows[k, dec]
-                    self.mem_rsrp_cnt[dec, slot, r] += 1
-            self.mem_monitored[txs, slot, subframe] = False
+            self.memory.record_srssi(recv_mask, subframe, srssi)
+            self.memory.record_rsrp(subframe, tx_slots, power_rows, decoded)
 
         self.seq[txs] += 1
         self.held[txs] += 1
         self.beacons_sent += len(txs)
 
         if t >= self.warmup_tti:
+            credited = decoded & self.neigh[txs]
+            self.hd_violations += int(np.count_nonzero(credited[:, tx_mask]))
             for k, v in enumerate(txs):
                 nm = self.neigh[v]
-                dec = decoded[k] & nm
+                dec = credited[k]
                 self.prr.record_arrays(self.bins[v][nm], dec[nm])
                 dst = np.flatnonzero(dec)
                 if len(dst):
@@ -352,7 +327,8 @@ class SimulationEngine:
             prr=self.prr,
             ud=self.ud,
             hold_counts=np.asarray(self.hold_counts, dtype=np.int64),
-            half_duplex_violations=self.hd_violations,
+            half_duplex_violations=self.hd_violations + (
+                self.memory.half_duplex_writes if self.memory is not None else 0),
             half_duplex_pairs_checked=self.hd_checked,
             mean_neighbors=float(mean_neigh),
             beacons_sent=self.beacons_sent,
@@ -372,13 +348,13 @@ def run_scenario(cfg: RunConfig, record_beacon_log: bool = False) -> SimulationR
 def run_hidden_node(cfg: RunConfig, sample_every_periods: int = 1):
     """Mobility + channel only: hidden-node statistics over sampled instants."""
     cfg.validate()
-    engine = SimulationEngine(cfg)  # reuse geometry/channel plumbing
+    engine = SimulationEngine(cfg)  # reuse the world half
     acc = HiddenNodeAccumulator(bin_width_m=cfg.prr_bin_width_m,
                                 max_range_m=engine.awareness_m)
     n_periods = engine.total_tti // engine.t_b
     for period in range(n_periods):
         t = period * engine.t_b
-        engine._begin_period(t)
+        engine._advance_world(t)
         if period % sample_every_periods:
             continue
         idx = np.flatnonzero(engine.present)

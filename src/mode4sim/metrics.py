@@ -1,7 +1,5 @@
 """Output metrics: packet reception ratio by distance, update delay, and the
 hidden-node probability of a snapshot.
-
-Accumulators are mergeable so parallel workers can keep private copies.
 """
 from __future__ import annotations
 
@@ -38,12 +36,6 @@ class PrrAccumulator:
         if decoded.any():
             self.decoded_count += np.bincount(bin_idx[decoded], minlength=self.n_bins)
 
-    def merge(self, other: "PrrAccumulator"):
-        if other.n_bins != self.n_bins or other.bin_width_m != self.bin_width_m:
-            raise MetricsError("cannot merge accumulators with different binning")
-        self.neighbor_count += other.neighbor_count
-        self.decoded_count += other.decoded_count
-
     def by_bin(self):
         """(bin centers, prr, samples); prr is NaN for empty bins."""
         centers = (np.arange(self.n_bins) + 0.5) * self.bin_width_m
@@ -54,9 +46,10 @@ class PrrAccumulator:
         return centers, prr, self.neighbor_count.copy()
 
     def pooled(self) -> float:
+        """PRR over all bins; NaN when no neighbor was ever in range."""
         total = self.neighbor_count.sum()
         if total == 0:
-            raise MetricsError("no neighbor samples recorded")
+            return float("nan")
         return float(self.decoded_count.sum() / total)
 
 
@@ -93,17 +86,6 @@ class UdTracker:
     def reset_pairs(self, out_of_range: np.ndarray):
         """Forget pairs that left the awareness range."""
         self.last[out_of_range] = -1.0
-
-    def merge(self, other: "UdTracker"):
-        # Valid when workers partition sources; last-reception maps must not overlap.
-        if self.beacon_period_s != other.beacon_period_s:
-            raise MetricsError("cannot merge trackers with different periods")
-        both = (self.last >= 0) & (other.last >= 0)
-        if both.any():
-            raise MetricsError("overlapping pair state; workers must split sources")
-        self._grow(len(other.gap_counts) - 1)
-        self.gap_counts[: len(other.gap_counts)] += other.gap_counts
-        self.last = np.maximum(self.last, other.last)
 
     @property
     def total_gaps(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dbm_to_mw
-from .grid import BrIndex, GridConfig, br_from_flat, selection_count
+from .grid import GridConfig, selection_count
 
 
 class Mode4ParamError(ValueError):
@@ -71,71 +71,100 @@ class Mode4Params:
             raise Mode4ParamError("nr_basis must be 'total' or 'window'")
 
 
-class Mode4State:
-    """Per-vehicle sensing memory and SPS allocation state.
+class SensingMemory:
+    """Sensing memory of every vehicle, and the only code that writes it.
 
-    The memory is a ring of `t_sense / beacon_period` period slots; each slot
-    holds per-BR S-RSSI and RSRP samples in linear mW (0 meaning no sample)
-    plus per-subframe monitored flags. Slots older than the ring depth are
-    overwritten, which is exactly the discard-after-t_sense rule.
+    The memory is a ring of `t_sense / beacon_period` period slots per
+    vehicle; each slot holds per-BR S-RSSI and RSRP samples in linear mW,
+    stored as float32 with 0 meaning no sample, plus per-subframe monitored
+    flags. Slots older than the ring depth are overwritten, which is exactly
+    the discard-after-t_sense rule. A vehicle marked as transmitting in a
+    subframe must take no sample in it; `half_duplex_writes` counts the
+    writes that break this rule.
     """
 
-    def __init__(self, grid: GridConfig, params: Mode4Params,
-                 noise_floor_dbm: float, arrays=None):
+    def __init__(self, n: int, grid: GridConfig, params: Mode4Params,
+                 noise_floor_dbm: float):
         if params.t_sense_ms % grid.beacon_period_ms != 0:
             raise Mode4ParamError("t_sense_ms must be a multiple of the beacon period")
         self.n_slots = params.t_sense_ms // grid.beacon_period_ms
+        self.brs_per_tti = grid.brs_per_tti
         r = grid.br_count
-        if arrays is None:
-            self.s_rssi = np.zeros((self.n_slots, r), dtype=np.float32)
-            self.rsrp_sum = np.zeros((self.n_slots, r), dtype=np.float32)
-            self.rsrp_cnt = np.zeros((self.n_slots, r), dtype=np.int32)
-            self.monitored = np.ones((self.n_slots, grid.beacon_period_ms), dtype=bool)
-        else:
-            self.s_rssi, self.rsrp_sum, self.rsrp_cnt, self.monitored = arrays
+        self.s_rssi = np.zeros((n, self.n_slots, r), dtype=np.float32)
+        self.rsrp_sum = np.zeros((n, self.n_slots, r), dtype=np.float32)
+        self.rsrp_cnt = np.zeros((n, self.n_slots, r), dtype=np.int32)
+        self.monitored = np.ones((n, self.n_slots, grid.beacon_period_ms), dtype=bool)
         self.noise_floor_lin = float(dbm_to_mw(noise_floor_dbm))
-        self.current: BrIndex | None = None
-        self.counter: int = 0
+        self.slot = 0
+        self.half_duplex_writes = 0
 
-    def begin_period(self, slot: int):
-        """Recycle one ring slot for the period about to be sensed."""
-        self.s_rssi[slot] = 0.0
-        self.rsrp_sum[slot] = 0.0
-        self.rsrp_cnt[slot] = 0
-        self.monitored[slot] = True
+    def begin_period(self, period: int):
+        """Recycle the ring slot of the period about to be sensed."""
+        self.slot = period % self.n_slots
+        self.s_rssi[:, self.slot] = 0.0
+        self.rsrp_sum[:, self.slot] = 0.0
+        self.rsrp_cnt[:, self.slot] = 0
+        self.monitored[:, self.slot] = True
 
-    def record_srssi(self, slot: int, flat_br: int, value_lin: float):
-        self.s_rssi[slot, flat_br] = value_lin
+    def mark_transmissions(self, rows: np.ndarray, subframe: int):
+        """Vehicles `rows` transmit in `subframe`: they do not monitor it."""
+        self.monitored[rows, self.slot, subframe] = False
 
-    def record_rsrp(self, slot: int, flat_br: int, value_lin: float):
-        self.rsrp_sum[slot, flat_br] += value_lin
-        self.rsrp_cnt[slot, flat_br] += 1
+    def _transmitting(self, subframe: int) -> np.ndarray:
+        return ~self.monitored[:, self.slot, subframe]
 
-    def record_transmission(self, slot: int, subframe: int):
-        self.monitored[slot, subframe] = False
+    def record_srssi(self, observers: np.ndarray, subframe: int, srssi=None):
+        """S-RSSI of the subframe's BRs at the `observers` (a vehicle mask).
 
-    # Aggregates over the whole ring (= the sensing window).
+        `srssi` is the (brs_per_tti, n) total power per BR at every vehicle;
+        None stands for a subframe nobody transmits in, where every BR reads
+        the noise floor.
+        """
+        self.half_duplex_writes += int(np.count_nonzero(
+            observers & self._transmitting(subframe)))
+        base = subframe * self.brs_per_tti
+        for f in range(self.brs_per_tti):
+            value = self.noise_floor_lin if srssi is None else srssi[f, observers]
+            self.s_rssi[observers, self.slot, base + f] = value
 
-    def monitored_offsets(self) -> np.ndarray:
-        return self.monitored.all(axis=0)
+    def record_rsrp(self, subframe: int, tx_slots: np.ndarray,
+                    power_rows: np.ndarray, decoded: np.ndarray):
+        """RSRP of each decoded transmission at the vehicles that decoded it.
 
-    def avg_srssi_lin(self) -> np.ndarray:
-        total = self.s_rssi.sum(axis=0, dtype=np.float64)
-        count = np.count_nonzero(self.s_rssi, axis=0)
+        Row k of `power_rows` and `decoded` (n_tx, n) belongs to the
+        transmission in frequency slot `tx_slots[k]` of `subframe`.
+        """
+        self.half_duplex_writes += int(np.count_nonzero(
+            decoded[:, self._transmitting(subframe)]))
+        base = subframe * self.brs_per_tti
+        for k in range(len(tx_slots)):
+            dec = decoded[k]
+            if dec.any():
+                r = base + int(tx_slots[k])
+                self.rsrp_sum[dec, self.slot, r] += power_rows[k, dec]
+                self.rsrp_cnt[dec, self.slot, r] += 1
+
+    # Aggregates of vehicle v over the whole ring (= the sensing window).
+
+    def monitored_offsets(self, v: int) -> np.ndarray:
+        return self.monitored[v].all(axis=0)
+
+    def avg_srssi_lin(self, v: int) -> np.ndarray:
+        s_rssi = self.s_rssi[v]
+        total = s_rssi.sum(axis=0, dtype=np.float64)
+        count = np.count_nonzero(s_rssi, axis=0)
         return np.where(count > 0, total / np.maximum(count, 1), self.noise_floor_lin)
 
-    def avg_rsrp_lin(self) -> np.ndarray:
-        count = self.rsrp_cnt.sum(axis=0)
-        total = self.rsrp_sum.sum(axis=0, dtype=np.float64)
+    def avg_rsrp_lin(self, v: int) -> np.ndarray:
+        """Average RSRP per BR; 0 for a BR with no decoded reservation."""
+        count = self.rsrp_cnt[v].sum(axis=0)
+        total = self.rsrp_sum[v].sum(axis=0, dtype=np.float64)
         return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
-    def sci_seen(self) -> np.ndarray:
-        return self.rsrp_cnt.sum(axis=0) > 0
 
-
-def candidate_set(state: Mode4State, params: Mode4Params, grid: GridConfig,
-                  now_tti: int) -> list[BrIndex]:
-    """Ordered candidate list for a selection performed at `now_tti`.
+def candidate_set(memory: SensingMemory, v: int, params: Mode4Params,
+                  grid: GridConfig, now_tti: int) -> np.ndarray:
+    """Flat BR indices, best first, for vehicle v selecting at `now_tti`.
 
     Escalating the power threshold only relaxes occupancy; if the monitored
     in-window BRs themselves number fewer than n_R, all of them are returned.
@@ -144,7 +173,7 @@ def candidate_set(state: Mode4State, params: Mode4Params, grid: GridConfig,
     offsets = (now_tti + np.arange(params.t1, params.t2 + 1)) % t_b
     in_window = np.zeros(t_b, dtype=bool)
     in_window[offsets] = True
-    usable = in_window & state.monitored_offsets()
+    usable = in_window & memory.monitored_offsets(v)
     cand = np.repeat(usable, grid.brs_per_tti)
     if params.nr_basis == "window":
         basis = int(in_window.sum()) * grid.brs_per_tti
@@ -152,30 +181,30 @@ def candidate_set(state: Mode4State, params: Mode4Params, grid: GridConfig,
         basis = grid.br_count
     n_r = selection_count(params.r_sel, basis)
     if not cand.any():
-        return []
+        return np.flatnonzero(cand)
 
-    sci = state.sci_seen()
-    avg_rsrp = state.avg_rsrp_lin()
+    # Unreserved BRs average 0 mW, below any threshold.
+    avg_rsrp = memory.avg_rsrp_lin(v)
     p_th_dbm = params.p_th_dbm
     while True:
-        occupied = sci & (avg_rsrp > dbm_to_mw(p_th_dbm))
+        occupied = avg_rsrp > dbm_to_mw(p_th_dbm)
         survivors = cand & ~occupied
         if survivors.sum() >= n_r or not (cand & occupied).any():
             break
         p_th_dbm += 3.0
 
-    avg_srssi = state.avg_srssi_lin()
+    avg_srssi = memory.avg_srssi_lin(v)
     idx = np.flatnonzero(survivors)
     order = idx[np.argsort(avg_srssi[idx], kind="stable")]
-    return [br_from_flat(grid, int(r)) for r in order[:n_r]]
+    return order[:n_r]
 
 
-def mac_select(candidates: list[BrIndex], params: Mode4Params,
-               rng: np.random.Generator) -> tuple[BrIndex, int]:
-    """Uniform pick among the candidates plus a fresh reselection counter."""
-    if not candidates:
+def mac_select(candidates: np.ndarray, params: Mode4Params,
+               rng: np.random.Generator) -> tuple[int, int]:
+    """Uniform pick among the candidate BRs plus a fresh reselection counter."""
+    if len(candidates) == 0:
         raise Mode4ProtocolError("MAC selection received an empty candidate list")
-    choice = candidates[int(rng.integers(len(candidates)))]
+    choice = int(candidates[int(rng.integers(len(candidates)))])
     counter = draw_counter(params, rng)
     return choice, counter
 
@@ -184,19 +213,18 @@ def draw_counter(params: Mode4Params, rng: np.random.Generator) -> int:
     return int(rng.integers(params.n_min, params.n_max + 1))
 
 
-def on_beacon_period_end(state: Mode4State, params: Mode4Params,
+def on_beacon_period_end(counters: np.ndarray, v: int, params: Mode4Params,
                          rng: np.random.Generator) -> str:
-    """Advance the counter after a beacon period; decide keep vs reselect.
+    """Advance vehicle v's counter after a beacon period; decide keep vs reselect.
 
-    On a keep-at-expiry the counter is redrawn here; on 'reselect' the caller
-    runs candidate_set + mac_select, which supplies the new counter.
+    A counter of 0 means no active allocation. On a keep-at-expiry the
+    counter is redrawn here; on 'reselect' it stays 0 until candidate_set +
+    mac_select supply the new one.
     """
-    if state.current is None:
+    counter = int(counters[v]) - 1
+    if counter < 0:
         raise Mode4ProtocolError("no active allocation")
-    state.counter -= 1
-    if state.counter > 0:
-        return "keep"
-    if rng.random() < params.p_keep:
-        state.counter = draw_counter(params, rng)
-        return "keep"
-    return "reselect"
+    if counter == 0 and rng.random() < params.p_keep:
+        counter = draw_counter(params, rng)
+    counters[v] = counter
+    return "keep" if counter > 0 else "reselect"

@@ -22,7 +22,7 @@ from mode4sim.config import RunConfig
 from mode4sim.engine import run_hidden_node, run_scenario
 from mode4sim.grid import BrIndex, GridConfig
 from mode4sim.metrics import ud_percentile
-from mode4sim.mode4 import (Mode4Params, Mode4State, candidate_set,
+from mode4sim.mode4 import (Mode4Params, SensingMemory, candidate_set,
                             power_threshold)
 from mode4sim.phy import TxEvent, sinr
 from mode4sim.scenario import ScenarioSnapshot
@@ -318,13 +318,15 @@ def test_criterion_12_invariant_oracles():
 
     # Candidate sorting against an exhaustive re-sort.
     params = Mode4Params()
-    state = Mode4State(grid, params, -99.437)
+    memory = SensingMemory(1, grid, params, -99.437)
     vals = rng.uniform(1e-13, 1e-9, size=grid.br_count)
-    for r, v in enumerate(vals):
-        state.record_srssi(0, r, v)
-    cands = candidate_set(state, params, grid, now_tti=0)
+    memory.begin_period(0)
+    per_subframe = vals.reshape(grid.beacon_period_ms, grid.brs_per_tti)
+    for subframe, srssi in enumerate(per_subframe):
+        memory.record_srssi(np.ones(1, dtype=bool), subframe, srssi[:, None])
+    cands = candidate_set(memory, 0, params, grid, now_tti=0)
     expect = sorted(range(grid.br_count), key=lambda r: (vals[r], r))[:40]
-    sort_ok = [c.subframe * grid.brs_per_tti + c.freq_slot for c in cands] == expect
+    sort_ok = cands.tolist() == expect
 
     # Scalar SINR against a literal evaluation of the interference sum.
     rx = rng.uniform(-95, -60, size=(4, 4))

@@ -89,6 +89,8 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     cfg = write_cfg(tmp_path, {"duration_s": 1.0}, name="c3.yaml")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    cfg = write_cfg(tmp_path, {"bandwidth_mhz": 10.0}, name="c4.yaml")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_mcs14_requires_explicit_threshold(tmp_path):
@@ -98,6 +100,29 @@ def test_mcs14_requires_explicit_threshold(tmp_path):
     good = dict(SMALL_CFG, mcs=14, sinr_min_db=12.0)
     cfg = write_cfg(tmp_path, good, name="ok.yaml")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o2")]) == 0
+
+
+def test_lone_vehicle_reports_nan_prr(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"highway": {"length_m": 800.0, "vehicles": 1},
+                               "duration_s": 3.0})
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert "pooled PRR nan" in capsys.readouterr().out
+    assert "pooled_prr: nan" in read_bytes(out, "summary.txt").decode()
+    assert main(["sweep", "--config", cfg, "--param", "seed", "--values", "2",
+                 "--out", str(tmp_path / "sw")]) == 0
+    rows = read_bytes(str(tmp_path / "sw"), "sweep_results.csv").decode().splitlines()
+    assert rows[1].split(",")[2] == "nan"
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(SMALL_CFG, duration_s=3.0))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and out in err
 
 
 def test_missing_trace_exits_3(tmp_path):

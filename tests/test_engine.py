@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mode4sim import phy
 from mode4sim.config import RunConfig
 from mode4sim.engine import SimulationEngine, run_scenario
 
@@ -36,6 +37,23 @@ def test_different_seed_differs():
 def test_half_duplex_clean_over_full_log(small_run):
     assert small_run.half_duplex_pairs_checked > 0
     assert small_run.half_duplex_violations == 0
+
+
+def test_half_duplex_audit_counts_credits_to_transmitters(monkeypatch):
+    # A reception core that ignores half-duplex hands decodes to vehicles
+    # transmitting in the same subframe; the PRR/UD credit audit sees them.
+    real = phy.subframe_reception
+
+    def deaf_to_half_duplex(*args, **kwargs):
+        sinr_lin, decoded = real(*args, **kwargs)
+        return sinr_lin, np.ones_like(decoded)
+
+    monkeypatch.setattr(phy, "subframe_reception", deaf_to_half_duplex)
+    result = run_scenario(RunConfig(duration_s=3.6, allocation="random",
+                                    t_sense_ms=200, n_max=6, highway_length_m=800.0,
+                                    highway_vehicles=40, seed=2))
+    assert result.half_duplex_pairs_checked > 0
+    assert result.half_duplex_violations > 0
 
 
 def test_pooled_prr_matches_raw_beacon_log(small_run):

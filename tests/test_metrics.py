@@ -61,26 +61,22 @@ def test_beyond_awareness_not_counted():
     assert prr.neighbor_count.sum() == 0
 
 
-def test_prr_bounds_and_merge():
+def test_prr_bounds_and_pooling():
     rng = np.random.default_rng(0)
-    parts = []
+    acc = PrrAccumulator(10.0, 100.0)
+    decoded = 0
     for _ in range(3):
-        acc = PrrAccumulator(10.0, 100.0)
         bins = rng.integers(0, 10, size=200)
         dec = rng.random(200) < 0.7
         acc.record_arrays(bins, dec)
-        parts.append(acc)
-    merged = PrrAccumulator(10.0, 100.0)
-    for p in parts:
-        merged.merge(p)
-    _, values, _ = merged.by_bin()
+        decoded += int(dec.sum())
+    _, values, _ = acc.by_bin()
     ok = ~np.isnan(values)
     assert ((values[ok] >= 0) & (values[ok] <= 1)).all()
-    assert merged.neighbor_count.sum() == 600
-    assert (merged.decoded_count <= merged.neighbor_count).all()
-    pooled = merged.pooled()
-    assert pooled == pytest.approx(
-        sum(p.decoded_count.sum() for p in parts) / 600)
+    assert acc.neighbor_count.sum() == 600
+    assert (acc.decoded_count <= acc.neighbor_count).all()
+    assert acc.pooled() == pytest.approx(decoded / 600)
+    assert np.isnan(PrrAccumulator(10.0, 100.0).pooled())
 
 
 # -- UD -----------------------------------------------------------------------
@@ -138,23 +134,6 @@ def test_out_of_range_reset_drops_pair_state():
 def test_empty_tracker_raises():
     with pytest.raises(MetricsError):
         ud_percentile(UdTracker(2), 0.9)
-
-
-def test_tracker_merge_pools_gaps():
-    a = UdTracker(4)
-    b = UdTracker(4)
-    a.record(0, np.array([1]), 0.1)
-    a.record(0, np.array([1]), 0.4)
-    b.record(2, np.array([3]), 0.1)
-    b.record(2, np.array([3]), 1.1)
-    a.merge(b)
-    assert a.total_gaps == 2
-    assert ud_percentile(a, 1.0) == pytest.approx(1.0)
-    # Merging trackers that saw the same source pairs is refused.
-    c = UdTracker(4)
-    c.record(0, np.array([1]), 0.2)
-    with pytest.raises(MetricsError):
-        a.merge(c)
 
 
 def test_gaps_are_positive_invariant():
