@@ -126,6 +126,11 @@ def rx_power_dbm(params: ChannelParams, pathloss_db, shadow_db):
 # Obstacle map and LOS determination
 # ---------------------------------------------------------------------------
 
+# The array LOS test works on pairs x edges; pairs are taken in chunks of at
+# most this many pair-edge elements, so each temporary stays within 32 KB.
+LOS_CHUNK_ELEMENTS = 1 << 12
+
+
 class ObstacleMapError(ValueError):
     pass
 
@@ -188,6 +193,16 @@ class ObstacleMap:
                 raise ObstacleMapError("each polygon needs at least 3 x,y vertices")
             clean.append(arr)
         self.polygons = clean
+        # Every polygon's edges stacked once, for the array LOS test: edge
+        # k runs from edges[0][k] to edges[1][k], and polygon i owns edges
+        # edge_starts[i] up to edge_starts[i + 1].
+        if clean:
+            start = np.concatenate(clean)
+            end = np.concatenate([np.roll(poly, -1, axis=0) for poly in clean])
+        else:
+            start = end = np.empty((0, 2))
+        self.edges = (start, end)
+        self.edge_starts = np.cumsum([0] + [len(poly) for poly in clean[:-1]])
 
     @classmethod
     def from_file(cls, path) -> "ObstacleMap":
@@ -210,6 +225,7 @@ class ObstacleMap:
         return cls(polygons=polys)
 
     def blocks(self, pos_i, pos_j) -> bool:
+        """Scalar reference for `los_state`, one pair at a time."""
         p = (float(pos_i[0]), float(pos_i[1]))
         q = (float(pos_j[0]), float(pos_j[1]))
         for poly in self.polygons:
@@ -222,13 +238,98 @@ class ObstacleMap:
         return False
 
 
-def los_state(obstacles: ObstacleMap | None, pos_i, pos_j) -> bool:
-    """True when the segment between the endpoints crosses no polygon."""
-    if not np.all(np.isfinite(pos_i)) or not np.all(np.isfinite(pos_j)):
+# The array forms below evaluate the expressions of `_orient`,
+# `_on_segment`, `_segments_intersect` and `_point_in_polygon` in the same
+# operation order, element by element, so they equal the scalar
+# `ObstacleMap.blocks` bit for bit.
+
+def _opposite(a, b):
+    return ((a > 0) & (b < 0)) | ((a < 0) & (b > 0))
+
+
+def _within(p, q, r):
+    """`_on_segment` for (k, 2) rows."""
+    return ((np.minimum(p[:, 0], q[:, 0]) <= r[:, 0])
+            & (r[:, 0] <= np.maximum(p[:, 0], q[:, 0]))
+            & (np.minimum(p[:, 1], q[:, 1]) <= r[:, 1])
+            & (r[:, 1] <= np.maximum(p[:, 1], q[:, 1])))
+
+
+def _touches_edge(obstacles: ObstacleMap, p, q):
+    """Per row pair, whether segment p-q crosses or touches any edge."""
+    b1, b2 = obstacles.edges
+    ex1, ey1 = b1[:, 0], b1[:, 1]
+    ex2, ey2 = b2[:, 0], b2[:, 1]
+    edx, edy = ex2 - ex1, ey2 - ey1
+    px, py = p[:, :1], p[:, 1:]
+    qx, qy = q[:, :1], q[:, 1:]
+    sdx, sdy = qx - px, qy - py
+    # rows are pairs, columns are edges
+    d1 = edx * (py - ey1) - edy * (px - ex1)   # _orient(b1, b2, a1)
+    d2 = edx * (qy - ey1) - edy * (qx - ex1)   # _orient(b1, b2, a2)
+    d3 = sdx * (ey1 - py) - sdy * (ex1 - px)   # _orient(a1, a2, b1)
+    d4 = sdx * (ey2 - py) - sdy * (ex2 - px)   # _orient(a1, a2, b2)
+    hit = _opposite(d1, d2) & _opposite(d3, d4)
+    # Collinear contacts need an orientation of exactly 0, which is rare:
+    # test the on-segment bounds only where one occurs.
+    rows, cols = np.nonzero((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0))
+    if len(rows):
+        a1, a2, e1, e2 = p[rows], q[rows], b1[cols], b2[cols]
+        touch = (((d1[rows, cols] == 0) & _within(e1, e2, a1))
+                 | ((d2[rows, cols] == 0) & _within(e1, e2, a2))
+                 | ((d3[rows, cols] == 0) & _within(a1, a2, e1))
+                 | ((d4[rows, cols] == 0) & _within(a1, a2, e2)))
+        hit[rows[touch], cols[touch]] = True
+    return hit.any(axis=1)
+
+
+def _inside_any(obstacles: ObstacleMap, pts):
+    """Per (k, 2) row, whether the point lies inside any polygon."""
+    b1, b2 = obstacles.edges
+    x, y = pts[:, :1], pts[:, 1:]
+    # Ray cast to +x; the quotient is only read where the edge spans y, so
+    # its divisions by zero on horizontal edges are never used.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = b1[:, 0] + (y - b1[:, 1]) * (b2[:, 0] - b1[:, 0]) / (b2[:, 1] - b1[:, 1])
+    crosses = ((b1[:, 1] > y) != (b2[:, 1] > y)) & (x < x_cross)
+    inside = np.bitwise_xor.reduceat(crosses, obstacles.edge_starts, axis=1)
+    return inside.any(axis=1)
+
+
+def _by_chunks(fn, obstacles: ObstacleMap, *arrays):
+    """fn over row chunks of the arrays, at most LOS_CHUNK_ELEMENTS rows x edges."""
+    step = max(1, LOS_CHUNK_ELEMENTS // len(obstacles.edges[0]))
+    out = np.empty(len(arrays[0]), dtype=bool)
+    for s in range(0, len(out), step):
+        out[s:s + step] = fn(obstacles, *(a[s:s + step] for a in arrays))
+    return out
+
+
+def los_state(obstacles: ObstacleMap | None, pos_i, pos_j):
+    """True when the segment between the endpoints touches no polygon.
+
+    The segment is blocked when it crosses or touches any polygon edge, or
+    when either endpoint lies inside a polygon. Takes two points and returns
+    a bool, or two (m, 2) arrays of endpoints and returns an (m,) bool array
+    with one entry per row pair.
+    """
+    p = np.asarray(pos_i, dtype=float)
+    q = np.asarray(pos_j, dtype=float)
+    if p.shape != q.shape or p.shape[-1:] != (2,) or p.ndim > 2:
+        raise ValueError("endpoints must be two points or two (m, 2) arrays")
+    if not np.all(np.isfinite(p)) or not np.all(np.isfinite(q)):
         raise ValueError("positions must be finite")
+    single = p.ndim == 1
+    p, q = p.reshape(-1, 2), q.reshape(-1, 2)
     if obstacles is None or not obstacles.polygons:
-        return True
-    return not obstacles.blocks(pos_i, pos_j)
+        los = np.ones(len(p), dtype=bool)
+    else:
+        # Pairs share endpoints (vehicles): test each distinct point once.
+        pts, inv = np.unique(np.concatenate([p, q]), axis=0, return_inverse=True)
+        inside = _by_chunks(_inside_any, obstacles, pts)[inv.reshape(-1)]
+        los = ~(inside[:len(p)] | inside[len(p):]
+                | _by_chunks(_touches_edge, obstacles, p, q))
+    return bool(los[0]) if single else los
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,18 @@ class OutputError(Exception):
     """An output file or directory could not be written."""
 
 
+def _make_outdir(path):
+    """Create directory `path` (and its parents) if it does not exist yet."""
+    try:
+        os.makedirs(path or ".", exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_lines(path, lines):
     """Write `lines` to `path`, creating its directory first."""
+    _make_outdir(os.path.dirname(path))
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for line in lines:
                 fh.write(line + "\n")
@@ -110,6 +118,7 @@ def _load_with_overrides(args) -> RunConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_with_overrides(args)
+    _make_outdir(args.out)
     result = run_scenario(cfg)
     write_run_outputs(result, args.out)
     print(f"pooled PRR {result.prr.pooled():.4f} over {result.beacons_sent} beacons "
@@ -126,6 +135,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     points = [with_overrides(cfg, **{args.param: value}) for value in values]
+    _make_outdir(args.out)
     # Points are independent seeded runs, so any worker count gives the
     # same results in the same order.
     if args.jobs > 1:
@@ -171,6 +181,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_hidden_node(args) -> int:
     cfg = _load_with_overrides(args)
+    _make_outdir(args.out)
     acc = run_hidden_node(cfg, sample_every_periods=args.sample_every)
     centers, prob, _pairs = acc.by_bin()
     rows = ["d_bin_m,probability"]

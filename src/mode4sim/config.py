@@ -82,6 +82,11 @@ class RunConfig:
             self.channel_params()
         except (GridConfigError, Mode4ParamError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        if self.t_sense_ms % self.beacon_period_ms != 0:
+            raise ConfigError(
+                f"t_sense_ms ({self.t_sense_ms}) must be a multiple of "
+                f"beacon_period_ms ({self.beacon_period_ms})"
+            )
         return self
 
     @property

@@ -157,15 +157,15 @@ class SimulationEngine:
         return pos, present, disp
 
     def _los_matrix(self):
-        if self.obstacles is None:
-            return np.ones((self.n, self.n), dtype=bool)
         los = np.ones((self.n, self.n), dtype=bool)
+        if self.obstacles is None:
+            return los
         idx = np.flatnonzero(self.present)
-        for a_pos, a in enumerate(idx):
-            for b in idx[a_pos + 1:]:
-                ok = los_state(self.obstacles, self.positions[a], self.positions[b])
-                los[a, b] = ok
-                los[b, a] = ok
+        a, b = np.triu_indices(len(idx), 1)
+        a, b = idx[a], idx[b]
+        ok = los_state(self.obstacles, self.positions[a], self.positions[b])
+        los[a, b] = ok
+        los[b, a] = ok
         return los
 
     def _advance_world(self, t: int):

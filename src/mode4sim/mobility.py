@@ -73,44 +73,49 @@ def load_trace(path, beacon_period_ms: int = 100,
 
     Positions are interpolated linearly between bracketing records; a vehicle
     is absent at a sample instant when no bracketing pair exists or the pair
-    is more than max_gap_s apart (a leave/rejoin gap).
+    is more than max_gap_s apart (a leave/rejoin gap). A vehicle's last
+    record counts only at an instant it falls on exactly, and of several
+    records with one timestamp the last one holds from that instant on.
     """
     by_vehicle = _parse_trace(path)
     t_start = min(r[0].time_s for r in by_vehicle.values())
     t_end = max(r[-1].time_s for r in by_vehicle.values())
     step = beacon_period_ms / 1000.0
     n_steps = int(np.floor((t_end - t_start) / step)) + 1
-    snapshots = []
-    for k in range(n_steps):
-        t = t_start + k * step
-        ids, pos = [], []
-        for vid in sorted(by_vehicle):
-            records = by_vehicle[vid]
-            times = [r.time_s for r in records]
-            j = np.searchsorted(times, t, side="right")
-            if j == 0 or j > len(records):
-                continue
-            if j == len(records):
-                if times[-1] == t:
-                    ids.append(vid)
-                    pos.append((records[-1].x_m, records[-1].y_m))
-                continue
-            lo, hi = records[j - 1], records[j]
-            if hi.time_s - lo.time_s > max_gap_s and lo.time_s != t:
-                continue
-            if hi.time_s == lo.time_s:
-                frac = 0.0
-            else:
-                frac = (t - lo.time_s) / (hi.time_s - lo.time_s)
-            ids.append(vid)
-            pos.append((lo.x_m + frac * (hi.x_m - lo.x_m),
-                        lo.y_m + frac * (hi.y_m - lo.y_m)))
-        snapshots.append(ScenarioSnapshot(
-            tti=k * beacon_period_ms,
-            ids=np.asarray(ids, dtype=int),
-            positions=np.asarray(pos, dtype=float).reshape(-1, 2),
-        ))
-    return snapshots
+    instants = t_start + np.arange(n_steps) * step
+    ks, ids, pos = [], [], []
+    for vid in sorted(by_vehicle):
+        records = by_vehicle[vid]
+        times = np.array([r.time_s for r in records])
+        xy = np.array([(r.x_m, r.y_m) for r in records])
+        # Instants from the first record to the last one, inclusive.
+        k = np.arange(np.searchsorted(instants, times[0], side="left"),
+                      np.searchsorted(instants, times[-1], side="right"))
+        t = instants[k]
+        # times[j - 1] <= t < times[j]; j == len(times) only where t is the
+        # last record's time, which then stands as it is.
+        j = np.searchsorted(times, t, side="right")
+        inner = j < len(times)
+        lo, hi = j - 1, np.minimum(j, len(times) - 1)
+        span = times[hi] - times[lo]
+        keep = ~(inner & (span > max_gap_s) & (times[lo] != t))
+        with np.errstate(invalid="ignore"):  # 0/0 at the last record, unused
+            frac = (t - times[lo]) / span
+        at = np.where(inner[:, None],
+                      xy[lo] + frac[:, None] * (xy[hi] - xy[lo]), xy[lo])
+        ks.append(k[keep])
+        ids.append(np.full(int(keep.sum()), vid, dtype=int))
+        pos.append(at[keep])
+    # A stable sort by instant keeps each snapshot's ids ascending.
+    k_all = np.concatenate(ks)
+    order = np.argsort(k_all, kind="stable")
+    ids_all = np.concatenate(ids)[order]
+    pos_all = np.concatenate(pos)[order]
+    bounds = np.searchsorted(k_all[order], np.arange(n_steps + 1))
+    return [ScenarioSnapshot(tti=k * beacon_period_ms,
+                             ids=ids_all[bounds[k]:bounds[k + 1]],
+                             positions=pos_all[bounds[k]:bounds[k + 1]])
+            for k in range(n_steps)]
 
 
 # ---------------------------------------------------------------------------

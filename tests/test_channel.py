@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mode4sim import channel
 from mode4sim.channel import (ChannelParams, ChannelRealization, ObstacleMap,
                               breakpoint_distance_m, los_state,
                               noise_floor_dbm, pathloss_db, pathloss_los_db,
@@ -59,6 +60,80 @@ def test_los_matches_sampling_oracle(p, q):
 @settings(max_examples=50, deadline=None)
 def test_los_symmetry(p, q):
     assert los_state(SQUARE, p, q) == los_state(SQUARE, q, p)
+
+
+# Convex and concave polygons on an integer lattice, so lattice segments run
+# along edges, end on edges and pass through vertices.
+LATTICE_MAP = ObstacleMap(polygons=[
+    [(0, 0), (4, 0), (4, 4), (0, 4)],
+    [(6, 0), (12, 0), (12, 3), (9, 3), (9, 8), (6, 8)],   # L shape
+    [(2, 6), (5, 10), (0, 9)],
+    [(1, 12), (5, 12), (5, 16), (4, 16), (3, 13), (2, 16), (1, 16)],  # notch
+])
+
+lattice_points = st.tuples(st.integers(-2, 14), st.integers(-2, 17))
+float_points = st.tuples(st.floats(-2, 14), st.floats(-2, 17))
+
+
+@given(st.lists(st.tuples(lattice_points, lattice_points)
+                | st.tuples(float_points, float_points), max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_array_los_matches_scalar_blocks(segments):
+    p = np.array([a for a, _ in segments], dtype=float).reshape(-1, 2)
+    q = np.array([b for _, b in segments], dtype=float).reshape(-1, 2)
+    got = los_state(LATTICE_MAP, p, q)
+    assert got.dtype == bool and got.shape == (len(segments),)
+    want = [not LATTICE_MAP.blocks(a, b) for a, b in zip(p, q)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p, q, los", [
+    ((-1, 0), (5, 0), False),     # collinear with the square's bottom edge
+    ((4, -2), (4, -1), True),     # collinear with an edge, short of it
+    ((4, -2), (4, 0), False),     # ends on a vertex
+    ((3, -1), (5, 1), False),     # passes through a vertex
+    ((-1, 2), (0, 2), False),     # ends on an edge
+    ((5, -1), (5, 9), True),      # runs between two buildings
+    ((9, 5), (10, 5), False),     # starts on the L's inner edge
+    ((10, 5), (11, 6), True),     # inside the L's notch
+    ((3, 14), (3, 15), True),     # inside the notch of the last polygon
+    ((2, 2), (2, 2), False),      # a point inside the square
+])
+def test_array_los_contact_cases(p, q, los):
+    assert LATTICE_MAP.blocks(p, q) == (not los)
+    assert los_state(LATTICE_MAP, p, q) is los
+    got = los_state(LATTICE_MAP, np.array([p, q], float), np.array([q, p], float))
+    assert got.tolist() == [los, los]
+
+
+def test_array_los_matches_scalar_on_a_lattice(monkeypatch):
+    # Enough lattice segments that every contact rule decides some of them.
+    rng = np.random.default_rng(11)
+    p = rng.integers(-2, 15, size=(2000, 2)).astype(float)
+    q = rng.integers(-2, 18, size=(2000, 2)).astype(float)
+    want = [not LATTICE_MAP.blocks(a, b) for a, b in zip(p, q)]
+    assert los_state(LATTICE_MAP, p, q).tolist() == want
+    monkeypatch.setattr(channel, "LOS_CHUNK_ELEMENTS", 50)  # chunks of 2 pairs
+    assert los_state(LATTICE_MAP, p, q).tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+def test_los_state_forms_and_errors():
+    assert type(los_state(SQUARE, (0, 0), (100, 0))) is bool
+    assert type(los_state(None, (0, 0), (100, 0))) is bool
+    empty = np.empty((0, 2))
+    for obstacles in (None, SQUARE):
+        got = los_state(obstacles, empty, empty)
+        assert got.shape == (0,) and got.dtype == bool
+    assert los_state(None, np.zeros((3, 2)), np.ones((3, 2))).tolist() == [True] * 3
+    p = np.array([[0.0, 0.0], [np.nan, 0.0]])
+    for obstacles in (None, SQUARE):
+        with pytest.raises(ValueError, match="finite"):
+            los_state(obstacles, (0, 0), (np.inf, 0))
+        with pytest.raises(ValueError, match="finite"):
+            los_state(obstacles, p, np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            los_state(obstacles, np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 def test_obstacle_file_roundtrip(tmp_path):

@@ -3,6 +3,7 @@ import os
 import pytest
 import yaml
 
+from mode4sim import cli
 from mode4sim.cli import main
 
 SMALL_CFG = {
@@ -91,6 +92,25 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     cfg = write_cfg(tmp_path, {"bandwidth_mhz": 10.0}, name="c4.yaml")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    cfg = write_cfg(tmp_path, {"t_sense_ms": 150, "duration_s": 3.0}, name="c5.yaml")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def _no_runs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulation ran")
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    monkeypatch.setattr(cli, "run_hidden_node", refuse)
+
+
+def test_sweep_rejects_bad_point_before_running(tmp_path, capsys, monkeypatch):
+    _no_runs(monkeypatch)
+    cfg = write_cfg(tmp_path, SMALL_CFG)
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--config", cfg, "--param", "t_sense_ms",
+                 "--values", "500,150", "--out", out]) == 2
+    assert "t_sense_ms (150)" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_mcs14_requires_explicit_threshold(tmp_path):
@@ -115,14 +135,17 @@ def test_lone_vehicle_reports_nan_prr(tmp_path, capsys):
     assert rows[1].split(",")[2] == "nan"
 
 
-def test_unwritable_output_exits_2(tmp_path, capsys):
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
+    _no_runs(monkeypatch)
     cfg = write_cfg(tmp_path, dict(SMALL_CFG, duration_s=3.0))
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = str(blocker / "out")
-    assert main(["simulate", "--config", cfg, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("output error:") and out in err
+    for command in (["simulate"], ["sweep", "--param", "seed", "--values", "1,2"],
+                    ["hidden-node"]):
+        assert main(command + ["--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and out in err, command
 
 
 def test_missing_trace_exits_3(tmp_path):

@@ -127,6 +127,43 @@ def test_trace_scenario_respects_presence(tmp_path):
     assert any(t > 3000 for t in tx_times[2])  # rejoins afterwards
 
 
+def test_los_matrix_matches_scalar_blocks(tmp_path):
+    # Four vehicles pass a building; vehicle 3 joins half-way. Pairs on
+    # opposite sides of the building are blocked, the others are not.
+    rows = []
+    for k in range(16):
+        t = k * 0.1
+        rows.append(f"{t:.1f},0,{10 * t:.2f},0.0")
+        rows.append(f"{t:.1f},1,{100 - 10 * t:.2f},0.0")
+        rows.append(f"{t:.1f},2,{20 + 30 * t:.2f},20.0")
+        if t >= 0.5:
+            rows.append(f"{t:.1f},3,{50.0:.2f},{-30 + 5 * t:.2f}")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(rows) + "\n")
+    obstacles = tmp_path / "map.txt"
+    obstacles.write_text("40,-10,60,-10,60,10,40,10\n")
+    cfg = RunConfig(scenario="trace", trace=str(trace), obstacle_map=str(obstacles),
+                    duration_s=1.0, t_sense_ms=200, n_min=2, n_max=4, seed=1)
+    engine = SimulationEngine(cfg)
+    blocked_seen = clear_seen = 0
+    for t in range(0, 1000, 100):
+        engine._advance_world(t)
+        los = engine._los_matrix()
+        assert np.array_equal(los, los.T)
+        want = np.ones_like(los)
+        present = np.flatnonzero(engine.present)
+        for a in present:
+            for b in present:
+                if a != b:
+                    want[a, b] = not engine.obstacles.blocks(engine.positions[a],
+                                                             engine.positions[b])
+        assert np.array_equal(los, want), t
+        assert engine.present[3] == (t >= 500)
+        blocked_seen += int((~los).sum())
+        clear_seen += int(los[np.ix_(present, present)].sum()) - len(present)
+    assert blocked_seen > 0 and clear_seen > 0
+
+
 def test_duration_must_exceed_warmup():
     from mode4sim.config import ConfigError
     with pytest.raises(ConfigError):

@@ -26,10 +26,16 @@ def test_static_vehicle_same_position_everywhere(tmp_path):
 
 
 def test_interpolation_at_tenth_second(tmp_path):
-    path = write_trace(tmp_path, "0.0,3,0.0,0.0\n1.0,3,10.0,0.0\n")
-    snaps = load_trace(path)
-    assert snaps[1].positions[0, 0] == pytest.approx(1.0)
-    assert snaps[5].positions[0, 0] == pytest.approx(5.0)
+    cases = [
+        ("0.0,3,0.0,0.0\n1.0,3,10.0,0.0\n", {1: 1.0, 5: 5.0}),
+        # Two records share 0.5 s: the last of them holds from that instant on.
+        ("0.0,3,0.0,0.0\n0.5,3,7.0,0.0\n0.5,3,5.0,0.0\n1.0,3,10.0,0.0\n",
+         {1: 1.4, 5: 5.0, 6: 6.0}),
+    ]
+    for text, expect in cases:
+        snaps = load_trace(write_trace(tmp_path, text))
+        for k, x in expect.items():
+            assert snaps[k].positions[0, 0] == pytest.approx(x)
 
 
 def test_header_is_optional(tmp_path):
@@ -39,16 +45,24 @@ def test_header_is_optional(tmp_path):
 
 
 def test_gap_excludes_vehicle(tmp_path):
-    rows = ["0.0,1,0,0", "0.5,1,5,0", "1.0,1,10,0",
-            "4.0,1,40,0", "4.5,1,45,0"]
-    snaps = load_trace(write_trace(tmp_path, "\n".join(rows)))
-    present = {k for k, snap in enumerate(snaps) if 1 in snap.ids}
-    # Membership oracle from the raw records: present on [0,1] and [4,4.5],
-    # absent inside the 3-second hole.
-    for k in range(len(snaps)):
-        t = k * 0.1
-        expect = t <= 1.0 or 4.0 <= t <= 4.5
-        assert (k in present) == expect, f"t={t}"
+    cases = [
+        # Present on [0, 1] and [4, 4.5], absent inside the 3-second hole.
+        (["0.0,1,0,0", "0.5,1,5,0", "1.0,1,10,0", "4.0,1,40,0", "4.5,1,45,0"],
+         lambda k: k <= 10 or 40 <= k <= 45),
+        # A last record on an instant counts there; one between instants
+        # does not carry over to the next instant.
+        (["0.0,1,0,0", "0.5,1,5,0", "1.0,2,0,0"], lambda k: k <= 5),
+        (["0.0,1,0,0", "0.55,1,5,0", "1.0,2,0,0"], lambda k: k <= 5),
+        # Joining late, between instants.
+        (["0.25,1,0,0", "0.5,1,5,0", "0.0,2,0,0", "1.0,2,0,0"],
+         lambda k: 3 <= k <= 5),
+    ]
+    for rows, expect in cases:
+        snaps = load_trace(write_trace(tmp_path, "\n".join(rows)))
+        present = {k for k, snap in enumerate(snaps) if 1 in snap.ids}
+        # Membership oracle from the raw records of vehicle 1.
+        for k in range(len(snaps)):
+            assert (k in present) == expect(k), f"{rows}: t={k * 0.1}"
 
 
 def test_malformed_line_reports_number(tmp_path):
