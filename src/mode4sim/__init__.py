@@ -5,19 +5,14 @@ from .analysis import (HoldTimeDistribution, reallocation_probability,
                        tbc_ccdf, tbc_distribution, tbe_distribution,
                        total_variation)
 from .channel import (ChannelParams, ChannelRealization, ObstacleMap,
-                      los_state, noise_floor_dbm, pathloss_db, rx_power_dbm,
-                      shadow_step)
+                      los_state, noise_floor_dbm, pathloss_db, rx_power_dbm)
 from .config import ConfigError, RunConfig, load_config
 from .engine import SimulationEngine, SimulationResult, run_hidden_node, run_scenario
-from .grid import BrIndex, GridConfig, br_count, br_flat_index, br_from_flat
+from .grid import GridConfig
 from .metrics import (HiddenNodeAccumulator, PrrAccumulator, UdTracker,
-                      hidden_node_probability, record_beacon, ud_percentile)
-from .mobility import (HighwayConfig, HighwayState, TraceRecord, load_trace,
-                       neighbors, spawn_highway, step_highway)
+                      hidden_node_probability, ud_percentile)
+from .mobility import HighwayConfig, HighwayState, load_trace, spawn_highway, step_highway
 from .mode4 import (Mode4Params, SensingMemory, candidate_set, mac_select,
                     on_beacon_period_end, power_threshold)
-from .phy import (RxOutcome, SenseSample, TxEvent, receive_subframe,
-                  sense_subframe, sinr)
-from .scenario import ScenarioSnapshot
 
 __version__ = "0.1.0"

@@ -179,6 +179,16 @@ def _point_in_polygon(poly, p):
     return inside
 
 
+def _vertices(poly) -> np.ndarray:
+    """A polygon's (k, 2) vertex array; raises ObstacleMapError if unusable."""
+    arr = np.asarray(poly, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 3:
+        raise ObstacleMapError("each polygon needs at least 3 x,y vertices")
+    if not np.isfinite(arr).all():
+        raise ObstacleMapError("polygon vertices must be finite")
+    return arr
+
+
 @dataclass
 class ObstacleMap:
     """Building footprints as simple polygons, vertex lists in meters."""
@@ -186,12 +196,7 @@ class ObstacleMap:
     polygons: list
 
     def __post_init__(self):
-        clean = []
-        for poly in self.polygons:
-            arr = np.asarray(poly, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 3:
-                raise ObstacleMapError("each polygon needs at least 3 x,y vertices")
-            clean.append(arr)
+        clean = [_vertices(poly) for poly in self.polygons]
         self.polygons = clean
         # Every polygon's edges stacked once, for the array LOS test: edge
         # k runs from edges[0][k] to edges[1][k], and polygon i owns edges
@@ -219,9 +224,9 @@ class ObstacleMap:
                     )
                 try:
                     vals = [float(p) for p in parts]
-                except ValueError as exc:
+                    polys.append(_vertices(np.reshape(vals, (-1, 2))))
+                except ValueError as exc:  # ObstacleMapError included
                     raise ObstacleMapError(f"{path}:{lineno}: {exc}") from exc
-                polys.append(np.asarray(vals).reshape(-1, 2))
         return cls(polygons=polys)
 
     def blocks(self, pos_i, pos_j) -> bool:
@@ -413,11 +418,6 @@ class ChannelRealization:
             self._rx_lin = lin
         return self._rx_lin
 
-    def rx_power_dbm_link(self, i: int, j: int) -> float:
-        return float(
-            rx_power_dbm(self.params, self.pathloss_db[i, j], self.shadow_db[i, j])
-        )
-
 
 def _symmetric_normal(rng, n):
     if rng is None:
@@ -425,23 +425,3 @@ def _symmetric_normal(rng, n):
     g = rng.standard_normal((n, n))
     upper = np.triu(g, 1)
     return upper + upper.T
-
-
-def shadow_step(
-    real: ChannelRealization, link: tuple[int, int], moved_m: float, rng
-) -> float:
-    """Advance one pair's shadow sample by a relative displacement."""
-    if moved_m < 0:
-        raise ValueError("moved_m must be >= 0")
-    i, j = link
-    s = real.shadow_db[i, j]
-    if moved_m == 0:
-        return float(s)
-    sigma = float(real.params.shadow_sigma_db(real.los[i, j]))
-    rho = float(np.exp(-moved_m / real.params.decorr_dist_m))
-    g = rng.normal(0.0, sigma)
-    s_new = rho * s + np.sqrt(1.0 - rho * rho) * g
-    real.shadow_db[i, j] = s_new
-    real.shadow_db[j, i] = s_new
-    real.invalidate()
-    return float(s_new)

@@ -160,6 +160,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.beacon_period_ms < 1 or args.t_sense_ms < 1:
+        raise ConfigError("beacon_period_ms and t_sense_ms must be positive")
     if args.t_sense_ms % args.beacon_period_ms != 0:
         raise ConfigError("t_sense_ms must be a multiple of the beacon period")
     dist = tbc_distribution(args.n_min, args.n_max, args.p_keep,

@@ -20,7 +20,7 @@ from .config import RunConfig
 from .metrics import (HiddenNodeAccumulator, PrrAccumulator, UdTracker,
                       hidden_node_probability)
 from .mobility import TraceError, load_trace, spawn_highway, step_highway
-from .scenario import ScenarioSnapshot, pair_legs
+from .scenario import pair_legs
 from .seeding import substream
 
 
@@ -73,24 +73,22 @@ class SimulationEngine:
             self.hw_state = spawn_highway(self.highway, substream(cfg.seed, "mobility"))
             self.n = cfg.highway_vehicles
             self.wrap = self.highway.length_m if self.highway.wrap_around else None
-            self.trace_snapshots = None
             # Constant speeds make the per-pair relative displacement, and so
             # the shadowing correlation step, constant for the whole run.
             v = self.hw_state.speed
             moved = np.abs(v[:, None] - v[None, :]) * (self.t_b / 1000.0)
             self.rho_const = np.exp(-moved / self.chan_params.decorr_dist_m)
         else:
-            self.trace_snapshots = load_trace(cfg.trace, self.t_b, cfg.max_trace_gap_s)
+            # Row k of the run is the trace's k-th vehicle id.
+            _, self.trace_positions = load_trace(cfg.trace, self.t_b,
+                                                 cfg.max_trace_gap_s)
             needed = (self.total_tti + self.t_b - 1) // self.t_b
-            if len(self.trace_snapshots) < needed:
+            if len(self.trace_positions) < needed:
                 raise TraceError(
-                    f"trace covers {len(self.trace_snapshots)} beacon periods, "
+                    f"trace covers {len(self.trace_positions)} beacon periods, "
                     f"run needs {needed}"
                 )
-            ids = sorted({int(v) for snap in self.trace_snapshots for v in snap.ids})
-            self.trace_index = {vid: k for k, vid in enumerate(ids)}
-            self.trace_ids = np.asarray(ids, dtype=int)
-            self.n = len(ids)
+            self.n = self.trace_positions.shape[1]
             self.wrap = None
             self.highway = None
 
@@ -143,13 +141,8 @@ class SimulationEngine:
             else:
                 disp = step_highway(self.highway, self.hw_state, self.t_b / 1000.0)
             return self.hw_state.positions, np.ones(self.n, dtype=bool), disp
-        snap = self.trace_snapshots[period]
-        pos = np.full((self.n, 2), np.nan)
-        present = np.zeros(self.n, dtype=bool)
-        rows = np.asarray([self.trace_index[int(v)] for v in snap.ids], dtype=int)
-        if len(rows):
-            pos[rows] = snap.positions
-            present[rows] = True
+        pos = self.trace_positions[period]
+        present = ~np.isnan(pos[:, 0])
         if self.prev_positions is None:
             disp = np.zeros((self.n, 2))
         else:
@@ -216,7 +209,7 @@ class SimulationEngine:
 
         # Trace churn: departures drop their allocation, arrivals schedule a
         # first selection within this period.
-        if self.trace_snapshots is not None:
+        if self.highway is None:
             gone = was_present & ~present
             for v in np.flatnonzero(gone):
                 self.next_tx[v] = -1
@@ -360,19 +353,9 @@ def run_hidden_node(cfg: RunConfig, sample_every_periods: int = 1):
         idx = np.flatnonzero(engine.present)
         if len(idx) < 2:
             continue
-        snap = ScenarioSnapshot(
-            tti=t,
-            ids=idx,
-            positions=engine.positions[idx],
-            wrap_length_m=engine.wrap,
-        )
-        sub = ChannelRealization(
-            engine.chan_params,
-            engine.channel.pathloss_db[np.ix_(idx, idx)],
-            engine.channel.shadow_db[np.ix_(idx, idx)],
-            engine.channel.los[np.ix_(idx, idx)],
-        )
+        rows = np.ix_(idx, idx)
         acc.add(hidden_node_probability(
-            snap, sub, engine.grid.sinr_min_db,
-            bin_width_m=cfg.prr_bin_width_m, max_range_m=engine.awareness_m))
+            engine.channel.rx_power_lin()[rows], engine.dist[rows],
+            engine.noise_lin, engine.gamma_lin, cfg.prr_bin_width_m,
+            engine.awareness_m))
     return acc

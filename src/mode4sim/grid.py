@@ -76,32 +76,6 @@ class GridConfig:
         return self.brs_per_tti * self.beacon_period_ms
 
 
-@dataclass(frozen=True, order=True)
-class BrIndex:
-    """Position of one BR: subframe within the period, slot within the subframe."""
-
-    subframe: int
-    freq_slot: int
-
-
-def br_count(cfg: GridConfig) -> int:
-    return cfg.br_count
-
-
-def br_flat_index(cfg: GridConfig, br: BrIndex) -> int:
-    if not (0 <= br.subframe < cfg.beacon_period_ms):
-        raise GridConfigError(f"subframe {br.subframe} out of range")
-    if not (0 <= br.freq_slot < cfg.brs_per_tti):
-        raise GridConfigError(f"freq_slot {br.freq_slot} out of range")
-    return br.subframe * cfg.brs_per_tti + br.freq_slot
-
-
-def br_from_flat(cfg: GridConfig, r: int) -> BrIndex:
-    if not (0 <= r < cfg.br_count):
-        raise GridConfigError(f"flat BR index {r} out of range [0, {cfg.br_count})")
-    return BrIndex(subframe=r // cfg.brs_per_tti, freq_slot=r % cfg.brs_per_tti)
-
-
 def selection_count(r_sel: float, basis_count: int) -> int:
     """Number of candidates handed to the MAC: ceil(r_sel * basis)."""
     if not (0.0 < r_sel <= 1.0):

@@ -1,14 +1,11 @@
 """Output metrics: packet reception ratio by distance, update delay, and the
-hidden-node probability of a snapshot.
+hidden-node probability of one instant.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import ChannelRealization, dbm_to_mw
-from .scenario import ScenarioSnapshot, pair_distances, snapshot_distance
 
 
 class MetricsError(ValueError):
@@ -105,30 +102,6 @@ def ud_percentile(ud: UdTracker, q: float) -> float:
     return gap * ud.beacon_period_s
 
 
-def record_beacon(prr: PrrAccumulator, ud: UdTracker, src: int, outcomes,
-                  snapshot: ScenarioSnapshot, awareness_m: float, t_now_s: float):
-    """Reference per-beacon bookkeeping from a list of reception outcomes.
-
-    Every neighbor inside the awareness range counts in the PRR denominator
-    (half-duplex-blocked ones included); decoded neighbors feed the update
-    delay tracker.
-    """
-    decoded_dsts = []
-    for out in outcomes:
-        if out.source != src:
-            continue
-        d = snapshot_distance(snapshot, src, out.destination)
-        if d > awareness_m:
-            continue
-        bin_idx = int(prr.bin_of(np.asarray(d)))
-        prr.neighbor_count[bin_idx] += 1
-        if out.decoded:
-            prr.decoded_count[bin_idx] += 1
-            decoded_dsts.append(out.destination)
-    if decoded_dsts:
-        ud.record(src, np.asarray(decoded_dsts, dtype=int), t_now_s)
-
-
 # ---------------------------------------------------------------------------
 # Hidden-node probability
 # ---------------------------------------------------------------------------
@@ -151,46 +124,45 @@ class HiddenNodeResult:
     bin_pair_count: np.ndarray
 
 
-def hidden_node_probability(snapshot: ScenarioSnapshot, channel: ChannelRealization,
-                            gamma_min_db: float, bin_width_m: float = 10.0,
-                            max_range_m: float = 500.0) -> HiddenNodeResult:
+def hidden_node_probability(power_lin: np.ndarray, dist_m: np.ndarray,
+                            noise_lin: float, gamma_lin: float, bin_width_m: float,
+                            max_range_m: float) -> HiddenNodeResult:
     """Fraction of link-breaking interferers the source cannot hear.
 
-    Destinations are nodes with interference-free SNR above the threshold;
-    an interferer is any third node whose power alone pushes the pair's SINR
-    below it; it is hidden when the source receives it below the same
-    threshold over noise.
+    `power_lin` is the (n, n) linear received power, rows = transmitter,
+    with a zero diagonal; `dist_m` the (n, n) pair distances; `noise_lin`
+    and `gamma_lin` the noise floor in mW and the decoding threshold as a
+    linear ratio. Destinations are nodes with interference-free SNR above
+    the threshold; an interferer is any third node whose power alone pushes
+    the pair's SINR below it; it is hidden when the source receives it below
+    the same threshold over noise.
     """
-    if snapshot.n < 2:
+    n = len(power_lin)
+    if n < 2:
         raise MetricsError("need at least two vehicles")
-    power = channel.rx_power_lin()
-    noise = float(dbm_to_mw(channel.params.noise_floor_dbm))
-    gamma = float(dbm_to_mw(gamma_min_db))
-    dist = pair_distances(snapshot.positions, snapshot.wrap_length_m)
-    n = snapshot.n
     n_bins = int(np.ceil(max_range_m / bin_width_m))
     ratio_sum = np.zeros(n_bins)
     pair_count = np.zeros(n_bins, dtype=np.int64)
     total_ratio = 0.0
     total_pairs = 0
-    snr_floor = gamma * noise
+    snr_floor = gamma_lin * noise_lin
     for a in range(n):
-        dests = np.flatnonzero(power[a] > snr_floor)
+        dests = np.flatnonzero(power_lin[a] > snr_floor)
         dests = dests[dests != a]
         if len(dests) == 0:
             continue
         # Interference level at b that breaks the a->b link.
-        break_thr = power[a, dests] / gamma - noise
-        strong = power[:, dests] > break_thr[None, :]
+        break_thr = power_lin[a, dests] / gamma_lin - noise_lin
+        strong = power_lin[:, dests] > break_thr[None, :]
         strong[a, :] = False
-        source_deaf = power[:, a] < snr_floor
+        source_deaf = power_lin[:, a] < snr_floor
         i_cnt = strong.sum(axis=0)
         h_cnt = (strong & source_deaf[:, None]).sum(axis=0)
         has_i = i_cnt > 0
         if not has_i.any():
             continue
         ratios = h_cnt[has_i] / i_cnt[has_i]
-        bins = np.clip((dist[a, dests[has_i]] / bin_width_m).astype(int), 0, n_bins - 1)
+        bins = np.clip((dist_m[a, dests[has_i]] / bin_width_m).astype(int), 0, n_bins - 1)
         ratio_sum += np.bincount(bins, weights=ratios, minlength=n_bins)
         pair_count += np.bincount(bins, minlength=n_bins)
         total_ratio += float(ratios.sum())

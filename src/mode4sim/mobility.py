@@ -7,11 +7,10 @@ linear density (and so the neighbor statistics) stationary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .scenario import ScenarioSnapshot
 
 KMH = 1000.0 / 3600.0
 
@@ -20,16 +19,9 @@ class TraceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    time_s: float
-    vehicle_id: int
-    x_m: float
-    y_m: float
-
-
-def _parse_trace(path) -> dict[int, list[TraceRecord]]:
-    by_vehicle: dict[int, list[TraceRecord]] = {}
+def _parse_trace(path) -> dict[int, np.ndarray]:
+    """Trace file -> per vehicle id, its (t, x, y) records as a (k, 3) array."""
+    by_vehicle: dict[int, list] = {}
     n_records = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -42,21 +34,21 @@ def _parse_trace(path) -> dict[int, list[TraceRecord]]:
             if len(parts) != 4:
                 raise TraceError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             try:
-                rec = TraceRecord(float(parts[0]), int(float(parts[1])),
-                                  float(parts[2]), float(parts[3]))
+                t, vid = float(parts[0]), int(float(parts[1]))
+                x, y = float(parts[2]), float(parts[3])
             except ValueError as exc:
                 raise TraceError(f"{path}:{lineno}: {exc}") from exc
-            if not np.isfinite([rec.time_s, rec.x_m, rec.y_m]).all():
+            if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
                 raise TraceError(f"{path}:{lineno}: non-finite value")
-            by_vehicle.setdefault(rec.vehicle_id, []).append(rec)
+            by_vehicle.setdefault(vid, []).append((t, x, y))
             n_records += 1
     if n_records == 0:
         raise TraceError(f"{path}: empty trace")
-    for vid, records in by_vehicle.items():
-        times = [r.time_s for r in records]
-        if any(b < a for a, b in zip(times, times[1:])):
+    records = {vid: np.array(rows) for vid, rows in by_vehicle.items()}
+    for vid, rec in records.items():
+        if (rec[1:, 0] < rec[:-1, 0]).any():
             raise TraceError(f"vehicle {vid}: timestamps decrease")
-    return by_vehicle
+    return records
 
 
 def _is_number(text: str) -> bool:
@@ -68,26 +60,29 @@ def _is_number(text: str) -> bool:
 
 
 def load_trace(path, beacon_period_ms: int = 100,
-               max_gap_s: float = 1.0) -> list[ScenarioSnapshot]:
-    """Trace file -> snapshots at beacon-period granularity.
+               max_gap_s: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Trace file -> (ids, positions) at beacon-period granularity.
 
-    Positions are interpolated linearly between bracketing records; a vehicle
-    is absent at a sample instant when no bracketing pair exists or the pair
-    is more than max_gap_s apart (a leave/rejoin gap). A vehicle's last
-    record counts only at an instant it falls on exactly, and of several
-    records with one timestamp the last one holds from that instant on.
+    `ids` are the vehicles present at one or more instants, ascending.
+    `positions` has shape (n_periods, len(ids), 2): `positions[p, k]` is
+    where vehicle `ids[k]` is at instant p, p beacon periods after the first
+    record, and NaN when it is absent then. Positions are interpolated
+    linearly between bracketing records; a vehicle is absent at a sample
+    instant when no bracketing pair exists or the pair is more than
+    max_gap_s apart (a leave/rejoin gap). A vehicle's last record counts
+    only at an instant it falls on exactly, and of several records with one
+    timestamp the last one holds from that instant on.
     """
     by_vehicle = _parse_trace(path)
-    t_start = min(r[0].time_s for r in by_vehicle.values())
-    t_end = max(r[-1].time_s for r in by_vehicle.values())
+    t_start = min(rec[0, 0] for rec in by_vehicle.values())
+    t_end = max(rec[-1, 0] for rec in by_vehicle.values())
     step = beacon_period_ms / 1000.0
     n_steps = int(np.floor((t_end - t_start) / step)) + 1
     instants = t_start + np.arange(n_steps) * step
-    ks, ids, pos = [], [], []
+    ids, ks, pos = [], [], []
     for vid in sorted(by_vehicle):
-        records = by_vehicle[vid]
-        times = np.array([r.time_s for r in records])
-        xy = np.array([(r.x_m, r.y_m) for r in records])
+        rec = by_vehicle[vid]
+        times, xy = rec[:, 0], rec[:, 1:]
         # Instants from the first record to the last one, inclusive.
         k = np.arange(np.searchsorted(instants, times[0], side="left"),
                       np.searchsorted(instants, times[-1], side="right"))
@@ -99,23 +94,19 @@ def load_trace(path, beacon_period_ms: int = 100,
         lo, hi = j - 1, np.minimum(j, len(times) - 1)
         span = times[hi] - times[lo]
         keep = ~(inner & (span > max_gap_s) & (times[lo] != t))
+        if not keep.any():
+            continue
         with np.errstate(invalid="ignore"):  # 0/0 at the last record, unused
             frac = (t - times[lo]) / span
         at = np.where(inner[:, None],
                       xy[lo] + frac[:, None] * (xy[hi] - xy[lo]), xy[lo])
+        ids.append(vid)
         ks.append(k[keep])
-        ids.append(np.full(int(keep.sum()), vid, dtype=int))
         pos.append(at[keep])
-    # A stable sort by instant keeps each snapshot's ids ascending.
-    k_all = np.concatenate(ks)
-    order = np.argsort(k_all, kind="stable")
-    ids_all = np.concatenate(ids)[order]
-    pos_all = np.concatenate(pos)[order]
-    bounds = np.searchsorted(k_all[order], np.arange(n_steps + 1))
-    return [ScenarioSnapshot(tti=k * beacon_period_ms,
-                             ids=ids_all[bounds[k]:bounds[k + 1]],
-                             positions=pos_all[bounds[k]:bounds[k + 1]])
-            for k in range(n_steps)]
+    positions = np.full((n_steps, len(ids), 2), np.nan)
+    for row, (k, at) in enumerate(zip(ks, pos)):
+        positions[k, row] = at
+    return np.asarray(ids, dtype=int), positions
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +182,3 @@ def step_highway(cfg: HighwayConfig, state: HighwayState, dt_s: float) -> np.nda
     if cfg.wrap_around:
         state.x = np.mod(state.x, cfg.length_m)
     return np.column_stack([dx, np.zeros_like(dx)])
-
-
-def neighbors(snapshot: ScenarioSnapshot, vehicle: int, awareness_m: float) -> set:
-    """Ids of all vehicles within the awareness range (inclusive boundary)."""
-    if awareness_m <= 0:
-        raise ValueError("awareness_m must be positive")
-    row = np.flatnonzero(snapshot.ids == vehicle)
-    if len(row) != 1:
-        raise ValueError(f"vehicle {vehicle} not in snapshot")
-    i = int(row[0])
-    dx = np.abs(snapshot.positions[:, 0] - snapshot.positions[i, 0])
-    if snapshot.wrap_length_m is not None:
-        dx = np.minimum(dx, snapshot.wrap_length_m - dx)
-    dy = snapshot.positions[:, 1] - snapshot.positions[i, 1]
-    dist = np.hypot(dx, dy)
-    mask = dist <= awareness_m
-    mask[i] = False
-    return set(int(v) for v in snapshot.ids[mask])

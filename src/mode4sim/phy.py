@@ -4,49 +4,14 @@ A message is decoded when its SINR strictly exceeds the grid's minimum
 (ties fail). Transmissions in the same subframe interfere at full power when
 they share the frequency slot and at the in-band-emission attenuation
 otherwise. A vehicle transmitting in a subframe can neither receive nor
-sense during it (half duplex).
+sense during it (half duplex). Every function works on whole subframes:
+rows are transmitters, columns are vehicles. `reference.sinr`,
+`reference.receive_subframe` and `reference.sense_subframe` compute the
+same quantities one link at a time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .channel import ChannelRealization, dbm_to_mw, mw_to_dbm
-from .grid import BrIndex, GridConfig
-from .scenario import ScenarioSnapshot
-
-
-@dataclass(frozen=True)
-class TxEvent:
-    """One beacon transmission: who, where in the grid, at what power."""
-
-    vehicle: int
-    br: BrIndex
-    tx_power_dbm: float = 23.0
-
-
-@dataclass(frozen=True)
-class RxOutcome:
-    source: int
-    destination: int
-    sinr_db: float
-    decoded: bool
-    half_duplex_blocked: bool
-
-
-@dataclass(frozen=True)
-class SenseSample:
-    """Measurement of one BR in one TTI.
-
-    rsrp_dbm is present only when the sample is attributed to a decodable
-    transmission; s_rssi_dbm is the total power seen in the BR.
-    """
-
-    br: BrIndex
-    s_rssi_dbm: float
-    rsrp_dbm: float | None
-    tti: int
 
 
 def ibe_factor(slot_from: int, slot_to: int, attenuation_db: float) -> float:
@@ -55,97 +20,6 @@ def ibe_factor(slot_from: int, slot_to: int, attenuation_db: float) -> float:
         return 1.0
     return float(10.0 ** (-attenuation_db / 10.0))
 
-
-def _event_power_lin(event: TxEvent, dst: int, channel: ChannelRealization) -> float:
-    base = channel.rx_power_dbm_link(event.vehicle, dst)
-    # Per-event power deviations from the configured level shift dB-for-dB.
-    base += event.tx_power_dbm - channel.params.tx_power_dbm
-    return float(dbm_to_mw(base))
-
-
-def sinr(dst: int, src: int, events: list[TxEvent], channel: ChannelRealization,
-         grid: GridConfig) -> float:
-    """SINR in dB at `dst` for the transmission of `src`, scalar reference.
-
-    Preconditions: `src` transmits in this subframe and `dst` does not.
-    """
-    by_vehicle = {ev.vehicle: ev for ev in events}
-    if src not in by_vehicle:
-        raise ValueError(f"vehicle {src} does not transmit in this subframe")
-    if dst in by_vehicle:
-        raise ValueError(f"destination {dst} transmits in this subframe (half duplex)")
-    ev_src = by_vehicle[src]
-    useful = _event_power_lin(ev_src, dst, channel)
-    noise = float(dbm_to_mw(channel.params.noise_floor_dbm))
-    interference = 0.0
-    for ev in events:
-        if ev.vehicle in (src, dst):
-            continue
-        k_ibe = ibe_factor(ev.br.freq_slot, ev_src.br.freq_slot,
-                           channel.params.ibe_attenuation_db)
-        interference += k_ibe * _event_power_lin(ev, dst, channel)
-    return float(mw_to_dbm(useful / (noise + interference)))
-
-
-def receive_subframe(snapshot: ScenarioSnapshot, channel: ChannelRealization,
-                     grid: GridConfig) -> list[RxOutcome]:
-    """Reception outcome of every (source, destination) pair of the subframe."""
-    tx_vehicles = {ev.vehicle for ev in snapshot.events}
-    gamma_min = grid.sinr_min_db
-    outcomes = []
-    for ev in snapshot.events:
-        for dst in range(snapshot.n):
-            if dst == ev.vehicle:
-                continue
-            if dst in tx_vehicles:
-                outcomes.append(RxOutcome(ev.vehicle, dst, float("nan"),
-                                          decoded=False, half_duplex_blocked=True))
-                continue
-            value = sinr(dst, ev.vehicle, snapshot.events, channel, grid)
-            outcomes.append(RxOutcome(ev.vehicle, dst, value,
-                                      decoded=value > gamma_min,
-                                      half_duplex_blocked=False))
-    return outcomes
-
-
-def sense_subframe(observer: int, snapshot: ScenarioSnapshot,
-                   channel: ChannelRealization, grid: GridConfig) -> list[SenseSample]:
-    """Sensing samples taken by `observer` for the BRs of this subframe.
-
-    Returns nothing when the observer transmits (the unmonitored case). Every
-    BR of the subframe yields one total-power sample; each decodable
-    transmission adds a sample attributed to its BR.
-    """
-    tx_vehicles = {ev.vehicle for ev in snapshot.events}
-    if observer in tx_vehicles:
-        return []
-    subframe = snapshot.tti % grid.beacon_period_ms
-    noise = float(dbm_to_mw(channel.params.noise_floor_dbm))
-    samples = []
-    for slot in range(grid.brs_per_tti):
-        total = noise
-        for ev in snapshot.events:
-            k_ibe = ibe_factor(ev.br.freq_slot, slot, channel.params.ibe_attenuation_db)
-            total += k_ibe * _event_power_lin(ev, observer, channel)
-        s_rssi = float(mw_to_dbm(total))
-        attributed = False
-        for ev in snapshot.events:
-            if ev.br.freq_slot != slot:
-                continue
-            value = sinr(observer, ev.vehicle, snapshot.events, channel, grid)
-            if value > grid.sinr_min_db:
-                rsrp = mw_to_dbm(_event_power_lin(ev, observer, channel))
-                samples.append(SenseSample(ev.br, s_rssi, float(rsrp), snapshot.tti))
-                attributed = True
-        if not attributed:
-            samples.append(SenseSample(BrIndex(subframe, slot), s_rssi, None,
-                                       snapshot.tti))
-    return samples
-
-
-# ---------------------------------------------------------------------------
-# Array core shared with the simulation engine
-# ---------------------------------------------------------------------------
 
 def slot_power_sums(power_rows: np.ndarray, tx_slots: np.ndarray,
                     n_freq_slots: int) -> np.ndarray:

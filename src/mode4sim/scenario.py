@@ -1,38 +1,7 @@
-"""Scenario snapshot: who is where, and who transmits, at one TTI."""
+"""Pairwise geometry of row-indexed vehicle positions."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-
-@dataclass
-class ScenarioSnapshot:
-    """Positions and transmissions of all vehicles at one instant.
-
-    `ids` are external vehicle identifiers; `positions[k]` belongs to
-    `ids[k]`. `events` lists the transmissions of this subframe, referring to
-    vehicles by their row index. `wrap_length_m` marks a ring road whose
-    x coordinate wraps (distances use the minimum image).
-    """
-
-    tti: int
-    ids: np.ndarray
-    positions: np.ndarray
-    events: list = field(default_factory=list)
-    wrap_length_m: float | None = None
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids)
-        self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
-            raise ValueError("positions must be (n, 2)")
-        if len(self.ids) != len(self.positions):
-            raise ValueError("ids and positions length mismatch")
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
 
 
 def pair_legs(positions: np.ndarray, wrap_length_m: float | None = None):
@@ -50,17 +19,3 @@ def pair_legs(positions: np.ndarray, wrap_length_m: float | None = None):
     adx = np.where(np.isnan(adx), np.inf, adx)
     ady = np.where(np.isnan(ady), np.inf, ady)
     return adx, ady
-
-
-def pair_distances(positions: np.ndarray, wrap_length_m: float | None = None):
-    adx, ady = pair_legs(positions, wrap_length_m)
-    return np.hypot(adx, ady)
-
-
-def snapshot_distance(snapshot: ScenarioSnapshot, i: int, j: int) -> float:
-    """Distance between two rows of the snapshot."""
-    dx = abs(snapshot.positions[i, 0] - snapshot.positions[j, 0])
-    if snapshot.wrap_length_m is not None:
-        dx = min(dx, snapshot.wrap_length_m - dx)
-    dy = snapshot.positions[i, 1] - snapshot.positions[j, 1]
-    return float(np.hypot(dx, dy))

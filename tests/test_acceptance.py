@@ -20,12 +20,11 @@ from mode4sim.channel import ChannelParams, ChannelRealization
 from mode4sim.cli import main
 from mode4sim.config import RunConfig
 from mode4sim.engine import run_hidden_node, run_scenario
-from mode4sim.grid import BrIndex, GridConfig
+from mode4sim.grid import GridConfig
 from mode4sim.metrics import ud_percentile
 from mode4sim.mode4 import (Mode4Params, SensingMemory, candidate_set,
                             power_threshold)
-from mode4sim.phy import TxEvent, sinr
-from mode4sim.scenario import ScenarioSnapshot
+from mode4sim.reference import BrIndex, ScenarioSnapshot, TxEvent, neighbors, sinr
 
 RING = dict(highway_length_m=4000.0, highway_vehicles=495, seed=7)
 
@@ -342,7 +341,6 @@ def test_criterion_12_invariant_oracles():
     sinr_ok = abs(sinr(3, 0, events, chan, grid) - want) < 1e-9
 
     # Neighbor sets against the quadratic oracle.
-    from mode4sim.mobility import neighbors
     pos = rng.uniform(0, 500, size=(25, 2))
     snap = ScenarioSnapshot(tti=0, ids=np.arange(25), positions=pos)
     neigh_ok = all(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from mode4sim import channel
 from mode4sim.channel import (ChannelParams, ChannelRealization, ObstacleMap,
-                              breakpoint_distance_m, los_state,
+                              ObstacleMapError, breakpoint_distance_m, los_state,
                               noise_floor_dbm, pathloss_db, pathloss_los_db,
-                              pathloss_nlos_db, rx_power_dbm, shadow_step)
+                              pathloss_nlos_db, rx_power_dbm)
+from mode4sim.reference import shadow_step
 
 PARAMS = ChannelParams()
 
@@ -142,6 +144,26 @@ def test_obstacle_file_roundtrip(tmp_path):
     loaded = ObstacleMap.from_file(path)
     assert len(loaded.polygons) == 1
     assert not los_state(loaded, (0, 0), (100, 0))
+
+
+def test_malformed_obstacle_map_is_rejected(tmp_path, capsys):
+    from mode4sim.cli import main
+    cfg = tmp_path / "cfg.yaml"
+    bad_lines = {"odd": "0,0,10,0,10,10,0", "nan": "0,0,10,0,nan,10,0,10",
+                 "inf": "0,0,10,0,inf,10,0,10", "two vertices": "0,0,10,0"}
+    for name, line in bad_lines.items():
+        path = tmp_path / "map.txt"
+        path.write_text(f"# buildings\n{line}\n")
+        with pytest.raises(ObstacleMapError, match=re.escape(f"{path}:2:")):
+            ObstacleMap.from_file(path)
+        cfg.write_text(f"obstacle_map: {path}\nduration_s: 3.0\n"
+                       "highway: {length_m: 800.0, vehicles: 20}\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2, name
+        assert f"{path}:2:" in capsys.readouterr().err
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ObstacleMapError, match="finite"):
+            ObstacleMap(polygons=[[(0, 0), (10, 0), (10, bad), (0, 10)]])
 
 
 # -- pathloss -------------------------------------------------------------

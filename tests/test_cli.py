@@ -173,6 +173,15 @@ def test_analyze_writes_ccdf_and_reports(tmp_path, capsys):
     assert lines[1].startswith("0,0.0000,1.000000000")
 
 
+def test_analyze_rejects_bad_periods_before_writing(tmp_path, capsys):
+    for flag, value in (("--beacon-period-ms", "0"), ("--t-sense-ms", "0"),
+                        ("--beacon-period-ms", "-100"), ("--t-sense-ms", "-1000")):
+        out = str(tmp_path / "an")
+        assert main(["analyze", flag, value, "--out", out]) == 2, (flag, value)
+        assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(out), (flag, value)
+
+
 def test_hidden_node_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, dict(SMALL_CFG, duration_s=3.0))
     out = str(tmp_path / "hn")

@@ -1,16 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mode4sim.grid import (BrIndex, GridConfig, GridConfigError, br_count,
-                           br_flat_index, br_from_flat, selection_count)
+from mode4sim.grid import GridConfig, GridConfigError, selection_count
+from mode4sim.reference import BrIndex, br_flat_index, br_from_flat
 
 
 def test_br_count_matches_layout():
-    assert br_count(GridConfig.for_mcs(4, beacon_period_ms=100)) == 100
-    assert br_count(GridConfig.for_mcs(7, beacon_period_ms=100)) == 200
-    assert br_count(GridConfig(beacon_period_ms=1, brs_per_tti=1,
-                               subchannels_per_br=4, mcs_index=4,
-                               sinr_min_db=2.76)) == 1
+    assert GridConfig.for_mcs(4, beacon_period_ms=100).br_count == 100
+    assert GridConfig.for_mcs(7, beacon_period_ms=100).br_count == 200
+    assert GridConfig(beacon_period_ms=1, brs_per_tti=1,
+                      subchannels_per_br=4, mcs_index=4,
+                      sinr_min_db=2.76).br_count == 1
 
 
 def test_flat_index_examples():

@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 from mode4sim.channel import ChannelParams, ChannelRealization, dbm_to_mw
 from mode4sim.metrics import (HiddenNodeAccumulator, MetricsError,
                               PrrAccumulator, UdTracker,
-                              hidden_node_probability, record_beacon,
-                              ud_percentile)
-from mode4sim.phy import RxOutcome
-from mode4sim.scenario import ScenarioSnapshot
+                              hidden_node_probability, ud_percentile)
+from mode4sim.reference import RxOutcome, ScenarioSnapshot, record_beacon
+from mode4sim.scenario import pair_legs
 
 NOISE_DBM = -99.437
 GAMMA_DB = 7.30
@@ -145,10 +144,18 @@ def test_gaps_are_positive_invariant():
 
 # -- hidden node ----------------------------------------------------------------
 
+def hidden_node(snap, chan, gamma_db, bin_width_m=10.0, max_range_m=500.0):
+    """hidden_node_probability on a snapshot's distances and a realization."""
+    dist = np.hypot(*pair_legs(snap.positions, snap.wrap_length_m))
+    return hidden_node_probability(
+        chan.rx_power_lin(), dist, float(dbm_to_mw(chan.params.noise_floor_dbm)),
+        float(dbm_to_mw(gamma_db)), bin_width_m, max_range_m)
+
+
 def test_two_vehicles_vacuous_case():
     snap = snapshot_line([0.0, 50.0])
     chan = make_channel([[0, -70], [-70, 0]])
-    res = hidden_node_probability(snap, chan, GAMMA_DB)
+    res = hidden_node(snap, chan, GAMMA_DB)
     assert res.zero_pairs
     assert res.probability == 0.0
     assert res.contributing_pairs == 0
@@ -164,7 +171,7 @@ def test_constructed_hidden_node_gives_one():
     rx[0, 2] = -130.0
     chan = make_channel(rx)
     snap = snapshot_line([0.0, 100.0, 130.0])
-    res = hidden_node_probability(snap, chan, GAMMA_DB)
+    res = hidden_node(snap, chan, GAMMA_DB)
     # Pair (0 -> 1) is interfered by the hidden node 2; the reverse-direction
     # pair (2 -> 1) is likewise broken by 0, which 2 cannot hear either.
     assert res.contributing_pairs == 2
@@ -181,7 +188,7 @@ def test_audible_interferer_is_not_hidden():
     rx[0, 2] = -70.0
     chan = make_channel(rx)
     snap = snapshot_line([0.0, 100.0, 130.0])
-    res = hidden_node_probability(snap, chan, GAMMA_DB)
+    res = hidden_node(snap, chan, GAMMA_DB)
     assert res.contributing_pairs == 2
     assert res.probability == 0.0
 
@@ -192,7 +199,7 @@ def test_membership_matches_set_oracle():
     rx = rng.uniform(-130, -60, size=(n, n))
     chan = make_channel(rx)
     snap = snapshot_line(list(rng.uniform(0, 400, size=n)))
-    res = hidden_node_probability(snap, chan, GAMMA_DB)
+    res = hidden_node(snap, chan, GAMMA_DB)
     # Brute-force evaluation of the three set definitions.
     power = chan.rx_power_lin()
     noise = float(dbm_to_mw(NOISE_DBM))
@@ -220,8 +227,8 @@ def test_probability_within_unit_interval_and_rebin():
         rx = rng.uniform(-120, -60, size=(n, n))
         chan = make_channel(rx)
         snap = snapshot_line(list(rng.uniform(0, 500, size=n)))
-        res = hidden_node_probability(snap, chan, GAMMA_DB,
-                                      bin_width_m=10.0, max_range_m=200.0)
+        res = hidden_node(snap, chan, GAMMA_DB,
+                          bin_width_m=10.0, max_range_m=200.0)
         assert 0.0 <= res.probability <= 1.0
         acc.add(res)
     assert 0.0 <= acc.overall() <= 1.0

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mode4sim.mobility import (HighwayConfig, TraceError, load_trace,
-                               neighbors, spawn_highway, step_highway)
-from mode4sim.scenario import ScenarioSnapshot
+                               spawn_highway, step_highway)
+from mode4sim.reference import ScenarioSnapshot, neighbors
 from mode4sim.seeding import substream
 
 
@@ -16,9 +16,33 @@ def write_trace(tmp_path, text, name="trace.csv"):
 
 # -- trace ingestion --------------------------------------------------------
 
+def load_snapshots(path):
+    """load_trace's arrays as one snapshot of the present vehicles per instant."""
+    ids, positions = load_trace(path)
+    present = ~np.isnan(positions[:, :, 0])
+    return [ScenarioSnapshot(tti=k * 100, ids=ids[present[k]],
+                             positions=positions[k, present[k]])
+            for k in range(len(positions))]
+
+
+def test_arrays_hold_every_present_vehicle_in_id_order(tmp_path):
+    # Vehicle 9 joins at 0.2 s; vehicle 4 has records only between two
+    # instants, so it is never present and gets no column.
+    text = ("0.0,7,0,0\n1.0,7,10,0\n0.2,9,5,5\n0.5,9,8,5\n"
+            "0.42,4,1,1\n0.44,4,2,1\n")
+    ids, positions = load_trace(write_trace(tmp_path, text))
+    assert ids.tolist() == [7, 9]
+    assert positions.shape == (11, 2, 2)
+    absent = np.isnan(positions)
+    assert (absent[:, :, 0] == absent[:, :, 1]).all()
+    assert not absent[:, 0].any()
+    assert [k for k in range(11) if not absent[k, 1, 0]] == [2, 3, 4, 5]
+    assert positions[4, 1] == pytest.approx([7.0, 5.0])
+
+
 def test_static_vehicle_same_position_everywhere(tmp_path):
     rows = "\n".join(f"{t/10:.1f},1,5.0,7.0" for t in range(0, 21))
-    snaps = load_trace(write_trace(tmp_path, rows))
+    snaps = load_snapshots(write_trace(tmp_path, rows))
     assert len(snaps) == 21
     for snap in snaps:
         assert list(snap.ids) == [1]
@@ -33,14 +57,14 @@ def test_interpolation_at_tenth_second(tmp_path):
          {1: 1.4, 5: 5.0, 6: 6.0}),
     ]
     for text, expect in cases:
-        snaps = load_trace(write_trace(tmp_path, text))
+        snaps = load_snapshots(write_trace(tmp_path, text))
         for k, x in expect.items():
             assert snaps[k].positions[0, 0] == pytest.approx(x)
 
 
 def test_header_is_optional(tmp_path):
     path = write_trace(tmp_path, "time_s,vehicle_id,x_m,y_m\n0.0,1,0,0\n0.5,1,5,0\n")
-    snaps = load_trace(path)
+    snaps = load_snapshots(path)
     assert list(snaps[0].ids) == [1]
 
 
@@ -58,7 +82,7 @@ def test_gap_excludes_vehicle(tmp_path):
          lambda k: 3 <= k <= 5),
     ]
     for rows, expect in cases:
-        snaps = load_trace(write_trace(tmp_path, "\n".join(rows)))
+        snaps = load_snapshots(write_trace(tmp_path, "\n".join(rows)))
         present = {k for k, snap in enumerate(snaps) if 1 in snap.ids}
         # Membership oracle from the raw records of vehicle 1.
         for k in range(len(snaps)):
@@ -92,7 +116,7 @@ def test_interpolated_positions_on_segment(frac):
         path = os.path.join(d, "t.csv")
         with open(path, "w") as fh:
             fh.write("0.0,9,2.0,3.0\n1.0,9,12.0,-5.0\n")
-        snaps = load_trace(path)
+        snaps = load_snapshots(path)
     for snap in snaps:
         x, y = snap.positions[0]
         lam = (x - 2.0) / 10.0

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from mode4sim.channel import ChannelParams, ChannelRealization, dbm_to_mw
-from mode4sim.grid import BrIndex, GridConfig
-from mode4sim.phy import (RxOutcome, TxEvent, ibe_factor, receive_subframe,
-                          sense_subframe, sinr, subframe_reception,
-                          subframe_srssi)
-from mode4sim.scenario import ScenarioSnapshot
+from mode4sim.grid import GridConfig
+from mode4sim.phy import ibe_factor, subframe_reception, subframe_srssi
+from mode4sim.reference import (BrIndex, RxOutcome, ScenarioSnapshot, TxEvent,
+                                receive_subframe, sense_subframe, sinr)
 
 GRID = GridConfig.for_mcs(7)  # gamma_min = 7.30 dB, 2 BRs per TTI
 NOISE_DBM = -99.437
