@@ -83,8 +83,8 @@ def tbc_distribution(n_min: int, n_max: int, p_keep: float, eps: float = 1e-6,
     """Geometric compound of counter draws via frequency-domain products."""
     if not (0.0 <= p_keep < 1.0):
         raise AnalysisError("p_keep must lie in [0, 1); p_keep = 1 never changes")
-    if eps <= 0:
-        raise AnalysisError("eps must be positive")
+    if not 0.0 < eps < 1.0:
+        raise AnalysisError("eps must lie in (0, 1)")
     tbe = tbe_distribution(n_min, n_max, tbe_form)
     if p_keep == 0.0:
         terms = 1

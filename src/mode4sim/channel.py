@@ -101,18 +101,12 @@ def pathloss_nlos_db(leg1_m, leg2_m, carrier_ghz: float = 5.9, antenna_height_m:
     return np.maximum(corner, pathloss_los_db(euclid, carrier_ghz, antenna_height_m))
 
 
-def pathloss_db(params: ChannelParams, distance_m, los, legs=None):
-    """Pathloss for a link of the given length.
-
-    For NLOS links the two street legs default to the isoceles split
-    d/sqrt(2) when the caller has no geometry.
-    """
-    d = np.asarray(distance_m, dtype=float)
-    pl_los = pathloss_los_db(d, params.carrier_ghz, params.antenna_height_m)
+def pathloss_db(params: ChannelParams, distance_m, los, legs):
+    """Pathloss for links of the given length; NLOS links take the corner
+    pathloss of their two street legs."""
+    pl_los = pathloss_los_db(distance_m, params.carrier_ghz, params.antenna_height_m)
     if np.all(los):
         return pl_los
-    if legs is None:
-        legs = (d / np.sqrt(2.0), d / np.sqrt(2.0))
     pl_nlos = pathloss_nlos_db(legs[0], legs[1], params.carrier_ghz, params.antenna_height_m)
     return np.where(los, pl_los, pl_nlos)
 
@@ -358,61 +352,35 @@ class ChannelRealization:
         self._rx_lin = None
 
     @classmethod
-    def initial(
-        cls,
-        params: ChannelParams,
-        dist_m,
-        los=None,
-        legs=None,
-        rng: np.random.Generator | None = None,
-    ) -> "ChannelRealization":
-        dist = np.asarray(dist_m, dtype=float)
-        n = dist.shape[0]
-        if los is None:
-            los = np.ones_like(dist, dtype=bool)
-        pl = pathloss_db(params, dist, los, legs=legs)
-        if rng is None:
-            shadow = np.zeros_like(dist)
-        else:
-            shadow = _symmetric_normal(rng, n) * params.shadow_sigma_db(los)
+    def initial(cls, params: ChannelParams, dist_m, los, legs,
+                rng: np.random.Generator) -> "ChannelRealization":
+        pl = pathloss_db(params, dist_m, los, legs)
+        shadow = _symmetric_normal(rng, len(pl)) * params.shadow_sigma_db(los)
         return cls(params, pl, shadow, los)
 
     def invalidate(self):
         self._rx_lin = None
 
-    def advance(self, dist_m, moved_m=None, los=None, legs=None, rng=None,
-                rho=None):
+    def advance(self, dist_m, los, legs, rng: np.random.Generator, rho):
         """Refresh pathloss for the new geometry and step the shadow AR(1).
 
-        moved_m is the per-pair relative displacement since the previous
-        update; rho = exp(-moved/decorr). Infinite displacement resamples the
-        pair from scratch. Callers with a constant displacement pattern may
-        pass the precomputed rho matrix instead.
+        rho is each pair's correlation with its previous sample,
+        exp(-moved/decorr) for a relative displacement `moved` since the
+        previous update; rho = 0 resamples the pair from scratch.
         """
-        dist = np.asarray(dist_m, dtype=float)
-        if los is None:
-            los = np.ones_like(dist, dtype=bool)
         self.los = np.asarray(los, dtype=bool)
-        self.pathloss_db = pathloss_db(self.params, dist, self.los, legs=legs)
+        self.pathloss_db = pathloss_db(self.params, dist_m, self.los, legs)
         sigma = self.params.shadow_sigma_db(self.los)
-        if rho is None:
-            if moved_m is None:
-                raise ValueError("need either moved_m or rho")
-            with np.errstate(over="ignore"):
-                rho = np.exp(-np.asarray(moved_m, dtype=float)
-                             / self.params.decorr_dist_m)
         g = _symmetric_normal(rng, self.n) * sigma
         self.shadow_db = rho * self.shadow_db + np.sqrt(1.0 - rho * rho) * g
         self.invalidate()
-
-    def rx_power_dbm_matrix(self):
-        return rx_power_dbm(self.params, self.pathloss_db, self.shadow_db)
 
     def rx_power_lin(self):
         """Linear received power in mW, diagonal zeroed. rows = transmitter."""
         if self._rx_lin is None:
             with np.errstate(invalid="ignore"):
-                lin = dbm_to_mw(self.rx_power_dbm_matrix())
+                lin = dbm_to_mw(rx_power_dbm(self.params, self.pathloss_db,
+                                             self.shadow_db))
             lin = np.nan_to_num(lin, nan=0.0, posinf=0.0)
             np.fill_diagonal(lin, 0.0)
             self._rx_lin = lin
@@ -420,8 +388,6 @@ class ChannelRealization:
 
 
 def _symmetric_normal(rng, n):
-    if rng is None:
-        return np.zeros((n, n))
     g = rng.standard_normal((n, n))
     upper = np.triu(g, 1)
     return upper + upper.T

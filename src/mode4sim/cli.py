@@ -182,6 +182,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_hidden_node(args) -> int:
+    if args.sample_every < 1:
+        raise ConfigError("--sample-every must be >= 1")
     cfg = _load_with_overrides(args)
     _make_outdir(args.out)
     acc = run_hidden_node(cfg, sample_every_periods=args.sample_every)

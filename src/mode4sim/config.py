@@ -80,6 +80,8 @@ class RunConfig:
             self.grid_config()
             self.mode4_params()
             self.channel_params()
+            if self.scenario == "highway":
+                self.highway_config()
         except (GridConfigError, Mode4ParamError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         if self.t_sense_ms % self.beacon_period_ms != 0:

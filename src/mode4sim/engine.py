@@ -66,31 +66,40 @@ class SimulationEngine:
     # -- construction -----------------------------------------------------
 
     def _setup_scenario(self):
+        """Decide the scenario once: `frames`, `wrap` and `rho_const`.
+
+        `frames[p]` holds every vehicle's position in period p, NaN while it
+        is absent. Highway speeds are constant, so each pair's shadowing
+        correlation per period is too (`rho_const`); trace runs derive it
+        from consecutive frames.
+        """
         cfg = self.cfg
         self.obstacles = ObstacleMap.from_file(cfg.obstacle_map) if cfg.obstacle_map else None
+        n_periods = (self.total_tti + self.t_b - 1) // self.t_b
+        self.rho_const = None
         if cfg.scenario == "highway":
-            self.highway = cfg.highway_config()
-            self.hw_state = spawn_highway(self.highway, substream(cfg.seed, "mobility"))
-            self.n = cfg.highway_vehicles
-            self.wrap = self.highway.length_m if self.highway.wrap_around else None
-            # Constant speeds make the per-pair relative displacement, and so
-            # the shadowing correlation step, constant for the whole run.
-            v = self.hw_state.speed
+            highway = cfg.highway_config()
+            state = spawn_highway(highway, substream(cfg.seed, "mobility"))
+            self.frames = np.empty((n_periods, highway.target_vehicle_count, 2))
+            self.frames[:, :, 1] = state.y
+            self.frames[0, :, 0] = state.x
+            for period in range(1, n_periods):
+                step_highway(highway, state, self.t_b / 1000.0)
+                self.frames[period, :, 0] = state.x
+            self.wrap = highway.length_m if highway.wrap_around else None
+            v = state.speed
             moved = np.abs(v[:, None] - v[None, :]) * (self.t_b / 1000.0)
             self.rho_const = np.exp(-moved / self.chan_params.decorr_dist_m)
         else:
             # Row k of the run is the trace's k-th vehicle id.
-            _, self.trace_positions = load_trace(cfg.trace, self.t_b,
-                                                 cfg.max_trace_gap_s)
-            needed = (self.total_tti + self.t_b - 1) // self.t_b
-            if len(self.trace_positions) < needed:
+            _, self.frames = load_trace(cfg.trace, self.t_b, cfg.max_trace_gap_s)
+            if len(self.frames) < n_periods:
                 raise TraceError(
-                    f"trace covers {len(self.trace_positions)} beacon periods, "
-                    f"run needs {needed}"
+                    f"trace covers {len(self.frames)} beacon periods, "
+                    f"run needs {n_periods}"
                 )
-            self.n = self.trace_positions.shape[1]
             self.wrap = None
-            self.highway = None
+        self.n = self.frames.shape[1]
 
     def _setup_state(self):
         cfg, n = self.cfg, self.n
@@ -101,8 +110,7 @@ class SimulationEngine:
         self.counter = np.zeros(n, dtype=np.int64)  # reselection counters
         self.seq = np.full(n, -1, dtype=np.int64)
         self.held = np.zeros(n, dtype=np.int64)
-        self.present = np.ones(n, dtype=bool)
-        self.positions = np.full((n, 2), np.nan)
+        self.present = np.zeros(n, dtype=bool)  # every vehicle starts absent
         self.phase = substream(cfg.seed, "phase").integers(0, self.t_b, size=n)
         self.shadow_rng = substream(cfg.seed, "shadow")
         self.mac_rngs = [substream(cfg.seed, "mac", v) for v in range(n)]
@@ -124,30 +132,8 @@ class SimulationEngine:
         self.dist = None
         self.neigh = None
         self.bins = None
-        self.prev_positions = None
-
-        if cfg.scenario == "highway":
-            self.select_at[:] = self.phase
-        else:
-            # Trace vehicles schedule their first selection on arrival.
-            self.present[:] = False
 
     # -- per-period geometry ----------------------------------------------
-
-    def _period_positions(self, period: int):
-        if self.highway is not None:
-            if period == 0:
-                disp = np.zeros((self.n, 2))
-            else:
-                disp = step_highway(self.highway, self.hw_state, self.t_b / 1000.0)
-            return self.hw_state.positions, np.ones(self.n, dtype=bool), disp
-        pos = self.trace_positions[period]
-        present = ~np.isnan(pos[:, 0])
-        if self.prev_positions is None:
-            disp = np.zeros((self.n, 2))
-        else:
-            disp = pos - self.prev_positions
-        return pos, present, disp
 
     def _los_matrix(self):
         los = np.ones((self.n, self.n), dtype=bool)
@@ -161,32 +147,32 @@ class SimulationEngine:
         los[b, a] = ok
         return los
 
+    def _shadow_rho(self, period: int):
+        """Per-pair shadowing correlation from the previous period to this one."""
+        if self.rho_const is not None:
+            return self.rho_const
+        disp = self.frames[period] - self.frames[period - 1]
+        with np.errstate(invalid="ignore"):
+            moved = np.hypot(disp[:, 0][:, None] - disp[:, 0][None, :],
+                             disp[:, 1][:, None] - disp[:, 1][None, :])
+        # Presence changes decorrelate the pair's shadowing entirely.
+        moved = np.where(np.isnan(moved), np.inf, moved)
+        return np.exp(-moved / self.chan_params.decorr_dist_m)
+
     def _advance_world(self, t: int):
         """Positions, presence, geometry, LOS and channel of the period at t."""
-        pos, present, disp = self._period_positions(t // self.t_b)
-        self.positions, self.present = pos, present
-        self.prev_positions = pos.copy()
-
-        adx, ady = pair_legs(pos, self.wrap)
-        dist = np.hypot(adx, ady)
-        self.dist = dist
-        if self.highway is not None:
-            moved, rho = None, self.rho_const
-        else:
-            with np.errstate(invalid="ignore"):
-                moved = np.hypot(disp[:, 0][:, None] - disp[:, 0][None, :],
-                                 disp[:, 1][:, None] - disp[:, 1][None, :])
-            # Presence changes decorrelate the pair's shadowing entirely.
-            moved = np.where(np.isnan(moved), np.inf, moved)
-            rho = None
+        period = t // self.t_b
+        self.positions = self.frames[period]
+        self.present = ~np.isnan(self.positions[:, 0])
+        legs = pair_legs(self.positions, self.wrap)
+        self.dist = np.hypot(*legs)
         los = self._los_matrix()
-        legs = (adx, ady) if self.obstacles is not None else None
         if self.channel is None:
             self.channel = ChannelRealization.initial(
-                self.chan_params, dist, los=los, legs=legs, rng=self.shadow_rng)
+                self.chan_params, self.dist, los, legs, self.shadow_rng)
         else:
-            self.channel.advance(dist, moved, los=los, legs=legs,
-                                 rng=self.shadow_rng, rho=rho)
+            self.channel.advance(self.dist, los, legs, self.shadow_rng,
+                                 self._shadow_rho(period))
 
     def _begin_period(self, t: int):
         """Advance the world, then start the protocol's period at t."""
@@ -207,20 +193,16 @@ class SimulationEngine:
         if self.memory is not None:
             self.memory.begin_period(t // self.t_b)
 
-        # Trace churn: departures drop their allocation, arrivals schedule a
-        # first selection within this period.
-        if self.highway is None:
-            gone = was_present & ~present
-            for v in np.flatnonzero(gone):
-                self.next_tx[v] = -1
-                self.select_at[v] = -1
-                self.cur_offset[v] = -1
-                self.counter[v] = 0
-                self.held[v] = 0
-            fresh = present & ~was_present
-            for v in np.flatnonzero(fresh):
-                if self.next_tx[v] < 0 and self.select_at[v] < 0:
-                    self.select_at[v] = t + int(self.phase[v])
+        # Departures drop their allocation; arrivals (every highway vehicle
+        # on period 0) schedule a first selection within this period.
+        gone = was_present & ~present
+        self.next_tx[gone] = -1
+        self.select_at[gone] = -1
+        self.cur_offset[gone] = -1
+        self.counter[gone] = 0
+        self.held[gone] = 0
+        fresh = present & ~was_present
+        self.select_at[fresh] = t + self.phase[fresh]
 
     # -- selection and transmission ----------------------------------------
 

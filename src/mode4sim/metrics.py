@@ -190,8 +190,9 @@ class HiddenNodeAccumulator:
         self.snapshot_probs.append(result.probability)
 
     def overall(self) -> float:
+        """Mean over snapshots; NaN when no sampled instant had two vehicles."""
         if not self.snapshot_probs:
-            raise MetricsError("no snapshots accumulated")
+            return float("nan")
         return float(np.mean(self.snapshot_probs))
 
     def by_bin(self):

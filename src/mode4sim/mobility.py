@@ -128,6 +128,8 @@ class HighwayConfig:
     def __post_init__(self):
         if self.length_m <= 0 or self.target_vehicle_count <= 0:
             raise ValueError("length and vehicle count must be positive")
+        if not math.isfinite(self.length_m):
+            raise ValueError("highway length must be finite")
         if self.lanes_per_direction < 1:
             raise ValueError("need at least one lane per direction")
         if any(v <= 0 for v in self.speed_mean_mps):

@@ -195,8 +195,9 @@ def test_pathloss_continuous_at_breakpoint():
 
 def test_nlos_never_below_los():
     for d in (5, 10, 25, 60, 150, 400, 1000):
-        los = pathloss_db(PARAMS, d, True)
-        nlos = pathloss_db(PARAMS, d, False)
+        legs = (d / math.sqrt(2.0), d / math.sqrt(2.0))
+        los = pathloss_db(PARAMS, d, True, legs)
+        nlos = pathloss_db(PARAMS, d, False, legs)
         assert nlos >= los
     # Degenerate legs: one street leg much shorter than the other.
     for d1, d2 in ((3, 200), (5, 50), (150, 3), (400, 12)):
@@ -234,10 +235,16 @@ def test_noise_floor_values():
 
 # -- shadowing ------------------------------------------------------------
 
+def _all_los(dist):
+    """All-LOS flags, and street legs |dx| = d, |dy| = 0, for distances d."""
+    return np.ones_like(dist, dtype=bool), (dist, np.zeros_like(dist))
+
+
 def _single_link_realization(sigma_los=3.0, decorr=25.0):
     params = ChannelParams(shadow_sigma_los_db=sigma_los, decorr_dist_m=decorr)
     dist = np.array([[0.0, 50.0], [50.0, 0.0]])
-    return ChannelRealization.initial(params, dist, rng=np.random.default_rng(1))
+    return ChannelRealization.initial(params, dist, *_all_los(dist),
+                                      np.random.default_rng(1))
 
 
 def test_shadow_step_zero_move_keeps_sample():
@@ -278,11 +285,12 @@ def test_vectorized_advance_stationary_variance():
     n = 60
     rng = np.random.default_rng(5)
     dist = np.full((n, n), 80.0)
-    real = ChannelRealization.initial(params, dist, rng=rng)
-    moved = np.full((n, n), 10.0)
+    los, legs = _all_los(dist)
+    real = ChannelRealization.initial(params, dist, los, legs, rng)
+    rho = np.exp(-np.full((n, n), 10.0) / params.decorr_dist_m)
     samples = []
     for _ in range(300):
-        real.advance(dist, moved, rng=rng)
+        real.advance(dist, los, legs, rng, rho)
         samples.append(real.shadow_db[np.triu_indices(n, 1)].copy())
     arr = np.concatenate(samples[50:])
     assert arr.var() == pytest.approx(9.0, rel=0.05)

@@ -83,7 +83,8 @@ def test_sweep_unknown_parameter_exits_2(tmp_path):
                  "--values", "1,2", "--out", str(tmp_path / "o")]) == 2
 
 
-def test_invalid_config_exits_2(tmp_path):
+def test_invalid_config_exits_2(tmp_path, monkeypatch):
+    _no_runs(monkeypatch)
     cfg = write_cfg(tmp_path, {"mcs": 5})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     cfg = write_cfg(tmp_path, {"nonsense_key": 1}, name="c2.yaml")
@@ -94,6 +95,10 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     cfg = write_cfg(tmp_path, {"t_sense_ms": 150, "duration_s": 3.0}, name="c5.yaml")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    for key, value in (("vehicles", 0), ("lanes_per_direction", 0), ("length_m", -5),
+                       ("length_m", float("nan"))):
+        cfg = write_cfg(tmp_path, {"highway": {key: value}}, name="hw.yaml")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, key
 
 
 def _no_runs(monkeypatch):
@@ -110,6 +115,10 @@ def test_sweep_rejects_bad_point_before_running(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", cfg, "--param", "t_sense_ms",
                  "--values", "500,150", "--out", out]) == 2
     assert "t_sense_ms (150)" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert main(["sweep", "--config", cfg, "--param", "highway_vehicles",
+                 "--values", "20,0", "--out", out]) == 2
+    assert "vehicle count must be positive" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -175,7 +184,8 @@ def test_analyze_writes_ccdf_and_reports(tmp_path, capsys):
 
 def test_analyze_rejects_bad_periods_before_writing(tmp_path, capsys):
     for flag, value in (("--beacon-period-ms", "0"), ("--t-sense-ms", "0"),
-                        ("--beacon-period-ms", "-100"), ("--t-sense-ms", "-1000")):
+                        ("--beacon-period-ms", "-100"), ("--t-sense-ms", "-1000"),
+                        ("--eps", "1"), ("--eps", "2")):
         out = str(tmp_path / "an")
         assert main(["analyze", flag, value, "--out", out]) == 2, (flag, value)
         assert capsys.readouterr().err.startswith("error:")
@@ -190,6 +200,30 @@ def test_hidden_node_subcommand(tmp_path, capsys):
     lines = read_bytes(out, "hidden_node.csv").decode().splitlines()
     assert lines[0] == "d_bin_m,probability"
     assert "hidden-node probability" in capsys.readouterr().out
+
+
+def test_hidden_node_rejects_sample_every_below_1(tmp_path, capsys, monkeypatch):
+    _no_runs(monkeypatch)
+    cfg = write_cfg(tmp_path, dict(SMALL_CFG, duration_s=3.0))
+    out = str(tmp_path / "hn")
+    for value in ("0", "-3"):
+        assert main(["hidden-node", "--config", cfg, "--out", out,
+                     "--sample-every", value]) == 2, value
+        assert "--sample-every" in capsys.readouterr().err
+        assert not os.path.exists(out), value
+
+
+def test_hidden_node_lone_vehicle_reports_nan(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"highway": {"length_m": 800.0, "vehicles": 1},
+                               "duration_s": 3.0})
+    out = str(tmp_path / "hn")
+    assert main(["hidden-node", "--config", cfg, "--out", out]) == 0
+    assert "hidden-node probability (all sampled instants): nan" in capsys.readouterr().out
+    summary = read_bytes(out, "summary.txt").decode()
+    assert "hidden_node_probability: nan" in summary
+    assert "snapshots: 0" in summary
+    rows = read_bytes(out, "hidden_node.csv").decode().splitlines()[1:]
+    assert rows and all(row.endswith(",nan") for row in rows)
 
 
 def test_power_threshold_sweep_is_flat_when_sparse(tmp_path):

@@ -4,6 +4,8 @@ import pytest
 from mode4sim import phy
 from mode4sim.config import RunConfig
 from mode4sim.engine import SimulationEngine, run_scenario
+from mode4sim.mobility import spawn_highway, step_highway
+from mode4sim.seeding import substream
 
 SMALL = dict(highway_length_m=1000.0, highway_vehicles=124, seed=5)
 
@@ -99,6 +101,29 @@ def test_mode4_transmissions_stay_within_selection_window():
             # TTIs after the selection instant.
             assert cfg.t1 <= nxt - t <= cfg.t2
     assert engine.beacons_sent > 0
+
+
+def test_highway_frames_and_first_selection():
+    # The frames set-up builds are the highway stepped once per period, and
+    # every vehicle arrives on period 0 with its first selection at its phase.
+    cfg = RunConfig(duration_s=3.05, **SMALL)
+    engine = SimulationEngine(cfg)
+    assert engine.frames.shape == (31, cfg.highway_vehicles, 2)
+    highway = cfg.highway_config()
+    state = spawn_highway(highway, substream(cfg.seed, "mobility"))
+    for period, frame in enumerate(engine.frames):
+        if period:
+            step_highway(highway, state, cfg.beacon_period_ms / 1000.0)
+        assert np.array_equal(frame, state.positions), period
+    assert not engine.present.any()
+    engine._tick(0)
+    assert engine.present.all()
+    later = engine.phase > 0
+    assert later.any() and not later.all()
+    assert np.array_equal(engine.select_at[later], engine.phase[later])
+    # Phase-0 vehicles selected within tick 0.
+    assert (engine.select_at[~later] == -1).all()
+    assert (engine.next_tx[~later] > 0).all()
 
 
 def test_trace_scenario_respects_presence(tmp_path):

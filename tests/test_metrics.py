@@ -232,6 +232,7 @@ def test_probability_within_unit_interval_and_rebin():
         assert 0.0 <= res.probability <= 1.0
         acc.add(res)
     assert 0.0 <= acc.overall() <= 1.0
+    assert np.isnan(HiddenNodeAccumulator(bin_width_m=10.0, max_range_m=200.0).overall())
     centers20, prob20, pairs20 = acc.rebinned(20.0)
     assert len(centers20) == 10
     assert pairs20.sum() == acc.pair_count.sum()
