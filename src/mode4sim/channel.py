@@ -13,16 +13,13 @@ import numpy as np
 SPEED_OF_LIGHT = 3e8
 THERMAL_NOISE_DBM_HZ = -174.0
 MIN_DISTANCE_M = 3.0
+ANTENNA_HEIGHT_M = 1.5  # both ends of every link
 
 from .grid import RB_PAIRS_PER_SUBCHANNEL, RB_PAIR_BANDWIDTH_HZ
 
 
 def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
-
-
-def mw_to_dbm(mw):
-    return 10.0 * np.log10(mw)
 
 
 def noise_floor_dbm(subchannels_per_br: int, noise_figure_db: float = 9.0) -> float:
@@ -41,8 +38,6 @@ class ChannelParams:
     decorr_dist_m: float = 25.0
     tx_power_dbm: float = 23.0
     antenna_gain_db: float = 3.0
-    antenna_height_m: float = 1.5
-    noise_figure_db: float = 9.0
     noise_floor_dbm: float = field(default_factory=lambda: noise_floor_dbm(2))
     ibe_attenuation_db: float = 25.0
 
@@ -56,17 +51,17 @@ class ChannelParams:
         return np.where(los, self.shadow_sigma_los_db, self.shadow_sigma_nlos_db)
 
 
-def breakpoint_distance_m(carrier_ghz: float, antenna_height_m: float = 1.5) -> float:
-    h_eff = antenna_height_m - 1.0
+def breakpoint_distance_m(carrier_ghz: float) -> float:
+    h_eff = ANTENNA_HEIGHT_M - 1.0
     return 4.0 * h_eff * h_eff * carrier_ghz * 1e9 / SPEED_OF_LIGHT
 
 
-def pathloss_los_db(distance_m, carrier_ghz: float = 5.9, antenna_height_m: float = 1.5):
+def pathloss_los_db(distance_m, carrier_ghz: float = 5.9):
     """Two-slope LOS pathloss, continuous at the breakpoint up to the
     rounding of the published constants."""
     d = np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M)
-    h_eff = antenna_height_m - 1.0
-    d_bp = breakpoint_distance_m(carrier_ghz, antenna_height_m)
+    h_eff = ANTENNA_HEIGHT_M - 1.0
+    d_bp = breakpoint_distance_m(carrier_ghz)
     fc_term = np.log10(carrier_ghz / 5.0)
     log_d = np.log10(d)
     near = 22.7 * log_d + (41.0 + 20.0 * fc_term)
@@ -74,10 +69,10 @@ def pathloss_los_db(distance_m, carrier_ghz: float = 5.9, antenna_height_m: floa
     return np.where(d <= d_bp, near, far)
 
 
-def _nlos_one_way(d_main, d_perp, carrier_ghz, antenna_height_m):
+def _nlos_one_way(d_main, d_perp, carrier_ghz):
     n_j = np.maximum(2.8 - 0.0024 * d_main, 1.84)
     return (
-        pathloss_los_db(d_main, carrier_ghz, antenna_height_m)
+        pathloss_los_db(d_main, carrier_ghz)
         + 20.0
         - 12.5 * n_j
         + 10.0 * n_j * np.log10(d_perp)
@@ -85,7 +80,7 @@ def _nlos_one_way(d_main, d_perp, carrier_ghz, antenna_height_m):
     )
 
 
-def pathloss_nlos_db(leg1_m, leg2_m, carrier_ghz: float = 5.9, antenna_height_m: float = 1.5):
+def pathloss_nlos_db(leg1_m, leg2_m, carrier_ghz: float = 5.9):
     """Around-the-corner pathloss from the two right-triangle legs.
 
     Symmetric in the legs (best of the two street orderings) and floored at
@@ -94,20 +89,20 @@ def pathloss_nlos_db(leg1_m, leg2_m, carrier_ghz: float = 5.9, antenna_height_m:
     d1 = np.maximum(np.asarray(leg1_m, dtype=float), MIN_DISTANCE_M)
     d2 = np.maximum(np.asarray(leg2_m, dtype=float), MIN_DISTANCE_M)
     corner = np.minimum(
-        _nlos_one_way(d1, d2, carrier_ghz, antenna_height_m),
-        _nlos_one_way(d2, d1, carrier_ghz, antenna_height_m),
+        _nlos_one_way(d1, d2, carrier_ghz),
+        _nlos_one_way(d2, d1, carrier_ghz),
     )
     euclid = np.hypot(d1, d2)
-    return np.maximum(corner, pathloss_los_db(euclid, carrier_ghz, antenna_height_m))
+    return np.maximum(corner, pathloss_los_db(euclid, carrier_ghz))
 
 
 def pathloss_db(params: ChannelParams, distance_m, los, legs):
     """Pathloss for links of the given length; NLOS links take the corner
     pathloss of their two street legs."""
-    pl_los = pathloss_los_db(distance_m, params.carrier_ghz, params.antenna_height_m)
+    pl_los = pathloss_los_db(distance_m, params.carrier_ghz)
     if np.all(los):
         return pl_los
-    pl_nlos = pathloss_nlos_db(legs[0], legs[1], params.carrier_ghz, params.antenna_height_m)
+    pl_nlos = pathloss_nlos_db(legs[0], legs[1], params.carrier_ghz)
     return np.where(los, pl_los, pl_nlos)
 
 
@@ -127,50 +122,6 @@ LOS_CHUNK_ELEMENTS = 1 << 12
 
 class ObstacleMapError(ValueError):
     pass
-
-
-def _orient(p, q, r):
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def _on_segment(p, q, r):
-    return (
-        min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-        and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
-    )
-
-
-def _segments_intersect(a1, a2, b1, b2):
-    d1 = _orient(b1, b2, a1)
-    d2 = _orient(b1, b2, a2)
-    d3 = _orient(a1, a2, b1)
-    d4 = _orient(a1, a2, b2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _on_segment(b1, b2, a1):
-        return True
-    if d2 == 0 and _on_segment(b1, b2, a2):
-        return True
-    if d3 == 0 and _on_segment(a1, a2, b1):
-        return True
-    if d4 == 0 and _on_segment(a1, a2, b2):
-        return True
-    return False
-
-
-def _point_in_polygon(poly, p):
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if (y1 > p[1]) != (y2 > p[1]):
-            x_cross = x1 + (p[1] - y1) * (x2 - x1) / (y2 - y1)
-            if p[0] < x_cross:
-                inside = not inside
-    return inside
 
 
 def _vertices(poly) -> np.ndarray:
@@ -223,24 +174,11 @@ class ObstacleMap:
                     raise ObstacleMapError(f"{path}:{lineno}: {exc}") from exc
         return cls(polygons=polys)
 
-    def blocks(self, pos_i, pos_j) -> bool:
-        """Scalar reference for `los_state`, one pair at a time."""
-        p = (float(pos_i[0]), float(pos_i[1]))
-        q = (float(pos_j[0]), float(pos_j[1]))
-        for poly in self.polygons:
-            if _point_in_polygon(poly, p) or _point_in_polygon(poly, q):
-                return True
-            n = len(poly)
-            for k in range(n):
-                if _segments_intersect(p, q, tuple(poly[k]), tuple(poly[(k + 1) % n])):
-                    return True
-        return False
 
-
-# The array forms below evaluate the expressions of `_orient`,
-# `_on_segment`, `_segments_intersect` and `_point_in_polygon` in the same
-# operation order, element by element, so they equal the scalar
-# `ObstacleMap.blocks` bit for bit.
+# The array forms below evaluate the expressions of the scalar LOS oracle in
+# `tests/oracles.py` (`_orient`, `_on_segment`, `_segments_intersect`,
+# `_point_in_polygon`) in the same operation order, element by element, so
+# they equal its `blocks` bit for bit.
 
 def _opposite(a, b):
     return ((a > 0) & (b < 0)) | ((a < 0) & (b > 0))
@@ -358,9 +296,6 @@ class ChannelRealization:
         shadow = _symmetric_normal(rng, len(pl)) * params.shadow_sigma_db(los)
         return cls(params, pl, shadow, los)
 
-    def invalidate(self):
-        self._rx_lin = None
-
     def advance(self, dist_m, los, legs, rng: np.random.Generator, rho):
         """Refresh pathloss for the new geometry and step the shadow AR(1).
 
@@ -373,7 +308,7 @@ class ChannelRealization:
         sigma = self.params.shadow_sigma_db(self.los)
         g = _symmetric_normal(rng, self.n) * sigma
         self.shadow_db = rho * self.shadow_db + np.sqrt(1.0 - rho * rho) * g
-        self.invalidate()
+        self._rx_lin = None
 
     def rx_power_lin(self):
         """Linear received power in mW, diagonal zeroed. rows = transmitter."""

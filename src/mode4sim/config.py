@@ -6,6 +6,7 @@ decorrelation distance) resolve from the scenario kind when left unset.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import yaml
@@ -61,6 +62,14 @@ class RunConfig:
     nonstandard: bool = False
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ConfigError(f"{f.name} must be a number, not NaN")
+        for key in ("duration_s", "awareness_m", "prr_bin_width_m"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and positive, got {value}")
         if self.scenario not in ("highway", "trace"):
             raise ConfigError("scenario must be 'highway' or 'trace'")
         if self.scenario == "trace" and not self.trace:
@@ -117,7 +126,6 @@ class RunConfig:
             decorr_dist_m=self.resolved_decorr_dist_m(),
             tx_power_dbm=self.tx_power_dbm,
             antenna_gain_db=self.antenna_gain_db,
-            noise_figure_db=self.noise_figure_db,
             noise_floor_dbm=noise_floor_dbm(grid.subchannels_per_br, self.noise_figure_db),
             ibe_attenuation_db=self.ibe_attenuation_db,
         )

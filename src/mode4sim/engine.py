@@ -56,7 +56,7 @@ class SimulationEngine:
         self.warmup_tti = cfg.t_sense_ms + cfg.n_max * self.t_b
         self.noise_lin = float(dbm_to_mw(self.chan_params.noise_floor_dbm))
         self.gamma_lin = float(dbm_to_mw(self.grid.sinr_min_db))
-        self.ibe_lin = phy.ibe_factor(0, 1, self.chan_params.ibe_attenuation_db)
+        self.ibe_lin = phy.ibe_factor(self.chan_params.ibe_attenuation_db)
         self.record_beacon_log = record_beacon_log
         self.beacon_log = []
 
@@ -86,7 +86,7 @@ class SimulationEngine:
             for period in range(1, n_periods):
                 step_highway(highway, state, self.t_b / 1000.0)
                 self.frames[period, :, 0] = state.x
-            self.wrap = highway.length_m if highway.wrap_around else None
+            self.wrap = highway.length_m
             v = state.speed
             moved = np.abs(v[:, None] - v[None, :]) * (self.t_b / 1000.0)
             self.rho_const = np.exp(-moved / self.chan_params.decorr_dist_m)
@@ -179,8 +179,8 @@ class SimulationEngine:
         was_present = self.present
         self._advance_world(t)
         present, dist = self.present, self.dist
-        pair_present = present[:, None] & present[None, :]
-        neigh = (dist <= self.awareness_m) & pair_present
+        # Absent vehicles sit at an infinite distance from every other one.
+        neigh = dist <= self.awareness_m
         np.fill_diagonal(neigh, False)
         self.neigh = neigh
         self.bins = self.prr.bin_of(np.minimum(dist, self.awareness_m))
@@ -258,7 +258,7 @@ class SimulationEngine:
         slot_sums = phy.slot_power_sums(power_rows, tx_slots, self.grid.brs_per_tti)
         sinr_lin, decoded = phy.subframe_reception(
             power_rows, tx_slots, self.noise_lin, self.gamma_lin,
-            self.ibe_lin, recv_mask, slot_sums=slot_sums)
+            self.ibe_lin, recv_mask, slot_sums)
 
         # Half-duplex audit: sensing samples (counted by the memory) and
         # PRR/UD credits (counted below) that go to a vehicle transmitting
@@ -267,9 +267,7 @@ class SimulationEngine:
 
         if self.memory is not None:
             self.memory.mark_transmissions(txs, subframe)
-            srssi = phy.subframe_srssi(power_rows, tx_slots, self.noise_lin,
-                                       self.ibe_lin, self.grid.brs_per_tti,
-                                       slot_sums=slot_sums)
+            srssi = phy.subframe_srssi(slot_sums, self.noise_lin, self.ibe_lin)
             self.memory.record_srssi(recv_mask, subframe, srssi)
             self.memory.record_rsrp(subframe, tx_slots, power_rows, decoded)
 

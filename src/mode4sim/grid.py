@@ -32,7 +32,6 @@ class GridConfig:
 
     beacon_period_ms: int = 100
     brs_per_tti: int = 2
-    subchannels_total: int = SUBCHANNELS_TOTAL
     subchannels_per_br: int = 2
     mcs_index: int = 7
     sinr_min_db: float = 7.30
@@ -42,9 +41,9 @@ class GridConfig:
             raise GridConfigError("beacon_period_ms must be >= 1")
         if self.brs_per_tti < 1 or self.subchannels_per_br < 1:
             raise GridConfigError("brs_per_tti and subchannels_per_br must be positive")
-        if self.brs_per_tti * self.subchannels_per_br > self.subchannels_total:
+        if self.brs_per_tti * self.subchannels_per_br > SUBCHANNELS_TOTAL:
             raise GridConfigError(
-                "brs_per_tti * subchannels_per_br exceeds subchannels_total"
+                f"brs_per_tti * subchannels_per_br exceeds {SUBCHANNELS_TOTAL} subchannels"
             )
 
     @classmethod

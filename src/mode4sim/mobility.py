@@ -8,11 +8,17 @@ linear density (and so the neighbor statistics) stationary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 KMH = 1000.0 / 3600.0
+# Highway lanes: mean speed per lane from the outer (slowest) lane inwards,
+# the spread of each vehicle's speed around its lane mean, and lane width.
+LANE_SPEEDS_MPS = (70 * KMH, 90 * KMH, 110 * KMH)
+SPEED_SIGMA_FRAC = 0.1
+LANE_WIDTH_M = 4.0
 
 
 class TraceError(ValueError):
@@ -120,20 +126,18 @@ class HighwayConfig:
     length_m: float = 16000.0
     lanes_per_direction: int = 3
     target_vehicle_count: int = 2015
-    speed_mean_mps: tuple = (70 * KMH, 90 * KMH, 110 * KMH)
-    speed_sigma_frac: float = 0.1
-    lane_width_m: float = 4.0
-    wrap_around: bool = True
 
     def __post_init__(self):
+        for count in (self.lanes_per_direction, self.target_vehicle_count):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"lane and vehicle counts must be whole numbers, "
+                                 f"got {count!r}")
         if self.length_m <= 0 or self.target_vehicle_count <= 0:
             raise ValueError("length and vehicle count must be positive")
         if not math.isfinite(self.length_m):
             raise ValueError("highway length must be finite")
-        if self.lanes_per_direction < 1:
-            raise ValueError("need at least one lane per direction")
-        if any(v <= 0 for v in self.speed_mean_mps):
-            raise ValueError("speeds must be positive")
+        if not 1 <= self.lanes_per_direction <= len(LANE_SPEEDS_MPS):
+            raise ValueError(f"need 1 to {len(LANE_SPEEDS_MPS)} lanes per direction")
 
 
 @dataclass
@@ -141,10 +145,6 @@ class HighwayState:
     x: np.ndarray
     y: np.ndarray
     speed: np.ndarray  # signed, direction baked in
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.column_stack([self.x, self.y])
 
 
 def _truncated_normal(rng, mean, sigma, n):
@@ -168,9 +168,9 @@ def spawn_highway(cfg: HighwayConfig, rng: np.random.Generator) -> HighwayState:
     lane_rank = np.where(lane_of < cfg.lanes_per_direction,
                          lane_of, lane_of - cfg.lanes_per_direction)
     # Outer lane (rank 0) slowest; y offsets mirror across the median.
-    y = direction * (0.5 + lane_rank) * cfg.lane_width_m
-    mean = np.asarray(cfg.speed_mean_mps)[lane_rank.astype(int)]
-    speed = _truncated_normal(rng, mean, cfg.speed_sigma_frac * mean, n) * direction
+    y = direction * (0.5 + lane_rank) * LANE_WIDTH_M
+    mean = np.asarray(LANE_SPEEDS_MPS)[lane_rank.astype(int)]
+    speed = _truncated_normal(rng, mean, SPEED_SIGMA_FRAC * mean, n) * direction
     x = rng.uniform(0.0, cfg.length_m, size=n)
     return HighwayState(x=x, y=y, speed=speed)
 
@@ -180,7 +180,5 @@ def step_highway(cfg: HighwayConfig, state: HighwayState, dt_s: float) -> np.nda
     if dt_s <= 0:
         raise ValueError("dt must be positive")
     dx = state.speed * dt_s
-    state.x = state.x + dx
-    if cfg.wrap_around:
-        state.x = np.mod(state.x, cfg.length_m)
+    state.x = np.mod(state.x + dx, cfg.length_m)
     return np.column_stack([dx, np.zeros_like(dx)])

@@ -5,8 +5,8 @@ A message is decoded when its SINR strictly exceeds the grid's minimum
 they share the frequency slot and at the in-band-emission attenuation
 otherwise. A vehicle transmitting in a subframe can neither receive nor
 sense during it (half duplex). Every function works on whole subframes:
-rows are transmitters, columns are vehicles. `reference.sinr`,
-`reference.receive_subframe` and `reference.sense_subframe` compute the
+rows are transmitters, columns are vehicles. The scalar oracles `sinr`,
+`receive_subframe` and `sense_subframe` in `tests/oracles.py` compute the
 same quantities one link at a time.
 """
 from __future__ import annotations
@@ -14,10 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def ibe_factor(slot_from: int, slot_to: int, attenuation_db: float) -> float:
+def ibe_factor(attenuation_db: float) -> float:
     """Linear weight of an interferer's power leaking across frequency slots."""
-    if slot_from == slot_to:
-        return 1.0
     return float(10.0 ** (-attenuation_db / 10.0))
 
 
@@ -34,16 +32,15 @@ def slot_power_sums(power_rows: np.ndarray, tx_slots: np.ndarray,
 
 def subframe_reception(power_rows: np.ndarray, tx_slots: np.ndarray,
                        noise_lin: float, gamma_min_lin: float, ibe_lin: float,
-                       receiver_mask: np.ndarray, slot_sums=None):
+                       receiver_mask: np.ndarray, slot_sums: np.ndarray):
     """Vectorized reception for one subframe.
 
     power_rows: (n_tx, n) linear received power of each transmitter at every
     vehicle. receiver_mask marks vehicles able to receive (present and not
-    transmitting). Returns (sinr_lin, decoded), both (n_tx, n); entries for
-    masked receivers hold sinr 0 / decoded False.
+    transmitting); slot_sums is `slot_power_sums` of the rows. Returns
+    (sinr_lin, decoded), both (n_tx, n); entries for masked receivers hold
+    sinr 0 / decoded False.
     """
-    if slot_sums is None:
-        slot_sums = slot_power_sums(power_rows, tx_slots, int(tx_slots.max()) + 1)
     total = slot_sums.sum(axis=0)
     own_slot_sum = slot_sums[tx_slots]
     same = own_slot_sum - power_rows
@@ -55,16 +52,9 @@ def subframe_reception(power_rows: np.ndarray, tx_slots: np.ndarray,
     return sinr_lin, decoded
 
 
-def subframe_srssi(power_rows: np.ndarray, tx_slots: np.ndarray, noise_lin: float,
-                   ibe_lin: float, n_freq_slots: int, slot_sums=None) -> np.ndarray:
-    """Total power per frequency slot at every vehicle: (n_freq_slots, n)."""
-    n = power_rows.shape[1] if power_rows.size else 0
-    out = np.full((n_freq_slots, n), noise_lin)
-    if power_rows.size == 0:
-        return out
-    if slot_sums is None:
-        slot_sums = slot_power_sums(power_rows, tx_slots, n_freq_slots)
+def subframe_srssi(slot_sums: np.ndarray, noise_lin: float,
+                   ibe_lin: float) -> np.ndarray:
+    """Total power per frequency slot at every vehicle: (n_freq_slots, n),
+    from the `slot_power_sums` of the subframe's transmitters."""
     total = slot_sums.sum(axis=0)
-    for f in range(n_freq_slots):
-        out[f] += slot_sums[f] + (total - slot_sums[f]) * ibe_lin
-    return out
+    return noise_lin + (slot_sums + (total - slot_sums) * ibe_lin)

@@ -4,7 +4,7 @@ The simulator works on row-indexed arrays only. The functions here compute
 the same quantities one link, one vehicle or one resource at a time, from a
 per-instant `ScenarioSnapshot`, so tests can check the array paths against
 code that follows the definitions literally. No module of the simulator
-imports this one.
+imports this one; `test_reference.py` enforces that.
 """
 from __future__ import annotations
 
@@ -12,9 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, dbm_to_mw, mw_to_dbm, rx_power_dbm
-from .grid import GridConfig, GridConfigError
-from .phy import ibe_factor
+from mode4sim.channel import ChannelParams, ChannelRealization, dbm_to_mw, rx_power_dbm
+from mode4sim.grid import GridConfig, GridConfigError
+from mode4sim.phy import ibe_factor
+
+
+def mw_to_dbm(mw):
+    return 10.0 * np.log10(mw)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +127,7 @@ def shadow_step(
     s_new = rho * s + np.sqrt(1.0 - rho * rho) * g
     real.shadow_db[i, j] = s_new
     real.shadow_db[j, i] = s_new
-    real.invalidate()
+    real._rx_lin = None
     return float(s_new)
 
 
@@ -163,6 +167,18 @@ class SenseSample:
     tti: int
 
 
+NOISE_DBM = -99.437  # noise_floor_dbm(2): a two-subchannel BR
+
+
+def make_channel(rx_dbm_matrix, params=None):
+    """Realization with hand-set link budgets: pathloss chosen so that
+    tx + 2*gain - pathloss equals the requested received power."""
+    params = params or ChannelParams(noise_floor_dbm=NOISE_DBM)
+    rx = np.asarray(rx_dbm_matrix, dtype=float)
+    pl = params.tx_power_dbm + 2 * params.antenna_gain_db - rx
+    return ChannelRealization(params, pl, np.zeros_like(pl), np.ones_like(pl, bool))
+
+
 def _event_power_lin(event: TxEvent, dst: int, channel: ChannelRealization) -> float:
     src = event.vehicle
     base = float(rx_power_dbm(channel.params, channel.pathloss_db[src, dst],
@@ -190,8 +206,8 @@ def sinr(dst: int, src: int, events: list[TxEvent], channel: ChannelRealization,
     for ev in events:
         if ev.vehicle in (src, dst):
             continue
-        k_ibe = ibe_factor(ev.br.freq_slot, ev_src.br.freq_slot,
-                           channel.params.ibe_attenuation_db)
+        k_ibe = (1.0 if ev.br.freq_slot == ev_src.br.freq_slot
+                 else ibe_factor(channel.params.ibe_attenuation_db))
         interference += k_ibe * _event_power_lin(ev, dst, channel)
     return float(mw_to_dbm(useful / (noise + interference)))
 
@@ -234,7 +250,8 @@ def sense_subframe(observer: int, snapshot: ScenarioSnapshot,
     for slot in range(grid.brs_per_tti):
         total = noise
         for ev in snapshot.events:
-            k_ibe = ibe_factor(ev.br.freq_slot, slot, channel.params.ibe_attenuation_db)
+            k_ibe = (1.0 if ev.br.freq_slot == slot
+                     else ibe_factor(channel.params.ibe_attenuation_db))
             total += k_ibe * _event_power_lin(ev, observer, channel)
         s_rssi = float(mw_to_dbm(total))
         attributed = False
@@ -279,3 +296,65 @@ def record_beacon(prr, ud, src: int, outcomes, snapshot: ScenarioSnapshot,
             decoded_dsts.append(out.destination)
     if decoded_dsts:
         ud.record(src, np.asarray(decoded_dsts, dtype=int), t_now_s)
+
+
+# ---------------------------------------------------------------------------
+# Obstacle LOS
+# ---------------------------------------------------------------------------
+
+def _orient(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _on_segment(p, q, r):
+    return (
+        min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+        and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
+    )
+
+
+def _segments_intersect(a1, a2, b1, b2):
+    d1 = _orient(b1, b2, a1)
+    d2 = _orient(b1, b2, a2)
+    d3 = _orient(a1, a2, b1)
+    d4 = _orient(a1, a2, b2)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    if d1 == 0 and _on_segment(b1, b2, a1):
+        return True
+    if d2 == 0 and _on_segment(b1, b2, a2):
+        return True
+    if d3 == 0 and _on_segment(a1, a2, b1):
+        return True
+    if d4 == 0 and _on_segment(a1, a2, b2):
+        return True
+    return False
+
+
+def _point_in_polygon(poly, p):
+    inside = False
+    n = len(poly)
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        if (y1 > p[1]) != (y2 > p[1]):
+            x_cross = x1 + (p[1] - y1) * (x2 - x1) / (y2 - y1)
+            if p[0] < x_cross:
+                inside = not inside
+    return inside
+
+
+def blocks(obstacles, pos_i, pos_j) -> bool:
+    """Scalar reference for `channel.los_state`, one pair at a time."""
+    p = (float(pos_i[0]), float(pos_i[1]))
+    q = (float(pos_j[0]), float(pos_j[1]))
+    for poly in obstacles.polygons:
+        if _point_in_polygon(poly, p) or _point_in_polygon(poly, q):
+            return True
+        n = len(poly)
+        for k in range(n):
+            if _segments_intersect(p, q, tuple(poly[k]), tuple(poly[(k + 1) % n])):
+                return True
+    return False

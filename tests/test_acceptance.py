@@ -24,7 +24,7 @@ from mode4sim.grid import GridConfig
 from mode4sim.metrics import ud_percentile
 from mode4sim.mode4 import (Mode4Params, SensingMemory, candidate_set,
                             power_threshold)
-from mode4sim.reference import BrIndex, ScenarioSnapshot, TxEvent, neighbors, sinr
+from oracles import BrIndex, ScenarioSnapshot, TxEvent, neighbors, sinr
 
 RING = dict(highway_length_m=4000.0, highway_vehicles=495, seed=7)
 

@@ -10,7 +10,7 @@ from mode4sim.channel import (ChannelParams, ChannelRealization, ObstacleMap,
                               ObstacleMapError, breakpoint_distance_m, los_state,
                               noise_floor_dbm, pathloss_db, pathloss_los_db,
                               pathloss_nlos_db, rx_power_dbm)
-from mode4sim.reference import shadow_step
+from oracles import _point_in_polygon, blocks, shadow_step
 
 PARAMS = ChannelParams()
 
@@ -36,7 +36,6 @@ def test_same_side_of_building_is_los():
 
 def _los_oracle(obstacles, p, q, steps=2000):
     # Independent check: dense sampling along the segment + point-in-polygon.
-    from mode4sim.channel import _point_in_polygon
     for k in range(steps + 1):
         frac = k / steps
         pt = (p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1]))
@@ -85,7 +84,7 @@ def test_array_los_matches_scalar_blocks(segments):
     q = np.array([b for _, b in segments], dtype=float).reshape(-1, 2)
     got = los_state(LATTICE_MAP, p, q)
     assert got.dtype == bool and got.shape == (len(segments),)
-    want = [not LATTICE_MAP.blocks(a, b) for a, b in zip(p, q)]
+    want = [not blocks(LATTICE_MAP, a, b) for a, b in zip(p, q)]
     assert got.tolist() == want
 
 
@@ -102,7 +101,7 @@ def test_array_los_matches_scalar_blocks(segments):
     ((2, 2), (2, 2), False),      # a point inside the square
 ])
 def test_array_los_contact_cases(p, q, los):
-    assert LATTICE_MAP.blocks(p, q) == (not los)
+    assert blocks(LATTICE_MAP, p, q) == (not los)
     assert los_state(LATTICE_MAP, p, q) is los
     got = los_state(LATTICE_MAP, np.array([p, q], float), np.array([q, p], float))
     assert got.tolist() == [los, los]
@@ -113,7 +112,7 @@ def test_array_los_matches_scalar_on_a_lattice(monkeypatch):
     rng = np.random.default_rng(11)
     p = rng.integers(-2, 15, size=(2000, 2)).astype(float)
     q = rng.integers(-2, 18, size=(2000, 2)).astype(float)
-    want = [not LATTICE_MAP.blocks(a, b) for a, b in zip(p, q)]
+    want = [not blocks(LATTICE_MAP, a, b) for a, b in zip(p, q)]
     assert los_state(LATTICE_MAP, p, q).tolist() == want
     monkeypatch.setattr(channel, "LOS_CHUNK_ELEMENTS", 50)  # chunks of 2 pairs
     assert los_state(LATTICE_MAP, p, q).tolist() == want

@@ -1,6 +1,5 @@
 import os
 
-import pytest
 import yaml
 
 from mode4sim import cli
@@ -96,9 +95,19 @@ def test_invalid_config_exits_2(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, {"t_sense_ms": 150, "duration_s": 3.0}, name="c5.yaml")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     for key, value in (("vehicles", 0), ("lanes_per_direction", 0), ("length_m", -5),
-                       ("length_m", float("nan"))):
+                       ("length_m", float("nan")), ("lanes_per_direction", 1.5),
+                       ("lanes_per_direction", 4), ("vehicles", 40.5)):
         cfg = write_cfg(tmp_path, {"highway": {key: value}}, name="hw.yaml")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, key
+    nan, inf = float("nan"), float("inf")
+    for key, value in (("tx_power_dbm", nan), ("sinr_min_db", nan), ("duration_s", inf),
+                       ("awareness_m", -5.0), ("awareness_m", inf), ("awareness_m", nan),
+                       ("prr_bin_width_m", 0.0), ("prr_bin_width_m", inf)):
+        cfg = write_cfg(tmp_path, dict(SMALL_CFG, **{key: value}), name="f.yaml")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, key
+    cfg = write_cfg(tmp_path, SMALL_CFG, name="hn.yaml")
+    assert main(["hidden-node", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--duration-s", "inf"]) == 2
 
 
 def _no_runs(monkeypatch):
@@ -120,6 +129,12 @@ def test_sweep_rejects_bad_point_before_running(tmp_path, capsys, monkeypatch):
                  "--values", "20,0", "--out", out]) == 2
     assert "vehicle count must be positive" in capsys.readouterr().err
     assert not os.path.exists(out)
+    for param, values in (("awareness_m", "200,-5"), ("duration_s", "4,inf"),
+                          ("awareness_m", "200,nan")):
+        assert main(["sweep", "--config", cfg, "--param", param,
+                     "--values", values, "--out", out]) == 2, values
+        assert f"{param} must be" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def test_mcs14_requires_explicit_threshold(tmp_path):

@@ -6,6 +6,7 @@ from mode4sim.config import RunConfig
 from mode4sim.engine import SimulationEngine, run_scenario
 from mode4sim.mobility import spawn_highway, step_highway
 from mode4sim.seeding import substream
+from oracles import blocks
 
 SMALL = dict(highway_length_m=1000.0, highway_vehicles=124, seed=5)
 
@@ -114,7 +115,7 @@ def test_highway_frames_and_first_selection():
     for period, frame in enumerate(engine.frames):
         if period:
             step_highway(highway, state, cfg.beacon_period_ms / 1000.0)
-        assert np.array_equal(frame, state.positions), period
+        assert np.array_equal(frame, np.column_stack([state.x, state.y])), period
     assert not engine.present.any()
     engine._tick(0)
     assert engine.present.all()
@@ -180,8 +181,8 @@ def test_los_matrix_matches_scalar_blocks(tmp_path):
         for a in present:
             for b in present:
                 if a != b:
-                    want[a, b] = not engine.obstacles.blocks(engine.positions[a],
-                                                             engine.positions[b])
+                    want[a, b] = not blocks(engine.obstacles, engine.positions[a],
+                                            engine.positions[b])
         assert np.array_equal(los, want), t
         assert engine.present[3] == (t >= 500)
         blocked_seen += int((~los).sum())

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mode4sim.grid import GridConfig, GridConfigError, selection_count
-from mode4sim.reference import BrIndex, br_flat_index, br_from_flat
+from oracles import BrIndex, br_flat_index, br_from_flat
 
 
 def test_br_count_matches_layout():

@@ -1,23 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from mode4sim.channel import ChannelParams, ChannelRealization, dbm_to_mw
+from mode4sim.channel import dbm_to_mw
 from mode4sim.metrics import (HiddenNodeAccumulator, MetricsError,
                               PrrAccumulator, UdTracker,
                               hidden_node_probability, ud_percentile)
-from mode4sim.reference import RxOutcome, ScenarioSnapshot, record_beacon
 from mode4sim.scenario import pair_legs
+from oracles import NOISE_DBM, RxOutcome, ScenarioSnapshot, make_channel, record_beacon
 
-NOISE_DBM = -99.437
 GAMMA_DB = 7.30
-
-
-def make_channel(rx_dbm_matrix):
-    params = ChannelParams(noise_floor_dbm=NOISE_DBM)
-    rx = np.asarray(rx_dbm_matrix, dtype=float)
-    pl = params.tx_power_dbm + 2 * params.antenna_gain_db - rx
-    return ChannelRealization(params, pl, np.zeros_like(pl), np.ones_like(pl, bool))
 
 
 # -- PRR ----------------------------------------------------------------------

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mode4sim.mobility import (HighwayConfig, TraceError, load_trace,
+from mode4sim.mobility import (LANE_SPEEDS_MPS, HighwayConfig, TraceError, load_trace,
                                spawn_highway, step_highway)
-from mode4sim.reference import ScenarioSnapshot, neighbors
 from mode4sim.seeding import substream
+from oracles import ScenarioSnapshot, neighbors
 
 
 def write_trace(tmp_path, text, name="trace.csv"):
@@ -151,7 +151,7 @@ def test_speeds_truncated_and_lane_signed():
     cfg = HighwayConfig(target_vehicle_count=1200)
     state = spawn_highway(cfg, substream(2, "mobility"))
     speeds = np.abs(state.speed)
-    means = np.asarray(cfg.speed_mean_mps)
+    means = np.asarray(LANE_SPEEDS_MPS)
     assert speeds.min() >= means.min() * 0.7 - 1e-9
     assert speeds.max() <= means.max() * 1.3 + 1e-9
     assert (state.speed > 0).sum() == 600  # half per direction
@@ -162,7 +162,8 @@ def test_density_calibration_matches_target_neighbours():
     # (N-1) * 400 m / L ~= 49.4 neighbors within 200 m at the default density.
     cfg = HighwayConfig(length_m=4000, target_vehicle_count=495)
     state = spawn_highway(cfg, substream(3, "mobility"))
-    snap = ScenarioSnapshot(tti=0, ids=np.arange(495), positions=state.positions,
+    positions = np.column_stack([state.x, state.y])
+    snap = ScenarioSnapshot(tti=0, ids=np.arange(495), positions=positions,
                             wrap_length_m=4000)
     counts = [len(neighbors(snap, v, 200.0)) for v in range(495)]
     assert np.mean(counts) == pytest.approx(49.4, rel=0.10)

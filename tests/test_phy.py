@@ -3,25 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mode4sim.channel import ChannelParams, ChannelRealization, dbm_to_mw
+from mode4sim.channel import ChannelParams, dbm_to_mw
 from mode4sim.grid import GridConfig
-from mode4sim.phy import ibe_factor, subframe_reception, subframe_srssi
-from mode4sim.reference import (BrIndex, RxOutcome, ScenarioSnapshot, TxEvent,
-                                receive_subframe, sense_subframe, sinr)
+from mode4sim.phy import (ibe_factor, slot_power_sums, subframe_reception,
+                          subframe_srssi)
+from oracles import (NOISE_DBM, BrIndex, RxOutcome, ScenarioSnapshot, TxEvent,
+                     make_channel, receive_subframe, sense_subframe, sinr)
 
 GRID = GridConfig.for_mcs(7)  # gamma_min = 7.30 dB, 2 BRs per TTI
-NOISE_DBM = -99.437
-
-
-def make_channel(rx_dbm_matrix, params=None):
-    """Realization with hand-set link budgets: pathloss chosen so that
-    tx + 2*gain - pathloss equals the requested received power."""
-    params = params or ChannelParams(noise_floor_dbm=NOISE_DBM)
-    rx = np.asarray(rx_dbm_matrix, dtype=float)
-    pl = params.tx_power_dbm + 2 * params.antenna_gain_db - rx
-    return ChannelRealization(params, pl, np.zeros_like(pl), np.ones_like(pl, bool))
-
-
 def snapshot(n, events, tti=0):
     return ScenarioSnapshot(tti=tti, ids=np.arange(n),
                             positions=np.zeros((n, 2)), events=events)
@@ -75,7 +64,8 @@ def test_exact_threshold_tie_fails_strictly():
     rows = np.array([[0.0, gamma_lin * noise_lin]])
     sinr_lin, decoded = subframe_reception(
         rows, np.array([0]), noise_lin, gamma_lin, 0.0,
-        receiver_mask=np.array([False, True]))
+        receiver_mask=np.array([False, True]),
+        slot_sums=slot_power_sums(rows, np.array([0]), GRID.brs_per_tti))
     assert sinr_lin[0, 1] == gamma_lin
     assert not decoded[0, 1]
 
@@ -122,10 +112,10 @@ def test_engine_core_agrees_with_scalar_sinr():
     txs = np.array([0, 2, 4])
     recv = np.ones(n, bool)
     recv[txs] = False
+    rows, slots = chan.rx_power_lin()[txs], np.array([0, 1, 0])
     sinr_lin, decoded = subframe_reception(
-        chan.rx_power_lin()[txs], np.array([0, 1, 0]),
-        float(dbm_to_mw(NOISE_DBM)), float(dbm_to_mw(GRID.sinr_min_db)),
-        ibe_factor(0, 1, 25.0), recv)
+        rows, slots, float(dbm_to_mw(NOISE_DBM)), float(dbm_to_mw(GRID.sinr_min_db)),
+        ibe_factor(25.0), recv, slot_power_sums(rows, slots, GRID.brs_per_tti))
     for k, src in enumerate(txs):
         for dst in range(n):
             if dst in txs or dst == src:
@@ -185,6 +175,6 @@ def test_occupied_br_reads_hotter_than_its_neighbour():
 def test_srssi_core_accounts_ibe():
     noise = 1e-9
     rows = np.array([[2e-9, 0.0], [0.0, 0.0]])  # tx0 slot0, tx1 slot1 silent
-    out = subframe_srssi(rows, np.array([0, 1]), noise, 0.01, 2)
+    out = subframe_srssi(slot_power_sums(rows, np.array([0, 1]), 2), noise, 0.01)
     assert out[0, 0] == pytest.approx(noise + 2e-9)
     assert out[1, 0] == pytest.approx(noise + 2e-9 * 0.01)

@@ -1,5 +1,5 @@
-"""The scalar oracles of mode4sim.reference against the array paths, and the
-guard that keeps the oracles and their snapshot type out of the simulator."""
+"""The scalar oracles of `oracles.py` against the array paths, and the guard
+that keeps the oracles and their snapshot type out of the simulator."""
 import ast
 import os
 
@@ -7,48 +7,47 @@ import numpy as np
 
 import mode4sim
 from mode4sim import phy
-from mode4sim.channel import ChannelParams, ChannelRealization, dbm_to_mw
+from mode4sim.channel import dbm_to_mw
 from mode4sim.grid import GridConfig
 from mode4sim.mode4 import Mode4Params, SensingMemory
-from mode4sim.reference import (BrIndex, ScenarioSnapshot, TxEvent,
-                                br_flat_index, sense_subframe)
+import oracles
+from oracles import (NOISE_DBM, BrIndex, ScenarioSnapshot, TxEvent, br_flat_index,
+                     make_channel, sense_subframe)
 
 GRID = GridConfig.for_mcs(7)
-NOISE_DBM = -99.437
 
-# Names only mode4sim.reference may define or import.
+# Names only tests/oracles.py may define, and no simulator module may import.
 ORACLE_NAMES = {"ScenarioSnapshot", "TxEvent", "RxOutcome", "SenseSample",
                 "BrIndex", "sinr", "receive_subframe", "sense_subframe",
-                "record_beacon", "shadow_step", "neighbors"}
+                "record_beacon", "shadow_step", "neighbors", "mw_to_dbm",
+                "blocks", "_orient", "_on_segment", "_segments_intersect",
+                "_point_in_polygon"}
+# Modules the simulator must not import: the oracles and the test suite.
+TEST_MODULES = {"oracles", "tests"}
 
 
-def _imports_reference(node):
-    if isinstance(node, ast.ImportFrom):
-        module = node.module or ""
-        return (module.split(".")[-1] == "reference"
-                or (not module and any(a.name == "reference" for a in node.names)))
-    return any(a.name.split(".")[-1] == "reference" for a in node.names)
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(ast.walk(ast.parse(fh.read(), filename=path)))
+
+
+def _defined(nodes):
+    return {n.name for n in nodes if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
 
 
 def test_only_reference_holds_the_oracles():
     package = os.path.dirname(mode4sim.__file__)
-    defined_in_reference = set()
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-                if name == "reference.py":
-                    defined_in_reference.add(node.name)
-                else:
-                    assert node.name not in ORACLE_NAMES, f"{name} defines {node.name}"
-            elif isinstance(node, (ast.Import, ast.ImportFrom)) and name != "reference.py":
-                assert not _imports_reference(node), f"{name} imports reference"
-                imported = {a.name.split(".")[-1] for a in node.names}
-                assert not imported & ORACLE_NAMES, f"{name} imports {imported & ORACLE_NAMES}"
-    assert ORACLE_NAMES <= defined_in_reference
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        nodes = _parse(os.path.join(package, name))
+        assert not _defined(nodes) & ORACLE_NAMES, f"{name} defines an oracle"
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # Every dotted-name part the import statement names.
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                parts = {part for dotted in names for part in dotted.split(".")}
+                assert not parts & (TEST_MODULES | ORACLE_NAMES), f"{name} imports {parts}"
+    missing = ORACLE_NAMES - _defined(_parse(oracles.__file__))
+    assert not missing, f"tests/oracles.py lacks {missing}"
 
 
 def test_sensing_writes_match_scalar_sense_subframe():
@@ -57,10 +56,7 @@ def test_sensing_writes_match_scalar_sense_subframe():
     # equal what the scalar oracle measures, up to float32 storage.
     rng = np.random.default_rng(12)
     n, subframe = 7, 37
-    params = ChannelParams(noise_floor_dbm=NOISE_DBM)
-    rx = rng.uniform(-110, -60, size=(n, n))
-    pl = params.tx_power_dbm + 2 * params.antenna_gain_db - rx
-    chan = ChannelRealization(params, pl, np.zeros_like(pl), np.ones_like(pl, bool))
+    chan = make_channel(rng.uniform(-110, -60, size=(n, n)))
     events = [TxEvent(0, BrIndex(subframe, 0)), TxEvent(3, BrIndex(subframe, 1)),
               TxEvent(5, BrIndex(subframe, 0))]
     snap = ScenarioSnapshot(tti=subframe, ids=np.arange(n),
@@ -70,17 +66,17 @@ def test_sensing_writes_match_scalar_sense_subframe():
     tx_slots = np.array([ev.br.freq_slot for ev in events])
     power_rows = chan.rx_power_lin()[txs]
     noise_lin = float(dbm_to_mw(NOISE_DBM))
-    ibe_lin = phy.ibe_factor(0, 1, params.ibe_attenuation_db)
+    ibe_lin = phy.ibe_factor(chan.params.ibe_attenuation_db)
     recv = np.ones(n, dtype=bool)
     recv[txs] = False
+    slot_sums = phy.slot_power_sums(power_rows, tx_slots, GRID.brs_per_tti)
     _, decoded = phy.subframe_reception(power_rows, tx_slots, noise_lin,
                                         float(dbm_to_mw(GRID.sinr_min_db)),
-                                        ibe_lin, recv)
+                                        ibe_lin, recv, slot_sums)
     memory = SensingMemory(n, GRID, Mode4Params(), NOISE_DBM)
     memory.begin_period(0)
     memory.mark_transmissions(txs, subframe)
-    memory.record_srssi(recv, subframe, phy.subframe_srssi(
-        power_rows, tx_slots, noise_lin, ibe_lin, GRID.brs_per_tti))
+    memory.record_srssi(recv, subframe, phy.subframe_srssi(slot_sums, noise_lin, ibe_lin))
     memory.record_rsrp(subframe, tx_slots, power_rows, decoded)
 
     brs = slice(subframe * GRID.brs_per_tti, (subframe + 1) * GRID.brs_per_tti)
