@@ -6,49 +6,24 @@ the tests can be reproduced by hand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
+
 SPEED_OF_LIGHT = 3e8
-THERMAL_NOISE_DBM_HZ = -174.0
 MIN_DISTANCE_M = 3.0
 ANTENNA_HEIGHT_M = 1.5  # both ends of every link
-
-from .grid import RB_PAIRS_PER_SUBCHANNEL, RB_PAIR_BANDWIDTH_HZ
 
 
 def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
 
-def noise_floor_dbm(subchannels_per_br: int, noise_figure_db: float = 9.0) -> float:
-    """Thermal noise over one BR allocation plus the receiver noise figure."""
-    bw_hz = subchannels_per_br * RB_PAIRS_PER_SUBCHANNEL * RB_PAIR_BANDWIDTH_HZ
-    return THERMAL_NOISE_DBM_HZ + 10.0 * np.log10(bw_hz) + noise_figure_db
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Propagation and radio-front-end settings."""
-
-    carrier_ghz: float = 5.9
-    shadow_sigma_los_db: float = 3.0
-    shadow_sigma_nlos_db: float = 4.0
-    decorr_dist_m: float = 25.0
-    tx_power_dbm: float = 23.0
-    antenna_gain_db: float = 3.0
-    noise_floor_dbm: float = field(default_factory=lambda: noise_floor_dbm(2))
-    ibe_attenuation_db: float = 25.0
-
-    def __post_init__(self):
-        if self.shadow_sigma_los_db < 0 or self.shadow_sigma_nlos_db < 0:
-            raise ValueError("shadowing sigmas must be >= 0")
-        if self.decorr_dist_m <= 0:
-            raise ValueError("decorrelation distance must be > 0")
-
-    def shadow_sigma_db(self, los):
-        return np.where(los, self.shadow_sigma_los_db, self.shadow_sigma_nlos_db)
+def shadow_sigma_db(cfg: RunConfig, los):
+    """Shadowing sigma of each link from its LOS flag."""
+    return np.where(los, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
 
 
 def breakpoint_distance_m(carrier_ghz: float) -> float:
@@ -96,19 +71,19 @@ def pathloss_nlos_db(leg1_m, leg2_m, carrier_ghz: float = 5.9):
     return np.maximum(corner, pathloss_los_db(euclid, carrier_ghz))
 
 
-def pathloss_db(params: ChannelParams, distance_m, los, legs):
+def pathloss_db(cfg: RunConfig, distance_m, los, legs):
     """Pathloss for links of the given length; NLOS links take the corner
     pathloss of their two street legs."""
-    pl_los = pathloss_los_db(distance_m, params.carrier_ghz)
+    pl_los = pathloss_los_db(distance_m, cfg.carrier_ghz)
     if np.all(los):
         return pl_los
-    pl_nlos = pathloss_nlos_db(legs[0], legs[1], params.carrier_ghz)
+    pl_nlos = pathloss_nlos_db(legs[0], legs[1], cfg.carrier_ghz)
     return np.where(los, pl_los, pl_nlos)
 
 
-def rx_power_dbm(params: ChannelParams, pathloss_db, shadow_db):
+def rx_power_dbm(cfg: RunConfig, pathloss_db, shadow_db):
     """Received power; a positive shadow sample attenuates."""
-    return params.tx_power_dbm + 2.0 * params.antenna_gain_db - np.asarray(pathloss_db) - np.asarray(shadow_db)
+    return cfg.tx_power_dbm + 2.0 * cfg.antenna_gain_db - np.asarray(pathloss_db) - np.asarray(shadow_db)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +256,8 @@ class ChannelRealization:
     displacement between updates.
     """
 
-    def __init__(self, params: ChannelParams, pathloss_db, shadow_db, los):
-        self.params = params
+    def __init__(self, cfg: RunConfig, pathloss_db, shadow_db, los):
+        self.cfg = cfg
         self.pathloss_db = np.asarray(pathloss_db, dtype=float)
         self.shadow_db = np.asarray(shadow_db, dtype=float)
         self.los = np.asarray(los, dtype=bool)
@@ -290,11 +265,11 @@ class ChannelRealization:
         self._rx_lin = None
 
     @classmethod
-    def initial(cls, params: ChannelParams, dist_m, los, legs,
+    def initial(cls, cfg: RunConfig, dist_m, los, legs,
                 rng: np.random.Generator) -> "ChannelRealization":
-        pl = pathloss_db(params, dist_m, los, legs)
-        shadow = _symmetric_normal(rng, len(pl)) * params.shadow_sigma_db(los)
-        return cls(params, pl, shadow, los)
+        pl = pathloss_db(cfg, dist_m, los, legs)
+        shadow = _symmetric_normal(rng, len(pl)) * shadow_sigma_db(cfg, los)
+        return cls(cfg, pl, shadow, los)
 
     def advance(self, dist_m, los, legs, rng: np.random.Generator, rho):
         """Refresh pathloss for the new geometry and step the shadow AR(1).
@@ -304,8 +279,8 @@ class ChannelRealization:
         previous update; rho = 0 resamples the pair from scratch.
         """
         self.los = np.asarray(los, dtype=bool)
-        self.pathloss_db = pathloss_db(self.params, dist_m, self.los, legs)
-        sigma = self.params.shadow_sigma_db(self.los)
+        self.pathloss_db = pathloss_db(self.cfg, dist_m, self.los, legs)
+        sigma = shadow_sigma_db(self.cfg, self.los)
         g = _symmetric_normal(rng, self.n) * sigma
         self.shadow_db = rho * self.shadow_db + np.sqrt(1.0 - rho * rho) * g
         self._rx_lin = None
@@ -314,7 +289,7 @@ class ChannelRealization:
         """Linear received power in mW, diagonal zeroed. rows = transmitter."""
         if self._rx_lin is None:
             with np.errstate(invalid="ignore"):
-                lin = dbm_to_mw(rx_power_dbm(self.params, self.pathloss_db,
+                lin = dbm_to_mw(rx_power_dbm(self.cfg, self.pathloss_db,
                                              self.shadow_db))
             lin = np.nan_to_num(lin, nan=0.0, posinf=0.0)
             np.fill_diagonal(lin, 0.0)

@@ -1,20 +1,39 @@
 """Run configuration: YAML parsing, validation, defaults, and echo.
 
-All keys carry the standard default values; a config file only has to name
-what deviates. Scenario-dependent defaults (awareness range, shadowing
-decorrelation distance) resolve from the scenario kind when left unset.
+`RunConfig` is the only parameter object: every simulator module reads the
+fields it needs from a validated instance, and `validate` is the only place
+a key is checked. All keys carry the standard default values; a config file
+only has to name what deviates. Scenario-dependent defaults (awareness
+range, shadowing decorrelation distance) resolve from the scenario kind
+when left unset.
 """
 from __future__ import annotations
 
 import math
+import numbers
+import typing
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
 import yaml
 
-from .channel import ChannelParams, noise_floor_dbm
-from .grid import MCS_BRS_PER_TTI, GridConfig, GridConfigError
-from .mobility import HighwayConfig
-from .mode4 import Mode4ParamError, Mode4Params
+from .mobility import LANE_SPEEDS_MPS
+
+# Non-adjacent control-channel layout in 10 MHz: four subchannels of
+# 10 resource-block pairs, the remaining pairs reserved for control.
+SUBCHANNELS_TOTAL = 4
+RB_PAIRS_PER_SUBCHANNEL = 10
+RB_PAIR_BANDWIDTH_HZ = 180e3
+THERMAL_NOISE_DBM_HZ = -174.0
+
+# A beacon resource (BR) is a group of subchannels inside one subframe that
+# carries one beacon. The grid spans one beacon period: br_count =
+# brs_per_tti * beacon_period_ms BRs, indexed time-major (flat r = subframe
+# * brs_per_tti + freq_slot). The MCS fixes how many BRs fit per subframe.
+MCS_BRS_PER_TTI = {4: 1, 7: 2, 14: 4}
+# Decoding thresholds are only standardized here for MCS 4 and 7; an MCS 14
+# run must supply sinr_min_db explicitly.
+MCS_MIN_SINR_DB = {4: 2.76, 7: 7.30}
 
 
 class ConfigError(ValueError):
@@ -64,35 +83,63 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for f in fields(self):
             value = getattr(self, f.name)
+            kind, optional = _KINDS[f.name]
+            if value is None and optional:
+                continue
+            accepted, name = _ACCEPTED[kind]
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+                raise ConfigError(f"{f.name} must be {name}, got {value!r}")
             if isinstance(value, float) and math.isnan(value):
                 raise ConfigError(f"{f.name} must be a number, not NaN")
-        for key in ("duration_s", "awareness_m", "prr_bin_width_m"):
+        for key in ("duration_s", "awareness_m", "prr_bin_width_m", "carrier_ghz"):
             value = getattr(self, key)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and positive, got {value}")
-        if self.scenario not in ("highway", "trace"):
-            raise ConfigError("scenario must be 'highway' or 'trace'")
-        if self.scenario == "trace" and not self.trace:
-            raise ConfigError("scenario 'trace' needs a trace path")
-        if self.scenario == "highway" and self.trace:
-            raise ConfigError("exactly one scenario source: drop 'trace' or switch scenario")
-        if self.allocation not in ("mode4", "random"):
-            raise ConfigError("allocation must be 'mode4' or 'random'")
-        if self.mcs not in MCS_BRS_PER_TTI:
-            raise ConfigError(f"mcs must be one of {sorted(MCS_BRS_PER_TTI)}")
+        for key in ("tx_power_dbm", "antenna_gain_db", "noise_figure_db", "sinr_min_db",
+                    "shadow_sigma_los_db", "shadow_sigma_nlos_db"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        checks = [
+            (self.scenario in ("highway", "trace"), "scenario must be 'highway' or 'trace'"),
+            (self.scenario == "highway" or self.trace, "scenario 'trace' needs a trace path"),
+            (self.scenario == "trace" or not self.trace,
+             "exactly one scenario source: drop 'trace' or switch scenario"),
+            (self.allocation in ("mode4", "random"), "allocation must be 'mode4' or 'random'"),
+            (self.mcs in MCS_BRS_PER_TTI, f"mcs must be one of {sorted(MCS_BRS_PER_TTI)}"),
+            (self.sinr_min_db is not None or self.mcs in MCS_MIN_SINR_DB,
+             f"mcs {self.mcs} has no standard minimum SINR; set sinr_min_db explicitly"),
+            (self.ibe_attenuation_db > -math.inf, "ibe_attenuation_db must not be -inf"),
+            (self.beacon_period_ms >= 1, "beacon_period_ms must be >= 1"),
+            (self.shadow_sigma_los_db >= 0 and self.shadow_sigma_nlos_db >= 0,
+             "shadowing sigmas must be >= 0"),
+            (self.resolved_decorr_dist_m() > 0, "decorrelation distance must be > 0"),
+            (self.t_sense_ms > 0, "t_sense_ms must be positive"),
+            (1 <= self.t1 <= 4, "t1 must lie in [1, 4]"),
+            (20 <= self.t2 <= 100, "t2 must lie in [20, 100]"),
+            (0.0 < self.r_sel <= 1.0, "r_sel must be in (0, 1]"),
+            (0 < self.n_min <= self.n_max, "need 0 < n_min <= n_max"),
+            (0.0 <= self.p_keep < 1.0, "p_keep must lie in [0, 1)"),
+            (self.p_keep <= 0.8 or self.nonstandard,
+             "p_keep above 0.8 requires the nonstandard flag"),
+            (self.nr_basis in ("total", "window"), "nr_basis must be 'total' or 'window'"),
+        ]
+        if self.scenario == "highway":
+            checks += [
+                (self.highway_length_m > 0 and self.highway_vehicles > 0,
+                 "length and vehicle count must be positive"),
+                (math.isfinite(self.highway_length_m), "highway length must be finite"),
+                (1 <= self.lanes_per_direction <= len(LANE_SPEEDS_MPS),
+                 f"need 1 to {len(LANE_SPEEDS_MPS)} lanes per direction"),
+            ]
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
         if self.duration_s <= self.warmup_s:
             raise ConfigError(
                 f"duration_s ({self.duration_s}) must exceed the warm-up "
                 f"({self.warmup_s:.1f} s = t_sense + n_max beacon periods)"
             )
-        try:
-            self.grid_config()
-            self.mode4_params()
-            self.channel_params()
-            if self.scenario == "highway":
-                self.highway_config()
-        except (GridConfigError, Mode4ParamError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
         if self.t_sense_ms % self.beacon_period_ms != 0:
             raise ConfigError(
                 f"t_sense_ms ({self.t_sense_ms}) must be a multiple of "
@@ -104,6 +151,14 @@ class RunConfig:
     def warmup_s(self) -> float:
         return (self.t_sense_ms + self.n_max * self.beacon_period_ms) / 1000.0
 
+    @property
+    def brs_per_tti(self) -> int:
+        return MCS_BRS_PER_TTI[self.mcs]
+
+    @property
+    def br_count(self) -> int:
+        return self.brs_per_tti * self.beacon_period_ms
+
     def resolved_awareness_m(self) -> float:
         if self.awareness_m is not None:
             return float(self.awareness_m)
@@ -114,42 +169,16 @@ class RunConfig:
             return float(self.decorr_dist_m)
         return 25.0 if self.scenario == "highway" else 10.0
 
-    def grid_config(self) -> GridConfig:
-        return GridConfig.for_mcs(self.mcs, self.beacon_period_ms, self.sinr_min_db)
+    def resolved_sinr_min_db(self) -> float:
+        if self.sinr_min_db is not None:
+            return float(self.sinr_min_db)
+        return MCS_MIN_SINR_DB[self.mcs]
 
-    def channel_params(self) -> ChannelParams:
-        grid = self.grid_config()
-        return ChannelParams(
-            carrier_ghz=self.carrier_ghz,
-            shadow_sigma_los_db=self.shadow_sigma_los_db,
-            shadow_sigma_nlos_db=self.shadow_sigma_nlos_db,
-            decorr_dist_m=self.resolved_decorr_dist_m(),
-            tx_power_dbm=self.tx_power_dbm,
-            antenna_gain_db=self.antenna_gain_db,
-            noise_floor_dbm=noise_floor_dbm(grid.subchannels_per_br, self.noise_figure_db),
-            ibe_attenuation_db=self.ibe_attenuation_db,
-        )
-
-    def mode4_params(self) -> Mode4Params:
-        return Mode4Params(
-            t_sense_ms=self.t_sense_ms,
-            p_th_dbm=self.p_th_dbm,
-            r_sel=self.r_sel,
-            t1=self.t1,
-            t2=self.t2,
-            n_min=self.n_min,
-            n_max=self.n_max,
-            p_keep=self.p_keep,
-            nr_basis=self.nr_basis,
-            nonstandard=self.nonstandard,
-        )
-
-    def highway_config(self) -> HighwayConfig:
-        return HighwayConfig(
-            length_m=self.highway_length_m,
-            lanes_per_direction=self.lanes_per_direction,
-            target_vehicle_count=self.highway_vehicles,
-        )
+    def noise_floor_dbm(self) -> float:
+        """Thermal noise over one BR allocation plus the receiver noise figure."""
+        subchannels_per_br = SUBCHANNELS_TOTAL // self.brs_per_tti
+        bw_hz = subchannels_per_br * RB_PAIRS_PER_SUBCHANNEL * RB_PAIR_BANDWIDTH_HZ
+        return THERMAL_NOISE_DBM_HZ + 10.0 * np.log10(bw_hz) + self.noise_figure_db
 
     def resolved_items(self) -> list[tuple[str, object]]:
         """Fully resolved key/value pairs for the output echo."""
@@ -158,12 +187,22 @@ class RunConfig:
             items.append((f.name, getattr(self, f.name)))
         items.append(("resolved_awareness_m", self.resolved_awareness_m()))
         items.append(("resolved_decorr_dist_m", self.resolved_decorr_dist_m()))
-        items.append(("resolved_sinr_min_db", self.grid_config().sinr_min_db))
-        items.append(("resolved_noise_floor_dbm",
-                      round(self.channel_params().noise_floor_dbm, 6)))
+        items.append(("resolved_sinr_min_db", self.resolved_sinr_min_db()))
+        items.append(("resolved_noise_floor_dbm", round(self.noise_floor_dbm(), 6)))
         items.append(("warmup_s", self.warmup_s))
         return items
 
+
+# Per field: the type its annotation names and whether None is allowed.
+# Integer keys take whole numbers only and float keys any real number;
+# neither takes a bool, and `nonstandard` takes nothing but one.
+_KINDS = {
+    name: (next(a for a in typing.get_args(hint) or (hint,) if a is not type(None)),
+           type(None) in typing.get_args(hint))
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+_ACCEPTED = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+             str: (str, "a string"), bool: (bool, "true or false")}
 
 _HIGHWAY_KEYS = {
     "length_m": "highway_length_m",

@@ -47,16 +47,13 @@ class SimulationEngine:
     def __init__(self, cfg: RunConfig, record_beacon_log: bool = False):
         cfg.validate()
         self.cfg = cfg
-        self.grid = cfg.grid_config()
-        self.params = cfg.mode4_params()
-        self.chan_params = cfg.channel_params()
         self.awareness_m = cfg.resolved_awareness_m()
         self.t_b = cfg.beacon_period_ms
         self.total_tti = int(round(cfg.duration_s * 1000))
         self.warmup_tti = cfg.t_sense_ms + cfg.n_max * self.t_b
-        self.noise_lin = float(dbm_to_mw(self.chan_params.noise_floor_dbm))
-        self.gamma_lin = float(dbm_to_mw(self.grid.sinr_min_db))
-        self.ibe_lin = phy.ibe_factor(self.chan_params.ibe_attenuation_db)
+        self.noise_lin = float(dbm_to_mw(cfg.noise_floor_dbm()))
+        self.gamma_lin = float(dbm_to_mw(cfg.resolved_sinr_min_db()))
+        self.ibe_lin = phy.ibe_factor(cfg.ibe_attenuation_db)
         self.record_beacon_log = record_beacon_log
         self.beacon_log = []
 
@@ -78,18 +75,17 @@ class SimulationEngine:
         n_periods = (self.total_tti + self.t_b - 1) // self.t_b
         self.rho_const = None
         if cfg.scenario == "highway":
-            highway = cfg.highway_config()
-            state = spawn_highway(highway, substream(cfg.seed, "mobility"))
-            self.frames = np.empty((n_periods, highway.target_vehicle_count, 2))
+            state = spawn_highway(cfg, substream(cfg.seed, "mobility"))
+            self.frames = np.empty((n_periods, cfg.highway_vehicles, 2))
             self.frames[:, :, 1] = state.y
             self.frames[0, :, 0] = state.x
             for period in range(1, n_periods):
-                step_highway(highway, state, self.t_b / 1000.0)
+                step_highway(cfg, state, self.t_b / 1000.0)
                 self.frames[period, :, 0] = state.x
-            self.wrap = highway.length_m
+            self.wrap = cfg.highway_length_m
             v = state.speed
             moved = np.abs(v[:, None] - v[None, :]) * (self.t_b / 1000.0)
-            self.rho_const = np.exp(-moved / self.chan_params.decorr_dist_m)
+            self.rho_const = np.exp(-moved / cfg.resolved_decorr_dist_m())
         else:
             # Row k of the run is the trace's k-th vehicle id.
             _, self.frames = load_trace(cfg.trace, self.t_b, cfg.max_trace_gap_s)
@@ -105,7 +101,6 @@ class SimulationEngine:
         cfg, n = self.cfg, self.n
         self.next_tx = np.full(n, -1, dtype=np.int64)
         self.select_at = np.full(n, -1, dtype=np.int64)
-        self.cur_offset = np.full(n, -1, dtype=np.int32)
         self.cur_slot = np.zeros(n, dtype=np.int32)
         self.counter = np.zeros(n, dtype=np.int64)  # reselection counters
         self.seq = np.full(n, -1, dtype=np.int64)
@@ -117,8 +112,7 @@ class SimulationEngine:
 
         self.memory = None
         if cfg.allocation == "mode4":
-            self.memory = mode4.SensingMemory(n, self.grid, self.params,
-                                              self.chan_params.noise_floor_dbm)
+            self.memory = mode4.SensingMemory(n, cfg)
 
         self.prr = PrrAccumulator(cfg.prr_bin_width_m, self.awareness_m)
         self.ud = UdTracker(n, self.t_b / 1000.0)
@@ -157,7 +151,7 @@ class SimulationEngine:
                              disp[:, 1][:, None] - disp[:, 1][None, :])
         # Presence changes decorrelate the pair's shadowing entirely.
         moved = np.where(np.isnan(moved), np.inf, moved)
-        return np.exp(-moved / self.chan_params.decorr_dist_m)
+        return np.exp(-moved / self.cfg.resolved_decorr_dist_m())
 
     def _advance_world(self, t: int):
         """Positions, presence, geometry, LOS and channel of the period at t."""
@@ -169,7 +163,7 @@ class SimulationEngine:
         los = self._los_matrix()
         if self.channel is None:
             self.channel = ChannelRealization.initial(
-                self.chan_params, self.dist, los, legs, self.shadow_rng)
+                self.cfg, self.dist, los, legs, self.shadow_rng)
         else:
             self.channel.advance(self.dist, los, legs, self.shadow_rng,
                                  self._shadow_rho(period))
@@ -198,7 +192,6 @@ class SimulationEngine:
         gone = was_present & ~present
         self.next_tx[gone] = -1
         self.select_at[gone] = -1
-        self.cur_offset[gone] = -1
         self.counter[gone] = 0
         self.held[gone] = 0
         fresh = present & ~was_present
@@ -213,19 +206,18 @@ class SimulationEngine:
     def _select(self, v: int, t: int):
         rng = self.mac_rngs[v]
         if self.memory is not None:
-            cands = mode4.candidate_set(self.memory, v, self.params, self.grid, t)
-            r, self.counter[v] = mode4.mac_select(cands, self.params, rng)
+            cands = mode4.candidate_set(self.memory, v, self.cfg, t)
+            r, self.counter[v] = mode4.mac_select(cands, self.cfg, rng)
         else:
-            r = int(rng.integers(self.grid.br_count))
-        offset, self.cur_slot[v] = divmod(r, self.grid.brs_per_tti)
-        self.cur_offset[v] = offset
+            r = int(rng.integers(self.cfg.br_count))
+        offset, self.cur_slot[v] = divmod(r, self.cfg.brs_per_tti)
         self.next_tx[v] = t + self._delta_to_offset(offset, t)
 
     def _mac_after_tx(self, v: int, t: int):
         if self.memory is None:
             self._select(v, t)  # random allocation redraws every period
             return
-        action = mode4.on_beacon_period_end(self.counter, v, self.params,
+        action = mode4.on_beacon_period_end(self.counter, v, self.cfg,
                                             self.mac_rngs[v])
         if action == "keep":
             self.next_tx[v] = t + self.t_b
@@ -255,7 +247,7 @@ class SimulationEngine:
         tx_slots = self.cur_slot[txs]
         power_rows = self.channel.rx_power_lin()[txs]
         recv_mask = self.present & ~tx_mask
-        slot_sums = phy.slot_power_sums(power_rows, tx_slots, self.grid.brs_per_tti)
+        slot_sums = phy.slot_power_sums(power_rows, tx_slots, self.cfg.brs_per_tti)
         sinr_lin, decoded = phy.subframe_reception(
             power_rows, tx_slots, self.noise_lin, self.gamma_lin,
             self.ibe_lin, recv_mask, slot_sums)

@@ -112,13 +112,10 @@ class HiddenNodeResult:
 
     `probability` averages #hidden/#interferers over the (source,
     destination) pairs that actually had interferers; pairs with none are
-    excluded, and `zero_pairs` flags the degenerate all-excluded case (the
-    probability is then reported as 0).
+    excluded, and when every pair is, the probability is reported as 0.
     """
 
     probability: float
-    contributing_pairs: int
-    zero_pairs: bool
     bin_width_m: float
     bin_ratio_sum: np.ndarray
     bin_pair_count: np.ndarray
@@ -167,10 +164,8 @@ def hidden_node_probability(power_lin: np.ndarray, dist_m: np.ndarray,
         pair_count += np.bincount(bins, minlength=n_bins)
         total_ratio += float(ratios.sum())
         total_pairs += int(has_i.sum())
-    if total_pairs == 0:
-        return HiddenNodeResult(0.0, 0, True, bin_width_m, ratio_sum, pair_count)
-    return HiddenNodeResult(total_ratio / total_pairs, total_pairs, False,
-                            bin_width_m, ratio_sum, pair_count)
+    probability = total_ratio / total_pairs if total_pairs else 0.0
+    return HiddenNodeResult(probability, bin_width_m, ratio_sum, pair_count)
 
 
 class HiddenNodeAccumulator:

@@ -8,10 +8,13 @@ linear density (and so the neighbor statistics) stationary.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # config imports this module for the lane count
+    from .config import RunConfig
 
 KMH = 1000.0 / 3600.0
 # Highway lanes: mean speed per lane from the outer (slowest) lane inwards,
@@ -119,27 +122,6 @@ def load_trace(path, beacon_period_ms: int = 100,
 # Synthetic highway
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HighwayConfig:
-    """Ring highway with fixed per-lane speeds (outer to inner lanes faster)."""
-
-    length_m: float = 16000.0
-    lanes_per_direction: int = 3
-    target_vehicle_count: int = 2015
-
-    def __post_init__(self):
-        for count in (self.lanes_per_direction, self.target_vehicle_count):
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise ValueError(f"lane and vehicle counts must be whole numbers, "
-                                 f"got {count!r}")
-        if self.length_m <= 0 or self.target_vehicle_count <= 0:
-            raise ValueError("length and vehicle count must be positive")
-        if not math.isfinite(self.length_m):
-            raise ValueError("highway length must be finite")
-        if not 1 <= self.lanes_per_direction <= len(LANE_SPEEDS_MPS):
-            raise ValueError(f"need 1 to {len(LANE_SPEEDS_MPS)} lanes per direction")
-
-
 @dataclass
 class HighwayState:
     x: np.ndarray
@@ -159,9 +141,9 @@ def _truncated_normal(rng, mean, sigma, n):
     return np.clip(vals, mean - 3 * sigma, mean + 3 * sigma)
 
 
-def spawn_highway(cfg: HighwayConfig, rng: np.random.Generator) -> HighwayState:
+def spawn_highway(cfg: RunConfig, rng: np.random.Generator) -> HighwayState:
     """Uniform placement along each lane at the configured total density."""
-    n = cfg.target_vehicle_count
+    n = cfg.highway_vehicles
     lanes = 2 * cfg.lanes_per_direction
     lane_of = np.arange(n) % lanes
     direction = np.where(lane_of < cfg.lanes_per_direction, 1.0, -1.0)
@@ -171,14 +153,12 @@ def spawn_highway(cfg: HighwayConfig, rng: np.random.Generator) -> HighwayState:
     y = direction * (0.5 + lane_rank) * LANE_WIDTH_M
     mean = np.asarray(LANE_SPEEDS_MPS)[lane_rank.astype(int)]
     speed = _truncated_normal(rng, mean, SPEED_SIGMA_FRAC * mean, n) * direction
-    x = rng.uniform(0.0, cfg.length_m, size=n)
+    x = rng.uniform(0.0, cfg.highway_length_m, size=n)
     return HighwayState(x=x, y=y, speed=speed)
 
 
-def step_highway(cfg: HighwayConfig, state: HighwayState, dt_s: float) -> np.ndarray:
-    """Advance positions by dt; returns the true per-vehicle displacement."""
+def step_highway(cfg: RunConfig, state: HighwayState, dt_s: float):
+    """Advance positions by dt, wrapping around the ring."""
     if dt_s <= 0:
         raise ValueError("dt must be positive")
-    dx = state.speed * dt_s
-    state.x = np.mod(state.x + dx, cfg.length_m)
-    return np.column_stack([dx, np.zeros_like(dx)])
+    state.x = np.mod(state.x + state.speed * dt_s, cfg.highway_length_m)

@@ -10,12 +10,12 @@ die at every expiry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .channel import dbm_to_mw
-from .grid import GridConfig, selection_count
+from .config import RunConfig
 
 
 class Mode4ParamError(ValueError):
@@ -35,42 +35,6 @@ def power_threshold(a: int, b: int) -> float:
     return float(-128 + 2 * (a * 8 + b))
 
 
-@dataclass(frozen=True)
-class Mode4Params:
-    """Algorithm knobs with the standard defaults."""
-
-    t_sense_ms: int = 1000
-    p_th_dbm: float = -110.0
-    r_sel: float = 0.2
-    t1: int = 1
-    t2: int = 100
-    n_min: int = 5
-    n_max: int = 15
-    p_keep: float = 0.4
-    nr_basis: str = "total"
-    nonstandard: bool = False
-
-    def __post_init__(self):
-        if self.t_sense_ms <= 0:
-            raise Mode4ParamError("t_sense_ms must be positive")
-        if not (1 <= self.t1 <= 4):
-            raise Mode4ParamError("t1 must lie in [1, 4]")
-        if not (20 <= self.t2 <= 100):
-            raise Mode4ParamError("t2 must lie in [20, 100]")
-        if self.t1 >= self.t2:
-            raise Mode4ParamError("t1 must be < t2")
-        if not (0.0 < self.r_sel <= 1.0):
-            raise Mode4ParamError("r_sel must be in (0, 1]")
-        if not (0 < self.n_min <= self.n_max):
-            raise Mode4ParamError("need 0 < n_min <= n_max")
-        if not (0.0 <= self.p_keep < 1.0):
-            raise Mode4ParamError("p_keep must lie in [0, 1)")
-        if self.p_keep > 0.8 and not self.nonstandard:
-            raise Mode4ParamError("p_keep above 0.8 requires the nonstandard flag")
-        if self.nr_basis not in ("total", "window"):
-            raise Mode4ParamError("nr_basis must be 'total' or 'window'")
-
-
 class SensingMemory:
     """Sensing memory of every vehicle, and the only code that writes it.
 
@@ -83,18 +47,15 @@ class SensingMemory:
     writes that break this rule.
     """
 
-    def __init__(self, n: int, grid: GridConfig, params: Mode4Params,
-                 noise_floor_dbm: float):
-        if params.t_sense_ms % grid.beacon_period_ms != 0:
-            raise Mode4ParamError("t_sense_ms must be a multiple of the beacon period")
-        self.n_slots = params.t_sense_ms // grid.beacon_period_ms
-        self.brs_per_tti = grid.brs_per_tti
-        r = grid.br_count
+    def __init__(self, n: int, cfg: RunConfig):
+        self.n_slots = cfg.t_sense_ms // cfg.beacon_period_ms
+        self.brs_per_tti = cfg.brs_per_tti
+        r = cfg.br_count
         self.s_rssi = np.zeros((n, self.n_slots, r), dtype=np.float32)
         self.rsrp_sum = np.zeros((n, self.n_slots, r), dtype=np.float32)
         self.rsrp_cnt = np.zeros((n, self.n_slots, r), dtype=np.int32)
-        self.monitored = np.ones((n, self.n_slots, grid.beacon_period_ms), dtype=bool)
-        self.noise_floor_lin = float(dbm_to_mw(noise_floor_dbm))
+        self.monitored = np.ones((n, self.n_slots, cfg.beacon_period_ms), dtype=bool)
+        self.noise_floor_lin = float(dbm_to_mw(cfg.noise_floor_dbm()))
         self.slot = 0
         self.half_duplex_writes = 0
 
@@ -162,30 +123,35 @@ class SensingMemory:
         return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def candidate_set(memory: SensingMemory, v: int, params: Mode4Params,
-                  grid: GridConfig, now_tti: int) -> np.ndarray:
+def selection_count(r_sel: float, basis_count: int) -> int:
+    """Number of candidates handed to the MAC: ceil(r_sel * basis)."""
+    return math.ceil(r_sel * basis_count)
+
+
+def candidate_set(memory: SensingMemory, v: int, cfg: RunConfig,
+                  now_tti: int) -> np.ndarray:
     """Flat BR indices, best first, for vehicle v selecting at `now_tti`.
 
     Escalating the power threshold only relaxes occupancy; if the monitored
     in-window BRs themselves number fewer than n_R, all of them are returned.
     """
-    t_b = grid.beacon_period_ms
-    offsets = (now_tti + np.arange(params.t1, params.t2 + 1)) % t_b
+    t_b = cfg.beacon_period_ms
+    offsets = (now_tti + np.arange(cfg.t1, cfg.t2 + 1)) % t_b
     in_window = np.zeros(t_b, dtype=bool)
     in_window[offsets] = True
     usable = in_window & memory.monitored_offsets(v)
-    cand = np.repeat(usable, grid.brs_per_tti)
-    if params.nr_basis == "window":
-        basis = int(in_window.sum()) * grid.brs_per_tti
+    cand = np.repeat(usable, cfg.brs_per_tti)
+    if cfg.nr_basis == "window":
+        basis = int(in_window.sum()) * cfg.brs_per_tti
     else:
-        basis = grid.br_count
-    n_r = selection_count(params.r_sel, basis)
+        basis = cfg.br_count
+    n_r = selection_count(cfg.r_sel, basis)
     if not cand.any():
         return np.flatnonzero(cand)
 
     # Unreserved BRs average 0 mW, below any threshold.
     avg_rsrp = memory.avg_rsrp_lin(v)
-    p_th_dbm = params.p_th_dbm
+    p_th_dbm = cfg.p_th_dbm
     while True:
         occupied = avg_rsrp > dbm_to_mw(p_th_dbm)
         survivors = cand & ~occupied
@@ -199,21 +165,21 @@ def candidate_set(memory: SensingMemory, v: int, params: Mode4Params,
     return order[:n_r]
 
 
-def mac_select(candidates: np.ndarray, params: Mode4Params,
+def mac_select(candidates: np.ndarray, cfg: RunConfig,
                rng: np.random.Generator) -> tuple[int, int]:
     """Uniform pick among the candidate BRs plus a fresh reselection counter."""
     if len(candidates) == 0:
         raise Mode4ProtocolError("MAC selection received an empty candidate list")
     choice = int(candidates[int(rng.integers(len(candidates)))])
-    counter = draw_counter(params, rng)
+    counter = draw_counter(cfg, rng)
     return choice, counter
 
 
-def draw_counter(params: Mode4Params, rng: np.random.Generator) -> int:
-    return int(rng.integers(params.n_min, params.n_max + 1))
+def draw_counter(cfg: RunConfig, rng: np.random.Generator) -> int:
+    return int(rng.integers(cfg.n_min, cfg.n_max + 1))
 
 
-def on_beacon_period_end(counters: np.ndarray, v: int, params: Mode4Params,
+def on_beacon_period_end(counters: np.ndarray, v: int, cfg: RunConfig,
                          rng: np.random.Generator) -> str:
     """Advance vehicle v's counter after a beacon period; decide keep vs reselect.
 
@@ -224,7 +190,7 @@ def on_beacon_period_end(counters: np.ndarray, v: int, params: Mode4Params,
     counter = int(counters[v]) - 1
     if counter < 0:
         raise Mode4ProtocolError("no active allocation")
-    if counter == 0 and rng.random() < params.p_keep:
-        counter = draw_counter(params, rng)
+    if counter == 0 and rng.random() < cfg.p_keep:
+        counter = draw_counter(cfg, rng)
     counters[v] = counter
     return "keep" if counter > 0 else "reselect"

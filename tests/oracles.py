@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mode4sim.channel import ChannelParams, ChannelRealization, dbm_to_mw, rx_power_dbm
-from mode4sim.grid import GridConfig, GridConfigError
+from mode4sim.channel import ChannelRealization, dbm_to_mw, rx_power_dbm, shadow_sigma_db
+from mode4sim.config import RunConfig
 from mode4sim.phy import ibe_factor
 
 
@@ -93,17 +93,17 @@ class BrIndex:
     freq_slot: int
 
 
-def br_flat_index(cfg: GridConfig, br: BrIndex) -> int:
+def br_flat_index(cfg: RunConfig, br: BrIndex) -> int:
     if not (0 <= br.subframe < cfg.beacon_period_ms):
-        raise GridConfigError(f"subframe {br.subframe} out of range")
+        raise ValueError(f"subframe {br.subframe} out of range")
     if not (0 <= br.freq_slot < cfg.brs_per_tti):
-        raise GridConfigError(f"freq_slot {br.freq_slot} out of range")
+        raise ValueError(f"freq_slot {br.freq_slot} out of range")
     return br.subframe * cfg.brs_per_tti + br.freq_slot
 
 
-def br_from_flat(cfg: GridConfig, r: int) -> BrIndex:
+def br_from_flat(cfg: RunConfig, r: int) -> BrIndex:
     if not (0 <= r < cfg.br_count):
-        raise GridConfigError(f"flat BR index {r} out of range [0, {cfg.br_count})")
+        raise ValueError(f"flat BR index {r} out of range [0, {cfg.br_count})")
     return BrIndex(subframe=r // cfg.brs_per_tti, freq_slot=r % cfg.brs_per_tti)
 
 
@@ -121,8 +121,8 @@ def shadow_step(
     s = real.shadow_db[i, j]
     if moved_m == 0:
         return float(s)
-    sigma = float(real.params.shadow_sigma_db(real.los[i, j]))
-    rho = float(np.exp(-moved_m / real.params.decorr_dist_m))
+    sigma = float(shadow_sigma_db(real.cfg, real.los[i, j]))
+    rho = float(np.exp(-moved_m / real.cfg.resolved_decorr_dist_m()))
     g = rng.normal(0.0, sigma)
     s_new = rho * s + np.sqrt(1.0 - rho * rho) * g
     real.shadow_db[i, j] = s_new
@@ -167,30 +167,32 @@ class SenseSample:
     tti: int
 
 
-NOISE_DBM = -99.437  # noise_floor_dbm(2): a two-subchannel BR
+NOISE_DBM = -99.437  # RunConfig().noise_floor_dbm(): a two-subchannel BR
+IBE_DB = 25.0        # the default in-band-emission attenuation
 
 
-def make_channel(rx_dbm_matrix, params=None):
+def make_channel(rx_dbm_matrix, cfg=None):
     """Realization with hand-set link budgets: pathloss chosen so that
     tx + 2*gain - pathloss equals the requested received power."""
-    params = params or ChannelParams(noise_floor_dbm=NOISE_DBM)
+    cfg = cfg or RunConfig()
     rx = np.asarray(rx_dbm_matrix, dtype=float)
-    pl = params.tx_power_dbm + 2 * params.antenna_gain_db - rx
-    return ChannelRealization(params, pl, np.zeros_like(pl), np.ones_like(pl, bool))
+    pl = cfg.tx_power_dbm + 2 * cfg.antenna_gain_db - rx
+    return ChannelRealization(cfg, pl, np.zeros_like(pl), np.ones_like(pl, bool))
 
 
 def _event_power_lin(event: TxEvent, dst: int, channel: ChannelRealization) -> float:
     src = event.vehicle
-    base = float(rx_power_dbm(channel.params, channel.pathloss_db[src, dst],
+    base = float(rx_power_dbm(channel.cfg, channel.pathloss_db[src, dst],
                               channel.shadow_db[src, dst]))
     # Per-event power deviations from the configured level shift dB-for-dB.
-    base += event.tx_power_dbm - channel.params.tx_power_dbm
+    base += event.tx_power_dbm - channel.cfg.tx_power_dbm
     return float(dbm_to_mw(base))
 
 
 def sinr(dst: int, src: int, events: list[TxEvent], channel: ChannelRealization,
-         grid: GridConfig) -> float:
-    """SINR in dB at `dst` for the transmission of `src`.
+         cfg: RunConfig, noise_dbm: float = NOISE_DBM, ibe_db: float = IBE_DB) -> float:
+    """SINR in dB at `dst` for the transmission of `src`, over a noise floor
+    of `noise_dbm` with cross-slot leakage attenuated by `ibe_db`.
 
     Preconditions: `src` transmits in this subframe and `dst` does not.
     """
@@ -201,22 +203,22 @@ def sinr(dst: int, src: int, events: list[TxEvent], channel: ChannelRealization,
         raise ValueError(f"destination {dst} transmits in this subframe (half duplex)")
     ev_src = by_vehicle[src]
     useful = _event_power_lin(ev_src, dst, channel)
-    noise = float(dbm_to_mw(channel.params.noise_floor_dbm))
+    noise = float(dbm_to_mw(noise_dbm))
     interference = 0.0
     for ev in events:
         if ev.vehicle in (src, dst):
             continue
-        k_ibe = (1.0 if ev.br.freq_slot == ev_src.br.freq_slot
-                 else ibe_factor(channel.params.ibe_attenuation_db))
+        k_ibe = 1.0 if ev.br.freq_slot == ev_src.br.freq_slot else ibe_factor(ibe_db)
         interference += k_ibe * _event_power_lin(ev, dst, channel)
     return float(mw_to_dbm(useful / (noise + interference)))
 
 
 def receive_subframe(snapshot: ScenarioSnapshot, channel: ChannelRealization,
-                     grid: GridConfig) -> list[RxOutcome]:
+                     cfg: RunConfig, noise_dbm: float = NOISE_DBM,
+                     ibe_db: float = IBE_DB) -> list[RxOutcome]:
     """Reception outcome of every (source, destination) pair of the subframe."""
     tx_vehicles = {ev.vehicle for ev in snapshot.events}
-    gamma_min = grid.sinr_min_db
+    gamma_min = cfg.resolved_sinr_min_db()
     outcomes = []
     for ev in snapshot.events:
         for dst in range(snapshot.n):
@@ -226,7 +228,8 @@ def receive_subframe(snapshot: ScenarioSnapshot, channel: ChannelRealization,
                 outcomes.append(RxOutcome(ev.vehicle, dst, float("nan"),
                                           decoded=False, half_duplex_blocked=True))
                 continue
-            value = sinr(dst, ev.vehicle, snapshot.events, channel, grid)
+            value = sinr(dst, ev.vehicle, snapshot.events, channel, cfg,
+                         noise_dbm, ibe_db)
             outcomes.append(RxOutcome(ev.vehicle, dst, value,
                                       decoded=value > gamma_min,
                                       half_duplex_blocked=False))
@@ -234,7 +237,9 @@ def receive_subframe(snapshot: ScenarioSnapshot, channel: ChannelRealization,
 
 
 def sense_subframe(observer: int, snapshot: ScenarioSnapshot,
-                   channel: ChannelRealization, grid: GridConfig) -> list[SenseSample]:
+                   channel: ChannelRealization, cfg: RunConfig,
+                   noise_dbm: float = NOISE_DBM,
+                   ibe_db: float = IBE_DB) -> list[SenseSample]:
     """Sensing samples taken by `observer` for the BRs of this subframe.
 
     Returns nothing when the observer transmits (the unmonitored case). Every
@@ -244,22 +249,22 @@ def sense_subframe(observer: int, snapshot: ScenarioSnapshot,
     tx_vehicles = {ev.vehicle for ev in snapshot.events}
     if observer in tx_vehicles:
         return []
-    subframe = snapshot.tti % grid.beacon_period_ms
-    noise = float(dbm_to_mw(channel.params.noise_floor_dbm))
+    subframe = snapshot.tti % cfg.beacon_period_ms
+    noise = float(dbm_to_mw(noise_dbm))
     samples = []
-    for slot in range(grid.brs_per_tti):
+    for slot in range(cfg.brs_per_tti):
         total = noise
         for ev in snapshot.events:
-            k_ibe = (1.0 if ev.br.freq_slot == slot
-                     else ibe_factor(channel.params.ibe_attenuation_db))
+            k_ibe = 1.0 if ev.br.freq_slot == slot else ibe_factor(ibe_db)
             total += k_ibe * _event_power_lin(ev, observer, channel)
         s_rssi = float(mw_to_dbm(total))
         attributed = False
         for ev in snapshot.events:
             if ev.br.freq_slot != slot:
                 continue
-            value = sinr(observer, ev.vehicle, snapshot.events, channel, grid)
-            if value > grid.sinr_min_db:
+            value = sinr(observer, ev.vehicle, snapshot.events, channel, cfg,
+                         noise_dbm, ibe_db)
+            if value > cfg.resolved_sinr_min_db():
                 rsrp = mw_to_dbm(_event_power_lin(ev, observer, channel))
                 samples.append(SenseSample(ev.br, s_rssi, float(rsrp), snapshot.tti))
                 attributed = True

@@ -16,14 +16,12 @@ from mode4sim.analysis import (empirical_pmf, reallocation_probability,
                                simulate_hold_times,
                                simulate_reallocation_probability, tbc_ccdf,
                                tbc_distribution, total_variation)
-from mode4sim.channel import ChannelParams, ChannelRealization
+from mode4sim.channel import ChannelRealization
 from mode4sim.cli import main
 from mode4sim.config import RunConfig
 from mode4sim.engine import run_hidden_node, run_scenario
-from mode4sim.grid import GridConfig
 from mode4sim.metrics import ud_percentile
-from mode4sim.mode4 import (Mode4Params, SensingMemory, candidate_set,
-                            power_threshold)
+from mode4sim.mode4 import SensingMemory, candidate_set, power_threshold
 from oracles import BrIndex, ScenarioSnapshot, TxEvent, neighbors, sinr
 
 RING = dict(highway_length_m=4000.0, highway_vehicles=495, seed=7)
@@ -313,32 +311,30 @@ def test_criterion_11_determinism(tmp_path):
 
 def test_criterion_12_invariant_oracles():
     rng = np.random.default_rng(3)
-    grid = GridConfig.for_mcs(7)
+    cfg = RunConfig(mcs=7)
 
     # Candidate sorting against an exhaustive re-sort.
-    params = Mode4Params()
-    memory = SensingMemory(1, grid, params, -99.437)
-    vals = rng.uniform(1e-13, 1e-9, size=grid.br_count)
+    memory = SensingMemory(1, cfg)
+    vals = rng.uniform(1e-13, 1e-9, size=cfg.br_count)
     memory.begin_period(0)
-    per_subframe = vals.reshape(grid.beacon_period_ms, grid.brs_per_tti)
+    per_subframe = vals.reshape(cfg.beacon_period_ms, cfg.brs_per_tti)
     for subframe, srssi in enumerate(per_subframe):
         memory.record_srssi(np.ones(1, dtype=bool), subframe, srssi[:, None])
-    cands = candidate_set(memory, 0, params, grid, now_tti=0)
-    expect = sorted(range(grid.br_count), key=lambda r: (vals[r], r))[:40]
+    cands = candidate_set(memory, 0, cfg, now_tti=0)
+    expect = sorted(range(cfg.br_count), key=lambda r: (vals[r], r))[:40]
     sort_ok = cands.tolist() == expect
 
     # Scalar SINR against a literal evaluation of the interference sum.
     rx = rng.uniform(-95, -60, size=(4, 4))
-    params_ch = ChannelParams(noise_floor_dbm=-99.437)
-    pl = params_ch.tx_power_dbm + 2 * params_ch.antenna_gain_db - rx
-    chan = ChannelRealization(params_ch, pl, np.zeros_like(pl),
+    pl = cfg.tx_power_dbm + 2 * cfg.antenna_gain_db - rx
+    chan = ChannelRealization(cfg, pl, np.zeros_like(pl),
                               np.ones_like(pl, bool))
     events = [TxEvent(0, BrIndex(0, 0)), TxEvent(1, BrIndex(0, 0)),
               TxEvent(2, BrIndex(0, 1))]
     lin = lambda v: 10 ** (v / 10)
     denom = lin(-99.437) + lin(rx[1, 3]) + lin(rx[2, 3]) * lin(-25)
     want = 10 * np.log10(lin(rx[0, 3]) / denom)
-    sinr_ok = abs(sinr(3, 0, events, chan, grid) - want) < 1e-9
+    sinr_ok = abs(sinr(3, 0, events, chan, cfg, -99.437) - want) < 1e-9
 
     # Neighbor sets against the quadratic oracle.
     pos = rng.uniform(0, 500, size=(25, 2))

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mode4sim import channel
-from mode4sim.channel import (ChannelParams, ChannelRealization, ObstacleMap,
-                              ObstacleMapError, breakpoint_distance_m, los_state,
-                              noise_floor_dbm, pathloss_db, pathloss_los_db,
-                              pathloss_nlos_db, rx_power_dbm)
+from mode4sim.channel import (ChannelRealization, ObstacleMap, ObstacleMapError,
+                              breakpoint_distance_m, los_state, pathloss_db,
+                              pathloss_los_db, pathloss_nlos_db, rx_power_dbm)
+from mode4sim.config import RunConfig
 from oracles import _point_in_polygon, blocks, shadow_step
 
-PARAMS = ChannelParams()
+PARAMS = RunConfig()
 
 
 # -- LOS determination ---------------------------------------------------
@@ -228,8 +228,10 @@ def test_rx_power_decreasing_in_pathloss():
 
 def test_noise_floor_values():
     # -174 dBm/Hz over the BR allocation bandwidth plus 9 dB noise figure.
-    assert noise_floor_dbm(2) == pytest.approx(-174 + 10 * math.log10(3.6e6) + 9)
-    assert noise_floor_dbm(4) == pytest.approx(-174 + 10 * math.log10(7.2e6) + 9)
+    assert RunConfig(mcs=7).noise_floor_dbm() == pytest.approx(
+        -174 + 10 * math.log10(3.6e6) + 9)
+    assert RunConfig(mcs=4).noise_floor_dbm() == pytest.approx(
+        -174 + 10 * math.log10(7.2e6) + 9)
 
 
 # -- shadowing ------------------------------------------------------------
@@ -240,7 +242,7 @@ def _all_los(dist):
 
 
 def _single_link_realization(sigma_los=3.0, decorr=25.0):
-    params = ChannelParams(shadow_sigma_los_db=sigma_los, decorr_dist_m=decorr)
+    params = RunConfig(shadow_sigma_los_db=sigma_los, decorr_dist_m=decorr)
     dist = np.array([[0.0, 50.0], [50.0, 0.0]])
     return ChannelRealization.initial(params, dist, *_all_los(dist),
                                       np.random.default_rng(1))
@@ -280,13 +282,13 @@ def test_shadow_autocorrelation_matches_ar1():
 
 
 def test_vectorized_advance_stationary_variance():
-    params = ChannelParams()
+    params = RunConfig()
     n = 60
     rng = np.random.default_rng(5)
     dist = np.full((n, n), 80.0)
     los, legs = _all_los(dist)
     real = ChannelRealization.initial(params, dist, los, legs, rng)
-    rho = np.exp(-np.full((n, n), 10.0) / params.decorr_dist_m)
+    rho = np.exp(-np.full((n, n), 10.0) / params.resolved_decorr_dist_m())
     samples = []
     for _ in range(300):
         real.advance(dist, los, legs, rng, rho)

@@ -102,9 +102,20 @@ def test_invalid_config_exits_2(tmp_path, monkeypatch):
     nan, inf = float("nan"), float("inf")
     for key, value in (("tx_power_dbm", nan), ("sinr_min_db", nan), ("duration_s", inf),
                        ("awareness_m", -5.0), ("awareness_m", inf), ("awareness_m", nan),
-                       ("prr_bin_width_m", 0.0), ("prr_bin_width_m", inf)):
+                       ("prr_bin_width_m", 0.0), ("prr_bin_width_m", inf),
+                       # values of the wrong type
+                       ("beacon_period_ms", 100.0), ("t_sense_ms", 1000.0),
+                       ("tx_power_dbm", "23"), ("duration_s", "2.7"), ("t1", 1.5),
+                       ("n_min", 2.5), ("seed", 1.5), ("mcs", 7.0), ("sinr_min_db", "7"),
+                       ("p_keep", False), ("nonstandard", "no"),
+                       # radio settings under which every link fails
+                       ("carrier_ghz", 0.0), ("carrier_ghz", -5.9), ("carrier_ghz", inf),
+                       ("tx_power_dbm", inf), ("tx_power_dbm", -inf),
+                       ("antenna_gain_db", inf), ("antenna_gain_db", -inf),
+                       ("noise_figure_db", inf), ("ibe_attenuation_db", -inf),
+                       ("sinr_min_db", inf), ("shadow_sigma_los_db", inf)):
         cfg = write_cfg(tmp_path, dict(SMALL_CFG, **{key: value}), name="f.yaml")
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, key
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, (key, value)
     cfg = write_cfg(tmp_path, SMALL_CFG, name="hn.yaml")
     assert main(["hidden-node", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--duration-s", "inf"]) == 2

@@ -79,7 +79,7 @@ def test_random_allocation_redraws_every_period():
     for t in range(3600):
         engine._tick(t)
         if t % 100 == 99:
-            offsets.append(engine.cur_offset.copy())
+            offsets.append(engine.next_tx % engine.t_b)
     offsets = np.asarray(offsets[5:])
     repeats = (offsets[1:] == offsets[:-1]).mean()
     # Uniform redraw over 200 BRs keeps the same subframe ~1% of the time.
@@ -93,9 +93,9 @@ def test_mode4_transmissions_stay_within_selection_window():
                     seed=3)
     engine = SimulationEngine(cfg)
     for t in range(3000):
-        before = engine.cur_offset.copy()
+        before = engine.next_tx % engine.t_b
         engine._tick(t)
-        changed = np.flatnonzero(engine.cur_offset != before)
+        changed = np.flatnonzero(engine.next_tx % engine.t_b != before)
         for v in changed:
             nxt = engine.next_tx[v]
             # The first transmission on a fresh allocation happens t1..t2
@@ -110,11 +110,10 @@ def test_highway_frames_and_first_selection():
     cfg = RunConfig(duration_s=3.05, **SMALL)
     engine = SimulationEngine(cfg)
     assert engine.frames.shape == (31, cfg.highway_vehicles, 2)
-    highway = cfg.highway_config()
-    state = spawn_highway(highway, substream(cfg.seed, "mobility"))
+    state = spawn_highway(cfg, substream(cfg.seed, "mobility"))
     for period, frame in enumerate(engine.frames):
         if period:
-            step_highway(highway, state, cfg.beacon_period_ms / 1000.0)
+            step_highway(cfg, state, cfg.beacon_period_ms / 1000.0)
         assert np.array_equal(frame, np.column_stack([state.x, state.y])), period
     assert not engine.present.any()
     engine._tick(0)

@@ -139,7 +139,7 @@ def hidden_node(snap, chan, gamma_db, bin_width_m=10.0, max_range_m=500.0):
     """hidden_node_probability on a snapshot's distances and a realization."""
     dist = np.hypot(*pair_legs(snap.positions, snap.wrap_length_m))
     return hidden_node_probability(
-        chan.rx_power_lin(), dist, float(dbm_to_mw(chan.params.noise_floor_dbm)),
+        chan.rx_power_lin(), dist, float(dbm_to_mw(NOISE_DBM)),
         float(dbm_to_mw(gamma_db)), bin_width_m, max_range_m)
 
 
@@ -147,9 +147,8 @@ def test_two_vehicles_vacuous_case():
     snap = snapshot_line([0.0, 50.0])
     chan = make_channel([[0, -70], [-70, 0]])
     res = hidden_node(snap, chan, GAMMA_DB)
-    assert res.zero_pairs
+    assert res.bin_pair_count.sum() == 0
     assert res.probability == 0.0
-    assert res.contributing_pairs == 0
 
 
 def test_constructed_hidden_node_gives_one():
@@ -165,7 +164,7 @@ def test_constructed_hidden_node_gives_one():
     res = hidden_node(snap, chan, GAMMA_DB)
     # Pair (0 -> 1) is interfered by the hidden node 2; the reverse-direction
     # pair (2 -> 1) is likewise broken by 0, which 2 cannot hear either.
-    assert res.contributing_pairs == 2
+    assert res.bin_pair_count.sum() == 2
     assert res.probability == 1.0
     assert res.bin_ratio_sum[10] == 1.0  # the 100 m source-destination pair
     assert res.bin_ratio_sum[3] == 1.0   # the 30 m reverse pair
@@ -180,7 +179,7 @@ def test_audible_interferer_is_not_hidden():
     chan = make_channel(rx)
     snap = snapshot_line([0.0, 100.0, 130.0])
     res = hidden_node(snap, chan, GAMMA_DB)
-    assert res.contributing_pairs == 2
+    assert res.bin_pair_count.sum() == 2
     assert res.probability == 0.0
 
 
@@ -206,7 +205,7 @@ def test_membership_matches_set_oracle():
                 continue
             hidden = [c for c in interferers if power[c, a] / noise < gamma]
             ratios.append(len(hidden) / len(interferers))
-    assert res.contributing_pairs == len(ratios)
+    assert res.bin_pair_count.sum() == len(ratios)
     assert res.probability == pytest.approx(float(np.mean(ratios)))
 
 

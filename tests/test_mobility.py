@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mode4sim.mobility import (LANE_SPEEDS_MPS, HighwayConfig, TraceError, load_trace,
-                               spawn_highway, step_highway)
+from mode4sim.config import RunConfig
+from mode4sim.mobility import (LANE_SPEEDS_MPS, TraceError, load_trace, spawn_highway,
+                               step_highway)
 from mode4sim.seeding import substream
 from oracles import ScenarioSnapshot, neighbors
 
@@ -127,19 +128,18 @@ def test_interpolated_positions_on_segment(frac):
 # -- highway -----------------------------------------------------------------
 
 def test_step_arithmetic():
-    cfg = HighwayConfig(length_m=16000, target_vehicle_count=4)
+    cfg = RunConfig(highway_length_m=16000, highway_vehicles=4)
     state = spawn_highway(cfg, substream(0, "mobility"))
     state.x = np.array([100.0, 15999.0, 50.0, 0.0])
     state.speed = np.array([30.0, 30.0, -20.0, 10.0])
-    disp = step_highway(cfg, state, 0.1)
-    assert disp[0] == pytest.approx([3.0, 0.0])
+    step_highway(cfg, state, 0.1)
     assert state.x[0] == pytest.approx(103.0)
     assert state.x[1] == pytest.approx(2.0)  # wrapped
     assert state.x[2] == pytest.approx(48.0)
 
 
 def test_wrap_preserves_count_and_range():
-    cfg = HighwayConfig(length_m=4000, target_vehicle_count=200)
+    cfg = RunConfig(highway_length_m=4000, highway_vehicles=200)
     state = spawn_highway(cfg, substream(1, "mobility"))
     for _ in range(500):
         step_highway(cfg, state, 0.1)
@@ -148,7 +148,7 @@ def test_wrap_preserves_count_and_range():
 
 
 def test_speeds_truncated_and_lane_signed():
-    cfg = HighwayConfig(target_vehicle_count=1200)
+    cfg = RunConfig(highway_vehicles=1200)
     state = spawn_highway(cfg, substream(2, "mobility"))
     speeds = np.abs(state.speed)
     means = np.asarray(LANE_SPEEDS_MPS)
@@ -160,7 +160,7 @@ def test_speeds_truncated_and_lane_signed():
 
 def test_density_calibration_matches_target_neighbours():
     # (N-1) * 400 m / L ~= 49.4 neighbors within 200 m at the default density.
-    cfg = HighwayConfig(length_m=4000, target_vehicle_count=495)
+    cfg = RunConfig(highway_length_m=4000, highway_vehicles=495)
     state = spawn_highway(cfg, substream(3, "mobility"))
     positions = np.column_stack([state.x, state.y])
     snap = ScenarioSnapshot(tti=0, ids=np.arange(495), positions=positions,

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mode4sim.channel import ChannelParams, dbm_to_mw
-from mode4sim.grid import GridConfig
+from mode4sim.channel import dbm_to_mw
+from mode4sim.config import RunConfig
 from mode4sim.phy import (ibe_factor, slot_power_sums, subframe_reception,
                           subframe_srssi)
 from oracles import (NOISE_DBM, BrIndex, RxOutcome, ScenarioSnapshot, TxEvent,
                      make_channel, receive_subframe, sense_subframe, sinr)
 
-GRID = GridConfig.for_mcs(7)  # gamma_min = 7.30 dB, 2 BRs per TTI
+GRID = RunConfig(mcs=7)  # gamma_min = 7.30 dB, 2 BRs per TTI
 def snapshot(n, events, tti=0):
     return ScenarioSnapshot(tti=tti, ids=np.arange(n),
                             positions=np.zeros((n, 2)), events=events)
@@ -59,7 +59,7 @@ def test_sinr_preconditions():
 
 def test_exact_threshold_tie_fails_strictly():
     # Engineered so sinr_lin equals gamma exactly in linear domain.
-    gamma_lin = float(dbm_to_mw(GRID.sinr_min_db))
+    gamma_lin = float(dbm_to_mw(GRID.resolved_sinr_min_db()))
     noise_lin = 1.0
     rows = np.array([[0.0, gamma_lin * noise_lin]])
     sinr_lin, decoded = subframe_reception(
@@ -99,7 +99,7 @@ def test_receive_subframe_matches_pairwise_brute_force():
         else:
             expected = sinr(dst, src, events, chan, GRID)
             assert o.sinr_db == pytest.approx(expected, abs=1e-9)
-            assert o.decoded == (expected > GRID.sinr_min_db)
+            assert o.decoded == (expected > GRID.resolved_sinr_min_db())
 
 
 def test_engine_core_agrees_with_scalar_sinr():
@@ -114,7 +114,8 @@ def test_engine_core_agrees_with_scalar_sinr():
     recv[txs] = False
     rows, slots = chan.rx_power_lin()[txs], np.array([0, 1, 0])
     sinr_lin, decoded = subframe_reception(
-        rows, slots, float(dbm_to_mw(NOISE_DBM)), float(dbm_to_mw(GRID.sinr_min_db)),
+        rows, slots, float(dbm_to_mw(NOISE_DBM)),
+        float(dbm_to_mw(GRID.resolved_sinr_min_db())),
         ibe_factor(25.0), recv, slot_power_sums(rows, slots, GRID.brs_per_tti))
     for k, src in enumerate(txs):
         for dst in range(n):
@@ -136,13 +137,12 @@ def test_removing_interferer_never_decreases_sinr():
 
 
 def test_infinite_ibe_silences_cross_slot_interference():
-    params = ChannelParams(noise_floor_dbm=NOISE_DBM, ibe_attenuation_db=math.inf)
     rx = [[0, -70, 0], [0, 0, 0], [-50, -50, 0]]
-    chan = make_channel(rx, params)
+    chan = make_channel(rx)
     with_cross = [TxEvent(0, BrIndex(0, 0)), TxEvent(2, BrIndex(0, 1))]
     alone = [TxEvent(0, BrIndex(0, 0))]
-    assert sinr(1, 0, with_cross, chan, GRID) == pytest.approx(
-        sinr(1, 0, alone, chan, GRID))
+    assert sinr(1, 0, with_cross, chan, GRID, ibe_db=math.inf) == pytest.approx(
+        sinr(1, 0, alone, chan, GRID, ibe_db=math.inf))
 
 
 # -- sensing ---------------------------------------------------------------

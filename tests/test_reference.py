@@ -8,13 +8,13 @@ import numpy as np
 import mode4sim
 from mode4sim import phy
 from mode4sim.channel import dbm_to_mw
-from mode4sim.grid import GridConfig
-from mode4sim.mode4 import Mode4Params, SensingMemory
+from mode4sim.config import RunConfig
+from mode4sim.mode4 import SensingMemory
 import oracles
-from oracles import (NOISE_DBM, BrIndex, ScenarioSnapshot, TxEvent, br_flat_index,
-                     make_channel, sense_subframe)
+from oracles import (IBE_DB, NOISE_DBM, BrIndex, ScenarioSnapshot, TxEvent,
+                     br_flat_index, make_channel, sense_subframe)
 
-GRID = GridConfig.for_mcs(7)
+GRID = RunConfig(mcs=7)
 
 # Names only tests/oracles.py may define, and no simulator module may import.
 ORACLE_NAMES = {"ScenarioSnapshot", "TxEvent", "RxOutcome", "SenseSample",
@@ -66,14 +66,14 @@ def test_sensing_writes_match_scalar_sense_subframe():
     tx_slots = np.array([ev.br.freq_slot for ev in events])
     power_rows = chan.rx_power_lin()[txs]
     noise_lin = float(dbm_to_mw(NOISE_DBM))
-    ibe_lin = phy.ibe_factor(chan.params.ibe_attenuation_db)
+    ibe_lin = phy.ibe_factor(IBE_DB)
     recv = np.ones(n, dtype=bool)
     recv[txs] = False
     slot_sums = phy.slot_power_sums(power_rows, tx_slots, GRID.brs_per_tti)
     _, decoded = phy.subframe_reception(power_rows, tx_slots, noise_lin,
-                                        float(dbm_to_mw(GRID.sinr_min_db)),
+                                        float(dbm_to_mw(GRID.resolved_sinr_min_db())),
                                         ibe_lin, recv, slot_sums)
-    memory = SensingMemory(n, GRID, Mode4Params(), NOISE_DBM)
+    memory = SensingMemory(n, GRID)
     memory.begin_period(0)
     memory.mark_transmissions(txs, subframe)
     memory.record_srssi(recv, subframe, phy.subframe_srssi(slot_sums, noise_lin, ibe_lin))
