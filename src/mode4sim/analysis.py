@@ -157,12 +157,6 @@ def simulate_reallocation_probability(n_min: int, n_max: int, p_keep: float,
     return float(np.mean(holds - phase <= n_star))
 
 
-def empirical_pmf(samples: np.ndarray, length: int) -> np.ndarray:
-    """Histogram of integer samples as a pmf vector of the given length."""
-    counts = np.bincount(samples, minlength=length)[:length]
-    return counts / len(samples)
-
-
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     """TV distance between two pmf vectors (padded to a common length)."""
     size = max(len(p), len(q))

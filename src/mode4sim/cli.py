@@ -130,6 +130,8 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.param not in SWEEPABLE_KEYS:
         raise ConfigError(f"unknown sweep parameter '{args.param}'")
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     cast = SWEEPABLE_KEYS[args.param]
     values = [cast(v) for v in args.values.split(",") if v != ""]
     if not values:
@@ -137,10 +139,12 @@ def cmd_sweep(args) -> int:
     points = [with_overrides(cfg, **{args.param: value}) for value in values]
     _make_outdir(args.out)
     # Points are independent seeded runs, so any worker count gives the
-    # same results in the same order.
-    if args.jobs > 1:
+    # same results in the same order. The pool starts all its workers at
+    # once, so it gets no more than there are points.
+    workers = min(args.jobs, len(points))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_scenario, points))
     else:
         results = [run_scenario(point) for point in points]

@@ -2,11 +2,11 @@
 
 The clock ticks in 1 ms subframes. Each period (every beacon_period_ms
 ticks) the world advances (mobility, geometry, LOS, channel realization),
-then the protocol starts its period (neighbour sets, metric bins, the
-oldest sensing-memory slot recycled, trace churn). Within a subframe the
-tick is two-phase: first propagation (reception outcomes, sensing samples
-for every listener), then per-vehicle MAC updates, so state updates never
-see partial data.
+then the protocol starts its period (neighbour sets, the oldest
+sensing-memory slot recycled, trace churn). Within a subframe the tick is
+two-phase: first propagation (reception outcomes, sensing samples and
+metric credits for all of the subframe's transmitters at once), then
+per-vehicle MAC updates, so state updates never see partial data.
 """
 from __future__ import annotations
 
@@ -38,13 +38,12 @@ class SimulationResult:
     warmup_s: float
     duration_s: float
     config_items: list = field(default_factory=list)
-    beacon_log: list = field(default_factory=list)
 
 
 class SimulationEngine:
     """One seeded scenario run."""
 
-    def __init__(self, cfg: RunConfig, record_beacon_log: bool = False):
+    def __init__(self, cfg: RunConfig):
         cfg.validate()
         self.cfg = cfg
         self.awareness_m = cfg.resolved_awareness_m()
@@ -54,8 +53,6 @@ class SimulationEngine:
         self.noise_lin = float(dbm_to_mw(cfg.noise_floor_dbm()))
         self.gamma_lin = float(dbm_to_mw(cfg.resolved_sinr_min_db()))
         self.ibe_lin = phy.ibe_factor(cfg.ibe_attenuation_db)
-        self.record_beacon_log = record_beacon_log
-        self.beacon_log = []
 
         self._setup_scenario()
         self._setup_state()
@@ -125,7 +122,6 @@ class SimulationEngine:
         self.channel: ChannelRealization | None = None
         self.dist = None
         self.neigh = None
-        self.bins = None
 
     # -- per-period geometry ----------------------------------------------
 
@@ -177,7 +173,6 @@ class SimulationEngine:
         neigh = dist <= self.awareness_m
         np.fill_diagonal(neigh, False)
         self.neigh = neigh
-        self.bins = self.prr.bin_of(np.minimum(dist, self.awareness_m))
         self.ud.reset_pairs(~neigh)
 
         if t >= self.warmup_tti and present.any():
@@ -268,17 +263,17 @@ class SimulationEngine:
         self.beacons_sent += len(txs)
 
         if t >= self.warmup_tti:
-            credited = decoded & self.neigh[txs]
+            neigh = self.neigh[txs]
+            credited = decoded & neigh
             self.hd_violations += int(np.count_nonzero(credited[:, tx_mask]))
-            for k, v in enumerate(txs):
-                nm = self.neigh[v]
-                dec = credited[k]
-                self.prr.record_arrays(self.bins[v][nm], dec[nm])
-                dst = np.flatnonzero(dec)
-                if len(dst):
-                    self.ud.record(int(v), dst, self.seq[v] * self.t_b / 1000.0)
-                if self.record_beacon_log:
-                    self.beacon_log.append((int(v), int(nm.sum()), int(dec.sum())))
+            self.prr.record_arrays(self.prr.bin_of(self.dist[txs][neigh]),
+                                   credited[neigh])
+            # A source transmits at most once per subframe, so no
+            # (source, destination) pair repeats within this call.
+            k, dst = np.nonzero(credited)
+            if len(dst):
+                src = txs[k]
+                self.ud.record(src, dst, self.seq[src] * self.t_b / 1000.0)
 
         for v in txs:
             self._mac_after_tx(int(v), t)
@@ -302,12 +297,11 @@ class SimulationEngine:
             warmup_s=self.warmup_tti / 1000.0,
             duration_s=self.cfg.duration_s,
             config_items=self.cfg.resolved_items(),
-            beacon_log=self.beacon_log,
         )
 
 
-def run_scenario(cfg: RunConfig, record_beacon_log: bool = False) -> SimulationResult:
-    return SimulationEngine(cfg, record_beacon_log=record_beacon_log).run()
+def run_scenario(cfg: RunConfig) -> SimulationResult:
+    return SimulationEngine(cfg).run()
 
 
 def run_hidden_node(cfg: RunConfig, sample_every_periods: int = 1):

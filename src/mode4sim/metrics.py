@@ -15,11 +15,10 @@ class MetricsError(ValueError):
 class PrrAccumulator:
     """Decoded/neighbor counts in fixed-width distance bins."""
 
-    def __init__(self, bin_width_m: float = 10.0, max_range_m: float = 200.0):
+    def __init__(self, bin_width_m: float, max_range_m: float):
         if bin_width_m <= 0 or max_range_m <= 0:
             raise MetricsError("bin width and range must be positive")
         self.bin_width_m = float(bin_width_m)
-        self.max_range_m = float(max_range_m)
         self.n_bins = int(np.ceil(max_range_m / bin_width_m))
         self.neighbor_count = np.zeros(self.n_bins, dtype=np.int64)
         self.decoded_count = np.zeros(self.n_bins, dtype=np.int64)
@@ -58,7 +57,7 @@ class UdTracker:
     reception, -1 when none.
     """
 
-    def __init__(self, n_vehicles: int, beacon_period_s: float = 0.1):
+    def __init__(self, n_vehicles: int, beacon_period_s: float):
         self.beacon_period_s = float(beacon_period_s)
         self.last = np.full((n_vehicles, n_vehicles), -1.0)
         self.gap_counts = np.zeros(1, dtype=np.int64)
@@ -69,11 +68,18 @@ class UdTracker:
             grown[: len(self.gap_counts)] = self.gap_counts
             self.gap_counts = grown
 
-    def record(self, src: int, dst_indices: np.ndarray, t_now_s: float):
+    def record(self, src, dst_indices: np.ndarray, t_now_s):
+        """Receptions at `dst_indices` of the beacons `src` sent at `t_now_s`.
+
+        `src` and `t_now_s` are scalars or arrays aligned with `dst_indices`;
+        no (src, dst) pair may repeat within one call.
+        """
         prev = self.last[src, dst_indices]
+        t_now_s = np.broadcast_to(np.asarray(t_now_s, dtype=float), prev.shape)
         seen = prev >= 0.0
         if seen.any():
-            gaps = np.rint((t_now_s - prev[seen]) / self.beacon_period_s).astype(np.int64)
+            gaps = np.rint((t_now_s[seen] - prev[seen])
+                           / self.beacon_period_s).astype(np.int64)
             if (gaps <= 0).any():
                 raise MetricsError("non-positive update-delay gap")
             self._grow(int(gaps.max()))
@@ -116,7 +122,6 @@ class HiddenNodeResult:
     """
 
     probability: float
-    bin_width_m: float
     bin_ratio_sum: np.ndarray
     bin_pair_count: np.ndarray
 
@@ -159,21 +164,20 @@ def hidden_node_probability(power_lin: np.ndarray, dist_m: np.ndarray,
         if not has_i.any():
             continue
         ratios = h_cnt[has_i] / i_cnt[has_i]
-        bins = np.clip((dist_m[a, dests[has_i]] / bin_width_m).astype(int), 0, n_bins - 1)
-        ratio_sum += np.bincount(bins, weights=ratios, minlength=n_bins)
-        pair_count += np.bincount(bins, minlength=n_bins)
+        bin_idx = np.clip((dist_m[a, dests[has_i]] / bin_width_m).astype(int), 0, n_bins - 1)
+        ratio_sum += np.bincount(bin_idx, weights=ratios, minlength=n_bins)
+        pair_count += np.bincount(bin_idx, minlength=n_bins)
         total_ratio += float(ratios.sum())
         total_pairs += int(has_i.sum())
     probability = total_ratio / total_pairs if total_pairs else 0.0
-    return HiddenNodeResult(probability, bin_width_m, ratio_sum, pair_count)
+    return HiddenNodeResult(probability, ratio_sum, pair_count)
 
 
 class HiddenNodeAccumulator:
     """Average hidden-node statistics across periodically sampled snapshots."""
 
-    def __init__(self, bin_width_m: float = 10.0, max_range_m: float = 500.0):
+    def __init__(self, bin_width_m: float, max_range_m: float):
         self.bin_width_m = bin_width_m
-        self.max_range_m = max_range_m
         n_bins = int(np.ceil(max_range_m / bin_width_m))
         self.ratio_sum = np.zeros(n_bins)
         self.pair_count = np.zeros(n_bins, dtype=np.int64)
@@ -196,16 +200,3 @@ class HiddenNodeAccumulator:
             prob = np.where(self.pair_count > 0,
                             self.ratio_sum / np.maximum(self.pair_count, 1), np.nan)
         return centers, prob, self.pair_count.copy()
-
-    def rebinned(self, width_m: float):
-        """Coarser view (e.g. 20 m bins) of the same pair samples."""
-        factor = int(round(width_m / self.bin_width_m))
-        if factor < 1 or not np.isclose(factor * self.bin_width_m, width_m):
-            raise MetricsError("rebin width must be a multiple of the bin width")
-        n = (len(self.ratio_sum) // factor) * factor
-        rs = self.ratio_sum[:n].reshape(-1, factor).sum(axis=1)
-        pc = self.pair_count[:n].reshape(-1, factor).sum(axis=1)
-        centers = (np.arange(len(rs)) + 0.5) * width_m
-        with np.errstate(invalid="ignore"):
-            prob = np.where(pc > 0, rs / np.maximum(pc, 1), np.nan)
-        return centers, prob, pc

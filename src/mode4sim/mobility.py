@@ -68,8 +68,8 @@ def _is_number(text: str) -> bool:
         return False
 
 
-def load_trace(path, beacon_period_ms: int = 100,
-               max_gap_s: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def load_trace(path, beacon_period_ms: int,
+               max_gap_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Trace file -> (ids, positions) at beacon-period granularity.
 
     `ids` are the vehicles present at one or more instants, ascending.

@@ -84,26 +84,25 @@ class SensingMemory:
         self.half_duplex_writes += int(np.count_nonzero(
             observers & self._transmitting(subframe)))
         base = subframe * self.brs_per_tti
-        for f in range(self.brs_per_tti):
-            value = self.noise_floor_lin if srssi is None else srssi[f, observers]
-            self.s_rssi[observers, self.slot, base + f] = value
+        brs = slice(base, base + self.brs_per_tti)
+        self.s_rssi[observers, self.slot, brs] = (
+            self.noise_floor_lin if srssi is None else srssi[:, observers].T)
 
     def record_rsrp(self, subframe: int, tx_slots: np.ndarray,
                     power_rows: np.ndarray, decoded: np.ndarray):
         """RSRP of each decoded transmission at the vehicles that decoded it.
 
         Row k of `power_rows` and `decoded` (n_tx, n) belongs to the
-        transmission in frequency slot `tx_slots[k]` of `subframe`.
+        transmission in frequency slot `tx_slots[k]` of `subframe`. Below a
+        0 dB threshold one vehicle can decode two transmissions in one BR, so
+        the scatter accumulates repeated indices (`np.add.at`).
         """
         self.half_duplex_writes += int(np.count_nonzero(
             decoded[:, self._transmitting(subframe)]))
-        base = subframe * self.brs_per_tti
-        for k in range(len(tx_slots)):
-            dec = decoded[k]
-            if dec.any():
-                r = base + int(tx_slots[k])
-                self.rsrp_sum[dec, self.slot, r] += power_rows[k, dec]
-                self.rsrp_cnt[dec, self.slot, r] += 1
+        k, rx = np.nonzero(decoded)
+        at = (rx, self.slot, subframe * self.brs_per_tti + tx_slots[k])
+        np.add.at(self.rsrp_sum, at, power_rows[k, rx])
+        np.add.at(self.rsrp_cnt, at, 1)
 
     # Aggregates of vehicle v over the whole ring (= the sensing window).
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from mode4sim.channel import ChannelRealization, dbm_to_mw, rx_power_dbm, shadow_sigma_db
 from mode4sim.config import RunConfig
+from mode4sim.metrics import MetricsError
 from mode4sim.phy import ibe_factor
 
 
@@ -301,6 +302,31 @@ def record_beacon(prr, ud, src: int, outcomes, snapshot: ScenarioSnapshot,
             decoded_dsts.append(out.destination)
     if decoded_dsts:
         ud.record(src, np.asarray(decoded_dsts, dtype=int), t_now_s)
+
+
+# ---------------------------------------------------------------------------
+# Test-side views of simulator results
+# ---------------------------------------------------------------------------
+
+def rebinned(acc, width_m: float):
+    """Coarser view (e.g. 20 m bins) of a `metrics.HiddenNodeAccumulator`'s
+    pair samples: (bin centers, probability, pair counts)."""
+    factor = int(round(width_m / acc.bin_width_m))
+    if factor < 1 or not np.isclose(factor * acc.bin_width_m, width_m):
+        raise MetricsError("rebin width must be a multiple of the bin width")
+    n = (len(acc.ratio_sum) // factor) * factor
+    rs = acc.ratio_sum[:n].reshape(-1, factor).sum(axis=1)
+    pc = acc.pair_count[:n].reshape(-1, factor).sum(axis=1)
+    centers = (np.arange(len(rs)) + 0.5) * width_m
+    with np.errstate(invalid="ignore"):
+        prob = np.where(pc > 0, rs / np.maximum(pc, 1), np.nan)
+    return centers, prob, pc
+
+
+def empirical_pmf(samples: np.ndarray, length: int) -> np.ndarray:
+    """Histogram of integer samples as a pmf vector of the given length."""
+    counts = np.bincount(samples, minlength=length)[:length]
+    return counts / len(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from mode4sim.analysis import (empirical_pmf, reallocation_probability,
-                               simulate_hold_times,
+from mode4sim.analysis import (reallocation_probability, simulate_hold_times,
                                simulate_reallocation_probability, tbc_ccdf,
                                tbc_distribution, total_variation)
 from mode4sim.channel import ChannelRealization
@@ -22,7 +21,8 @@ from mode4sim.config import RunConfig
 from mode4sim.engine import run_hidden_node, run_scenario
 from mode4sim.metrics import ud_percentile
 from mode4sim.mode4 import SensingMemory, candidate_set, power_threshold
-from oracles import BrIndex, ScenarioSnapshot, TxEvent, neighbors, sinr
+from oracles import (BrIndex, ScenarioSnapshot, TxEvent, empirical_pmf, neighbors,
+                     rebinned, sinr)
 
 RING = dict(highway_length_m=4000.0, highway_vehicles=495, seed=7)
 
@@ -261,7 +261,7 @@ def test_criterion_9_power_threshold_table():
 def test_criterion_10_hidden_node_behavior():
     acc = run_hidden_node(RunConfig(duration_s=10.0, **RING),
                           sample_every_periods=2)
-    centers, prob, pairs = acc.rebinned(20.0)
+    centers, prob, pairs = rebinned(acc, 20.0)
     valid = pairs > 0
     assert valid[:10].all()
     prob10 = prob[:10]  # bins up to the 200 m awareness range

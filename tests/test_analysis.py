@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mode4sim.analysis import (AnalysisError, empirical_pmf,
-                               reallocation_probability,
+from mode4sim.analysis import (AnalysisError, reallocation_probability,
                                simulate_hold_times,
                                simulate_reallocation_probability, tbc_ccdf,
                                tbc_distribution, tbe_distribution,
                                total_variation)
+from oracles import empirical_pmf
 
 
 # -- single counter draw -------------------------------------------------------

@@ -1,5 +1,6 @@
 import os
 
+import pytest
 import yaml
 
 from mode4sim import cli
@@ -74,6 +75,42 @@ def test_sweep_parallel_workers_match_sequential(tmp_path):
     for value in ("0.0", "0.8"):
         point = os.path.join(f"p_keep={value}", "prr_by_distance.csv")
         assert read_bytes(out_seq, point) == read_bytes(out_par, point)
+
+
+def test_sweep_jobs_capped_at_points_and_rejected_below_one(tmp_path, monkeypatch):
+    # The pool starts every worker it is asked for, so the sweep asks for no
+    # more than it has points. The fake pool starts no process.
+    import concurrent.futures
+
+    class PoolStarted(Exception):
+        pass
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, points):
+            raise PoolStarted
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    _no_runs(monkeypatch)
+    cfg = write_cfg(tmp_path, SMALL_CFG)
+    args = ["sweep", "--config", cfg, "--param", "p_keep", "--values", "0,0.4",
+            "--out", str(tmp_path / "sw"), "--jobs"]
+    with pytest.raises(PoolStarted):
+        main(args + ["5000"])
+    assert asked == [2]
+    for jobs in ("0", "-3"):
+        assert main(args + [jobs]) == 2, jobs
+    assert asked == [2]
 
 
 def test_sweep_unknown_parameter_exits_2(tmp_path):

@@ -4,9 +4,10 @@ import pytest
 from mode4sim import phy
 from mode4sim.config import RunConfig
 from mode4sim.engine import SimulationEngine, run_scenario
+from mode4sim.metrics import PrrAccumulator, UdTracker
 from mode4sim.mobility import spawn_highway, step_highway
 from mode4sim.seeding import substream
-from oracles import blocks
+from oracles import RxOutcome, ScenarioSnapshot, blocks, record_beacon
 
 SMALL = dict(highway_length_m=1000.0, highway_vehicles=124, seed=5)
 
@@ -14,17 +15,16 @@ SMALL = dict(highway_length_m=1000.0, highway_vehicles=124, seed=5)
 @pytest.fixture(scope="module")
 def small_run():
     cfg = RunConfig(duration_s=6.0, **SMALL)
-    return run_scenario(cfg, record_beacon_log=True)
+    return run_scenario(cfg)
 
 
 def test_same_seed_reproduces_everything(small_run):
-    again = run_scenario(RunConfig(duration_s=6.0, **SMALL), record_beacon_log=True)
+    again = run_scenario(RunConfig(duration_s=6.0, **SMALL))
     assert again.prr.pooled() == small_run.prr.pooled()
     assert (again.prr.neighbor_count == small_run.prr.neighbor_count).all()
     assert (again.prr.decoded_count == small_run.prr.decoded_count).all()
     assert np.array_equal(again.hold_counts, small_run.hold_counts)
     assert np.array_equal(again.ud.gap_counts, small_run.ud.gap_counts)
-    assert again.beacon_log == small_run.beacon_log
 
 
 def test_different_seed_differs():
@@ -59,11 +59,47 @@ def test_half_duplex_audit_counts_credits_to_transmitters(monkeypatch):
     assert result.half_duplex_violations > 0
 
 
-def test_pooled_prr_matches_raw_beacon_log(small_run):
-    neighbors = sum(n for _, n, _ in small_run.beacon_log)
-    decoded = sum(d for _, _, d in small_run.beacon_log)
-    assert neighbors == small_run.prr.neighbor_count.sum()
-    assert small_run.prr.pooled() == pytest.approx(decoded / neighbors)
+def test_batched_credit_matches_per_beacon_oracle(monkeypatch):
+    # The engine credits all of a subframe's transmitters in one PRR and one
+    # UD call; replaying each metric-phase beacon through the per-beacon
+    # oracle into fresh accumulators must give the same counts exactly.
+    cfg = RunConfig(duration_s=3.6, t_sense_ms=200, n_max=6, highway_length_m=800.0,
+                    highway_vehicles=40, seed=2)
+    engine = SimulationEngine(cfg)
+    captured = []
+    real = phy.subframe_reception
+
+    def capture(*args, **kwargs):
+        sinr_lin, decoded = real(*args, **kwargs)
+        captured.append(decoded)
+        return sinr_lin, decoded
+
+    monkeypatch.setattr(phy, "subframe_reception", capture)
+    prr = PrrAccumulator(cfg.prr_bin_width_m, engine.awareness_m)
+    ud = UdTracker(engine.n, engine.t_b / 1000.0)
+    replayed = 0
+    for t in range(engine.total_tti):
+        txs = np.flatnonzero(engine.next_tx == t)
+        captured.clear()
+        engine._tick(t)
+        if t % engine.t_b == 0:
+            ud.reset_pairs(~engine.neigh)
+        if t < engine.warmup_tti or not len(txs):
+            continue
+        (decoded,) = captured
+        assert len(decoded) == len(txs)
+        snap = ScenarioSnapshot(tti=t, ids=np.arange(engine.n),
+                                positions=engine.positions, wrap_length_m=engine.wrap)
+        for k, v in enumerate(txs):
+            outcomes = [RxOutcome(int(v), dst, float("nan"), bool(decoded[k, dst]), False)
+                        for dst in range(engine.n) if dst != v]
+            record_beacon(prr, ud, int(v), outcomes, snap, engine.awareness_m,
+                          engine.seq[v] * engine.t_b / 1000.0)
+            replayed += 1
+    assert replayed > 0 and ud.total_gaps > 0
+    assert np.array_equal(prr.neighbor_count, engine.prr.neighbor_count)
+    assert np.array_equal(prr.decoded_count, engine.prr.decoded_count)
+    assert np.array_equal(ud.gap_counts, engine.ud.gap_counts)
 
 
 def test_hold_times_have_counter_floor(small_run):

@@ -6,7 +6,8 @@ from mode4sim.metrics import (HiddenNodeAccumulator, MetricsError,
                               PrrAccumulator, UdTracker,
                               hidden_node_probability, ud_percentile)
 from mode4sim.scenario import pair_legs
-from oracles import NOISE_DBM, RxOutcome, ScenarioSnapshot, make_channel, record_beacon
+from oracles import (NOISE_DBM, RxOutcome, ScenarioSnapshot, make_channel, rebinned,
+                     record_beacon)
 
 GAMMA_DB = 7.30
 
@@ -25,7 +26,7 @@ def snapshot_line(xs):
 
 def test_all_neighbors_decoding_gives_unit_bin():
     prr = PrrAccumulator(10.0, 200.0)
-    ud = UdTracker(3)
+    ud = UdTracker(3, 0.1)
     snap = snapshot_line([0.0, 5.0, 8.0])
     record_beacon(prr, ud, 0, outcomes_for(0, {1: True, 2: True}), snap, 200.0, 0.1)
     centers, values, samples = prr.by_bin()
@@ -35,7 +36,7 @@ def test_all_neighbors_decoding_gives_unit_bin():
 
 def test_blocked_neighbors_count_in_denominator():
     prr = PrrAccumulator(10.0, 200.0)
-    ud = UdTracker(2)
+    ud = UdTracker(2, 0.1)
     snap = snapshot_line([0.0, 5.0])
     outcomes = [RxOutcome(0, 1, float("nan"), False, True)]
     record_beacon(prr, ud, 0, outcomes, snap, 200.0, 0.1)
@@ -45,7 +46,7 @@ def test_blocked_neighbors_count_in_denominator():
 
 def test_beyond_awareness_not_counted():
     prr = PrrAccumulator(10.0, 200.0)
-    ud = UdTracker(2)
+    ud = UdTracker(2, 0.1)
     snap = snapshot_line([0.0, 250.0])
     record_beacon(prr, ud, 0, outcomes_for(0, {1: True}), snap, 200.0, 0.1)
     assert prr.neighbor_count.sum() == 0
@@ -56,9 +57,9 @@ def test_prr_bounds_and_pooling():
     acc = PrrAccumulator(10.0, 100.0)
     decoded = 0
     for _ in range(3):
-        bins = rng.integers(0, 10, size=200)
+        bin_idx = rng.integers(0, 10, size=200)
         dec = rng.random(200) < 0.7
-        acc.record_arrays(bins, dec)
+        acc.record_arrays(bin_idx, dec)
         decoded += int(dec.sum())
     _, values, _ = acc.by_bin()
     ok = ~np.isnan(values)
@@ -72,7 +73,7 @@ def test_prr_bounds_and_pooling():
 # -- UD -----------------------------------------------------------------------
 
 def test_gap_arithmetic():
-    ud = UdTracker(2, beacon_period_s=0.1)
+    ud = UdTracker(2, 0.1)
     ud.record(0, np.array([1]), 0.5)
     ud.record(0, np.array([1]), 0.8)
     assert ud.total_gaps == 1
@@ -80,7 +81,7 @@ def test_gap_arithmetic():
 
 
 def test_lossfree_floor_gaps_are_one_period():
-    ud = UdTracker(2)
+    ud = UdTracker(2, 0.1)
     for k in range(1, 50):
         ud.record(0, np.array([1]), k * 0.1)
     assert ud_percentile(ud, 0.5) == pytest.approx(0.1)
@@ -88,7 +89,7 @@ def test_lossfree_floor_gaps_are_one_period():
 
 
 def test_nearest_rank_percentile():
-    ud = UdTracker(2)
+    ud = UdTracker(2, 0.1)
     # Nine 0.1 s gaps and one 0.5 s gap: q=0.9 hits rank 9 of 10.
     t = 0.0
     for _ in range(10):
@@ -102,7 +103,7 @@ def test_nearest_rank_percentile():
 
 def test_percentile_monotone_in_q():
     rng = np.random.default_rng(1)
-    ud = UdTracker(2)
+    ud = UdTracker(2, 0.1)
     t = 0.0
     for _ in range(500):
         t += 0.1 * int(rng.integers(1, 20))
@@ -113,7 +114,7 @@ def test_percentile_monotone_in_q():
 
 
 def test_out_of_range_reset_drops_pair_state():
-    ud = UdTracker(2)
+    ud = UdTracker(2, 0.1)
     ud.record(0, np.array([1]), 0.1)
     mask = np.ones((2, 2), dtype=bool)  # everything out of range
     ud.reset_pairs(mask)
@@ -123,11 +124,11 @@ def test_out_of_range_reset_drops_pair_state():
 
 def test_empty_tracker_raises():
     with pytest.raises(MetricsError):
-        ud_percentile(UdTracker(2), 0.9)
+        ud_percentile(UdTracker(2, 0.1), 0.9)
 
 
 def test_gaps_are_positive_invariant():
-    ud = UdTracker(2)
+    ud = UdTracker(2, 0.1)
     ud.record(0, np.array([1]), 0.3)
     with pytest.raises(MetricsError):
         ud.record(0, np.array([1]), 0.3)
@@ -223,6 +224,6 @@ def test_probability_within_unit_interval_and_rebin():
         acc.add(res)
     assert 0.0 <= acc.overall() <= 1.0
     assert np.isnan(HiddenNodeAccumulator(bin_width_m=10.0, max_range_m=200.0).overall())
-    centers20, prob20, pairs20 = acc.rebinned(20.0)
+    centers20, prob20, pairs20 = rebinned(acc, 20.0)
     assert len(centers20) == 10
     assert pairs20.sum() == acc.pair_count.sum()

@@ -19,7 +19,7 @@ def write_trace(tmp_path, text, name="trace.csv"):
 
 def load_snapshots(path):
     """load_trace's arrays as one snapshot of the present vehicles per instant."""
-    ids, positions = load_trace(path)
+    ids, positions = load_trace(path, 100, 1.0)
     present = ~np.isnan(positions[:, :, 0])
     return [ScenarioSnapshot(tti=k * 100, ids=ids[present[k]],
                              positions=positions[k, present[k]])
@@ -31,7 +31,7 @@ def test_arrays_hold_every_present_vehicle_in_id_order(tmp_path):
     # instants, so it is never present and gets no column.
     text = ("0.0,7,0,0\n1.0,7,10,0\n0.2,9,5,5\n0.5,9,8,5\n"
             "0.42,4,1,1\n0.44,4,2,1\n")
-    ids, positions = load_trace(write_trace(tmp_path, text))
+    ids, positions = load_trace(write_trace(tmp_path, text), 100, 1.0)
     assert ids.tolist() == [7, 9]
     assert positions.shape == (11, 2, 2)
     absent = np.isnan(positions)
@@ -93,18 +93,18 @@ def test_gap_excludes_vehicle(tmp_path):
 def test_malformed_line_reports_number(tmp_path):
     path = write_trace(tmp_path, "0.0,1,0,0\nnot,a,row\n")
     with pytest.raises(TraceError, match=":2"):
-        load_trace(path)
+        load_trace(path, 100, 1.0)
 
 
 def test_empty_trace_rejected(tmp_path):
     with pytest.raises(TraceError, match="empty"):
-        load_trace(write_trace(tmp_path, "\n"))
+        load_trace(write_trace(tmp_path, "\n"), 100, 1.0)
 
 
 def test_decreasing_time_rejected(tmp_path):
     path = write_trace(tmp_path, "1.0,1,0,0\n0.5,1,1,0\n")
     with pytest.raises(TraceError, match="decrease"):
-        load_trace(path)
+        load_trace(path, 100, 1.0)
 
 
 @given(st.floats(0.05, 0.95))

@@ -21,7 +21,7 @@ ORACLE_NAMES = {"ScenarioSnapshot", "TxEvent", "RxOutcome", "SenseSample",
                 "BrIndex", "sinr", "receive_subframe", "sense_subframe",
                 "record_beacon", "shadow_step", "neighbors", "mw_to_dbm",
                 "blocks", "_orient", "_on_segment", "_segments_intersect",
-                "_point_in_polygon"}
+                "_point_in_polygon", "rebinned", "empirical_pmf"}
 # Modules the simulator must not import: the oracles and the test suite.
 TEST_MODULES = {"oracles", "tests"}
 
@@ -54,9 +54,23 @@ def test_sensing_writes_match_scalar_sense_subframe():
     # One subframe with three transmitters, two of them sharing a slot, goes
     # through the engine's write path; every observer's stored samples must
     # equal what the scalar oracle measures, up to float32 storage.
-    rng = np.random.default_rng(12)
-    n, subframe = 7, 37
-    chan = make_channel(rng.uniform(-110, -60, size=(n, n)))
+    n = 7
+    counts = _check_sensing_writes(GRID, np.random.default_rng(12).uniform(
+        -110, -60, size=(n, n)))
+    # Some BRs carry a decoded transmission and some carry none.
+    assert counts.sum() > 0 and (counts == 0).any()
+    # Below 0 dB at equal powers every receiver decodes both same-slot
+    # transmitters, so one BR takes two RSRP samples in one subframe.
+    counts = _check_sensing_writes(RunConfig(mcs=7, sinr_min_db=-3.0),
+                                   np.full((n, n), -70.0))
+    assert counts.max() == 2
+
+
+def _check_sensing_writes(grid, rx_dbm):
+    """Per-observer RSRP sample counts of the subframe's BRs, after checking
+    the memory's writes against `sense_subframe`."""
+    n, subframe = len(rx_dbm), 37
+    chan = make_channel(rx_dbm)
     events = [TxEvent(0, BrIndex(subframe, 0)), TxEvent(3, BrIndex(subframe, 1)),
               TxEvent(5, BrIndex(subframe, 0))]
     snap = ScenarioSnapshot(tti=subframe, ids=np.arange(n),
@@ -69,20 +83,20 @@ def test_sensing_writes_match_scalar_sense_subframe():
     ibe_lin = phy.ibe_factor(IBE_DB)
     recv = np.ones(n, dtype=bool)
     recv[txs] = False
-    slot_sums = phy.slot_power_sums(power_rows, tx_slots, GRID.brs_per_tti)
+    slot_sums = phy.slot_power_sums(power_rows, tx_slots, grid.brs_per_tti)
     _, decoded = phy.subframe_reception(power_rows, tx_slots, noise_lin,
-                                        float(dbm_to_mw(GRID.resolved_sinr_min_db())),
+                                        float(dbm_to_mw(grid.resolved_sinr_min_db())),
                                         ibe_lin, recv, slot_sums)
-    memory = SensingMemory(n, GRID)
+    memory = SensingMemory(n, grid)
     memory.begin_period(0)
     memory.mark_transmissions(txs, subframe)
     memory.record_srssi(recv, subframe, phy.subframe_srssi(slot_sums, noise_lin, ibe_lin))
     memory.record_rsrp(subframe, tx_slots, power_rows, decoded)
 
-    brs = slice(subframe * GRID.brs_per_tti, (subframe + 1) * GRID.brs_per_tti)
-    rsrp_samples = quiet_brs = 0
+    brs = slice(subframe * grid.brs_per_tti, (subframe + 1) * grid.brs_per_tti)
+    counts = []
     for v in range(n):
-        samples = sense_subframe(v, snap, chan, GRID)
+        samples = sense_subframe(v, snap, chan, grid)
         srssi = memory.s_rssi[v, memory.slot, brs]
         rsrp_sum = memory.rsrp_sum[v, memory.slot, brs]
         rsrp_cnt = memory.rsrp_cnt[v, memory.slot, brs]
@@ -90,11 +104,11 @@ def test_sensing_writes_match_scalar_sense_subframe():
             assert samples == []
             assert not srssi.any() and not rsrp_cnt.any()
             continue
-        want_srssi = np.zeros(GRID.brs_per_tti)
-        want_rsrp = np.zeros(GRID.brs_per_tti)
-        want_cnt = np.zeros(GRID.brs_per_tti, dtype=int)
+        want_srssi = np.zeros(grid.brs_per_tti)
+        want_rsrp = np.zeros(grid.brs_per_tti)
+        want_cnt = np.zeros(grid.brs_per_tti, dtype=int)
         for s in samples:
-            r = br_flat_index(GRID, s.br) - brs.start
+            r = br_flat_index(grid, s.br) - brs.start
             want_srssi[r] = dbm_to_mw(s.s_rssi_dbm)
             if s.rsrp_dbm is not None:
                 want_rsrp[r] += dbm_to_mw(s.rsrp_dbm)
@@ -102,11 +116,10 @@ def test_sensing_writes_match_scalar_sense_subframe():
         np.testing.assert_allclose(srssi, want_srssi, rtol=1e-6)
         np.testing.assert_allclose(rsrp_sum, want_rsrp, rtol=1e-6)
         assert rsrp_cnt.tolist() == want_cnt.tolist()
-        rsrp_samples += int(want_cnt.sum())
-        quiet_brs += int((want_cnt == 0).sum())
-    # Some BRs carry a decoded transmission and some carry none.
-    assert rsrp_samples > 0 and quiet_brs > 0
+        counts.append(want_cnt)
+    counts = np.concatenate(counts)
     # Nothing outside this subframe's BRs was written.
     assert np.count_nonzero(memory.s_rssi) == np.count_nonzero(memory.s_rssi[:, :, brs])
-    assert memory.rsrp_cnt.sum() == rsrp_samples
+    assert memory.rsrp_cnt.sum() == counts.sum()
     assert memory.half_duplex_writes == 0
+    return counts
