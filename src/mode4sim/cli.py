@@ -19,7 +19,7 @@ from .channel import ObstacleMapError
 from .config import (SWEEPABLE_KEYS, ConfigError, RunConfig, load_config,
                      with_overrides)
 from .engine import SimulationResult, run_hidden_node, run_scenario
-from .metrics import MetricsError, ud_percentile
+from .metrics import ud_percentile
 from .mobility import TraceError
 
 EXIT_CONFIG = 2
@@ -59,12 +59,7 @@ def write_run_outputs(result: SimulationResult, outdir: str):
         rows.append(f"{c:.1f},{value},{int(s)}")
     _write_lines(os.path.join(outdir, "prr_by_distance.csv"), rows)
 
-    rows = ["q,seconds"]
-    for q in UD_QUANTILES:
-        try:
-            rows.append(f"{q},{ud_percentile(result.ud, q):.4f}")
-        except MetricsError:
-            rows.append(f"{q},nan")
+    rows = ["q,seconds"] + [f"{q},{ud_percentile(result.ud, q):.4f}" for q in UD_QUANTILES]
     _write_lines(os.path.join(outdir, "ud_percentiles.csv"), rows)
 
     rows = ["length_periods,count"]
@@ -85,11 +80,7 @@ def write_run_outputs(result: SimulationResult, outdir: str):
         f"warmup_s: {result.warmup_s}",
         f"seed: {result.seed}",
     ]
-    for q in UD_QUANTILES:
-        try:
-            summary.append(f"ud_p{q}: {ud_percentile(result.ud, q):.4f}")
-        except MetricsError:
-            summary.append(f"ud_p{q}: nan")
+    summary += [f"ud_p{q}: {ud_percentile(result.ud, q):.4f}" for q in UD_QUANTILES]
     for key, value in result.config_items:
         summary.append(f"config.{key}: {value}")
     _write_lines(os.path.join(outdir, "summary.txt"), summary)
@@ -152,12 +143,9 @@ def cmd_sweep(args) -> int:
     for value, result in zip(values, results):
         subdir = os.path.join(args.out, f"{args.param}={value}")
         write_run_outputs(result, subdir)
-        try:
-            ud999 = f"{ud_percentile(result.ud, 0.999):.4f}"
-        except MetricsError:
-            ud999 = "nan"
         combined.append(f"{args.param},{value},{result.prr.pooled():.6f},"
-                        f"{ud999},{result.mean_neighbors:.3f},{result.beacons_sent}")
+                        f"{ud_percentile(result.ud, 0.999):.4f},"
+                        f"{result.mean_neighbors:.3f},{result.beacons_sent}")
         print(f"{args.param}={value}: pooled PRR {result.prr.pooled():.4f}")
     _write_lines(os.path.join(args.out, "sweep_results.csv"), combined)
     return 0

@@ -204,17 +204,12 @@ _KINDS = {
 _ACCEPTED = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
              str: (str, "a string"), bool: (bool, "true or false")}
 
-_HIGHWAY_KEYS = {
-    "length_m": "highway_length_m",
-    "vehicles": "highway_vehicles",
-    "lanes_per_direction": "lanes_per_direction",
-}
-
+# Keys `sweep` takes, each with the cast its command-line values get.
 SWEEPABLE_KEYS = {
-    "t_sense_ms": int, "p_th_dbm": float, "r_sel": float, "t1": int, "t2": int,
-    "n_min": int, "n_max": int, "p_keep": float, "mcs": int,
-    "ibe_attenuation_db": float, "awareness_m": float, "seed": int,
-    "allocation": str, "highway_vehicles": int, "duration_s": float,
+    key: _KINDS[key][0]
+    for key in ("t_sense_ms", "p_th_dbm", "r_sel", "t1", "t2", "n_min", "n_max",
+                "p_keep", "mcs", "ibe_attenuation_db", "awareness_m", "seed",
+                "allocation", "highway_vehicles", "duration_s")
 }
 
 
@@ -222,24 +217,10 @@ def config_from_mapping(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     known = {f.name for f in fields(RunConfig)}
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "highway":
-            if not isinstance(value, dict):
-                raise ConfigError("'highway' must be a mapping")
-            for hk, hv in value.items():
-                if hk not in _HIGHWAY_KEYS:
-                    raise ConfigError(f"unknown highway key '{hk}'")
-                kwargs[_HIGHWAY_KEYS[hk]] = hv
-            continue
+    for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key '{key}'")
-        kwargs[key] = value
-    try:
-        cfg = RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+    return RunConfig(**raw).validate()
 
 
 def load_config(path) -> RunConfig:

@@ -49,6 +49,8 @@ class SimulationEngine:
         self.awareness_m = cfg.resolved_awareness_m()
         self.t_b = cfg.beacon_period_ms
         self.total_tti = int(round(cfg.duration_s * 1000))
+        # Every period the clock enters, the last one possibly in part.
+        self.n_periods = -(-self.total_tti // self.t_b)
         self.warmup_tti = cfg.t_sense_ms + cfg.n_max * self.t_b
         self.noise_lin = float(dbm_to_mw(cfg.noise_floor_dbm()))
         self.gamma_lin = float(dbm_to_mw(cfg.resolved_sinr_min_db()))
@@ -69,14 +71,13 @@ class SimulationEngine:
         """
         cfg = self.cfg
         self.obstacles = ObstacleMap.from_file(cfg.obstacle_map) if cfg.obstacle_map else None
-        n_periods = (self.total_tti + self.t_b - 1) // self.t_b
         self.rho_const = None
         if cfg.scenario == "highway":
             state = spawn_highway(cfg, substream(cfg.seed, "mobility"))
-            self.frames = np.empty((n_periods, cfg.highway_vehicles, 2))
+            self.frames = np.empty((self.n_periods, cfg.highway_vehicles, 2))
             self.frames[:, :, 1] = state.y
             self.frames[0, :, 0] = state.x
-            for period in range(1, n_periods):
+            for period in range(1, self.n_periods):
                 step_highway(cfg, state, self.t_b / 1000.0)
                 self.frames[period, :, 0] = state.x
             self.wrap = cfg.highway_length_m
@@ -86,10 +87,10 @@ class SimulationEngine:
         else:
             # Row k of the run is the trace's k-th vehicle id.
             _, self.frames = load_trace(cfg.trace, self.t_b, cfg.max_trace_gap_s)
-            if len(self.frames) < n_periods:
+            if len(self.frames) < self.n_periods:
                 raise TraceError(
                     f"trace covers {len(self.frames)} beacon periods, "
-                    f"run needs {n_periods}"
+                    f"run needs {self.n_periods}"
                 )
             self.wrap = None
         self.n = self.frames.shape[1]
@@ -234,7 +235,10 @@ class SimulationEngine:
         txs = np.flatnonzero(self.next_tx == t)
         if len(txs) == 0:
             if self.memory is not None:
-                self.memory.record_srssi(self.present, subframe)
+                # Every BR reads the noise floor and nothing is decoded.
+                silent = np.zeros((0, self.n), dtype=bool)
+                self.memory.record_subframe(subframe, txs, self.present, self.noise_lin,
+                                            txs, silent, silent)
             return
 
         tx_mask = np.zeros(self.n, dtype=bool)
@@ -253,10 +257,9 @@ class SimulationEngine:
         self.hd_checked += int(len(txs) * (len(txs) - 1))
 
         if self.memory is not None:
-            self.memory.mark_transmissions(txs, subframe)
             srssi = phy.subframe_srssi(slot_sums, self.noise_lin, self.ibe_lin)
-            self.memory.record_srssi(recv_mask, subframe, srssi)
-            self.memory.record_rsrp(subframe, tx_slots, power_rows, decoded)
+            self.memory.record_subframe(subframe, txs, recv_mask, srssi,
+                                        tx_slots, power_rows, decoded)
 
         self.seq[txs] += 1
         self.held[txs] += 1
@@ -310,8 +313,7 @@ def run_hidden_node(cfg: RunConfig, sample_every_periods: int = 1):
     engine = SimulationEngine(cfg)  # reuse the world half
     acc = HiddenNodeAccumulator(bin_width_m=cfg.prr_bin_width_m,
                                 max_range_m=engine.awareness_m)
-    n_periods = engine.total_tti // engine.t_b
-    for period in range(n_periods):
+    for period in range(engine.n_periods):
         t = period * engine.t_b
         engine._advance_world(t)
         if period % sample_every_periods:

@@ -96,12 +96,13 @@ class UdTracker:
 
 
 def ud_percentile(ud: UdTracker, q: float) -> float:
-    """Nearest-rank quantile of the pooled gaps, in seconds."""
+    """Nearest-rank quantile of the pooled gaps, in seconds; NaN when no gap
+    was recorded."""
     if not (0.0 < q <= 1.0):
         raise MetricsError("q must lie in (0, 1]")
     total = ud.total_gaps
     if total == 0:
-        raise MetricsError("no update-delay gaps recorded")
+        return float("nan")
     rank = int(np.ceil(q * total))
     cum = np.cumsum(ud.gap_counts)
     gap = int(np.searchsorted(cum, rank))

@@ -42,9 +42,9 @@ class SensingMemory:
     vehicle; each slot holds per-BR S-RSSI and RSRP samples in linear mW,
     stored as float32 with 0 meaning no sample, plus per-subframe monitored
     flags. Slots older than the ring depth are overwritten, which is exactly
-    the discard-after-t_sense rule. A vehicle marked as transmitting in a
-    subframe must take no sample in it; `half_duplex_writes` counts the
-    writes that break this rule.
+    the discard-after-t_sense rule. A vehicle transmitting in a subframe
+    must take no sample in it; `half_duplex_writes` counts the writes that
+    break this rule.
     """
 
     def __init__(self, n: int, cfg: RunConfig):
@@ -67,42 +67,34 @@ class SensingMemory:
         self.rsrp_cnt[:, self.slot] = 0
         self.monitored[:, self.slot] = True
 
-    def mark_transmissions(self, rows: np.ndarray, subframe: int):
-        """Vehicles `rows` transmit in `subframe`: they do not monitor it."""
-        self.monitored[rows, self.slot, subframe] = False
+    def record_subframe(self, subframe: int, txs: np.ndarray, observers: np.ndarray,
+                        srssi, tx_slots: np.ndarray, power_rows: np.ndarray,
+                        decoded: np.ndarray):
+        """Write the samples of `subframe` into its BR columns of the slot.
 
-    def _transmitting(self, subframe: int) -> np.ndarray:
-        return ~self.monitored[:, self.slot, subframe]
+        Vehicles `txs` transmit in the subframe and do not monitor it. The
+        `observers` (a vehicle mask) take the S-RSSI `srssi`: the
+        (brs_per_tti, n) total power per BR at every vehicle, or one value
+        for every BR. Row k of `power_rows` and `decoded` (n_tx, n) belongs
+        to the transmission in frequency slot `tx_slots[k]`; its power adds
+        to the RSRP sum and count of that BR at the vehicles that decoded it.
 
-    def record_srssi(self, observers: np.ndarray, subframe: int, srssi=None):
-        """S-RSSI of the subframe's BRs at the `observers` (a vehicle mask).
-
-        `srssi` is the (brs_per_tti, n) total power per BR at every vehicle;
-        None stands for a subframe nobody transmits in, where every BR reads
-        the noise floor.
+        The columns are assigned whole: `begin_period` zeroed them and each
+        subframe is written once per period.
         """
-        self.half_duplex_writes += int(np.count_nonzero(
-            observers & self._transmitting(subframe)))
+        slot = self.slot
+        self.monitored[txs, slot, subframe] = False
+        self.half_duplex_writes += int(np.count_nonzero(observers[txs])
+                                       + np.count_nonzero(decoded[:, txs]))
         base = subframe * self.brs_per_tti
         brs = slice(base, base + self.brs_per_tti)
-        self.s_rssi[observers, self.slot, brs] = (
-            self.noise_floor_lin if srssi is None else srssi[:, observers].T)
-
-    def record_rsrp(self, subframe: int, tx_slots: np.ndarray,
-                    power_rows: np.ndarray, decoded: np.ndarray):
-        """RSRP of each decoded transmission at the vehicles that decoded it.
-
-        Row k of `power_rows` and `decoded` (n_tx, n) belongs to the
-        transmission in frequency slot `tx_slots[k]` of `subframe`. Below a
-        0 dB threshold one vehicle can decode two transmissions in one BR, so
-        the scatter accumulates repeated indices (`np.add.at`).
-        """
-        self.half_duplex_writes += int(np.count_nonzero(
-            decoded[:, self._transmitting(subframe)]))
-        k, rx = np.nonzero(decoded)
-        at = (rx, self.slot, subframe * self.brs_per_tti + tx_slots[k])
-        np.add.at(self.rsrp_sum, at, power_rows[k, rx])
-        np.add.at(self.rsrp_cnt, at, 1)
+        # `.T` views the columns as (brs_per_tti, n) blocks. At most one
+        # transmission per slot and vehicle decodes when the threshold is
+        # at least 0 dB, so each RSRP sum then has one non-zero term.
+        member = (tx_slots == np.arange(self.brs_per_tti)[:, None]).astype(float)
+        self.s_rssi[:, slot, brs].T[...] = np.where(observers, srssi, 0.0)
+        self.rsrp_sum[:, slot, brs].T[...] = member @ np.where(decoded, power_rows, 0.0)
+        self.rsrp_cnt[:, slot, brs].T[...] = member @ decoded
 
     # Aggregates of vehicle v over the whole ring (= the sensing window).
 

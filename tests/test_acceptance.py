@@ -290,7 +290,7 @@ def test_criterion_10_hidden_node_behavior():
 
 def test_criterion_11_determinism(tmp_path):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("highway: {length_m: 800.0, vehicles: 80}\n"
+    cfg.write_text("highway_length_m: 800.0\nhighway_vehicles: 80\n"
                    "duration_s: 4.0\nt_sense_ms: 500\nn_max: 8\nseed: 21\n")
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["simulate", "--config", str(cfg), "--out", out_a]) == 0
@@ -318,8 +318,10 @@ def test_criterion_12_invariant_oracles():
     vals = rng.uniform(1e-13, 1e-9, size=cfg.br_count)
     memory.begin_period(0)
     per_subframe = vals.reshape(cfg.beacon_period_ms, cfg.brs_per_tti)
+    no_tx, silent = np.zeros(0, dtype=int), np.zeros((0, 1), dtype=bool)
     for subframe, srssi in enumerate(per_subframe):
-        memory.record_srssi(np.ones(1, dtype=bool), subframe, srssi[:, None])
+        memory.record_subframe(subframe, no_tx, np.ones(1, dtype=bool), srssi[:, None],
+                               no_tx, silent, silent)
     cands = candidate_set(memory, 0, cfg, now_tti=0)
     expect = sorted(range(cfg.br_count), key=lambda r: (vals[r], r))[:40]
     sort_ok = cands.tolist() == expect

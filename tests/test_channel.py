@@ -156,7 +156,7 @@ def test_malformed_obstacle_map_is_rejected(tmp_path, capsys):
         with pytest.raises(ObstacleMapError, match=re.escape(f"{path}:2:")):
             ObstacleMap.from_file(path)
         cfg.write_text(f"obstacle_map: {path}\nduration_s: 3.0\n"
-                       "highway: {length_m: 800.0, vehicles: 20}\n")
+                       "highway_length_m: 800.0\nhighway_vehicles: 20\n")
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2, name
         assert f"{path}:2:" in capsys.readouterr().err

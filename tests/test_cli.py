@@ -7,7 +7,8 @@ from mode4sim import cli
 from mode4sim.cli import main
 
 SMALL_CFG = {
-    "highway": {"length_m": 800.0, "vehicles": 80},
+    "highway_length_m": 800.0,
+    "highway_vehicles": 80,
     "duration_s": 4.0,
     "t_sense_ms": 500,
     "n_max": 8,
@@ -131,10 +132,13 @@ def test_invalid_config_exits_2(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     cfg = write_cfg(tmp_path, {"t_sense_ms": 150, "duration_s": 3.0}, name="c5.yaml")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    for key, value in (("vehicles", 0), ("lanes_per_direction", 0), ("length_m", -5),
-                       ("length_m", float("nan")), ("lanes_per_direction", 1.5),
-                       ("lanes_per_direction", 4), ("vehicles", 40.5)):
-        cfg = write_cfg(tmp_path, {"highway": {key: value}}, name="hw.yaml")
+    for key, value in (("highway_vehicles", 0), ("lanes_per_direction", 0),
+                       ("highway_length_m", -5), ("highway_length_m", float("nan")),
+                       ("lanes_per_direction", 1.5), ("lanes_per_direction", 4),
+                       ("highway_vehicles", 40.5),
+                       # the nested spelling is not a key
+                       ("highway", {"vehicles": 20})):
+        cfg = write_cfg(tmp_path, {key: value}, name="hw.yaml")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, key
     nan, inf = float("nan"), float("inf")
     for key, value in (("tx_power_dbm", nan), ("sinr_min_db", nan), ("duration_s", inf),
@@ -195,12 +199,18 @@ def test_mcs14_requires_explicit_threshold(tmp_path):
 
 
 def test_lone_vehicle_reports_nan_prr(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"highway": {"length_m": 800.0, "vehicles": 1},
+    cfg = write_cfg(tmp_path, {"highway_length_m": 800.0, "highway_vehicles": 1,
                                "duration_s": 3.0})
     out = str(tmp_path / "o")
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
     assert "pooled PRR nan" in capsys.readouterr().out
-    assert "pooled_prr: nan" in read_bytes(out, "summary.txt").decode()
+    summary = read_bytes(out, "summary.txt").decode()
+    assert "pooled_prr: nan" in summary
+    # No gap was ever recorded, so every update-delay quantile reads nan.
+    rows = read_bytes(out, "ud_percentiles.csv").decode().splitlines()
+    assert rows == ["q,seconds"] + [f"{q},nan" for q in cli.UD_QUANTILES]
+    for q in cli.UD_QUANTILES:
+        assert f"ud_p{q}: nan" in summary.splitlines()
     assert main(["sweep", "--config", cfg, "--param", "seed", "--values", "2",
                  "--out", str(tmp_path / "sw")]) == 0
     rows = read_bytes(str(tmp_path / "sw"), "sweep_results.csv").decode().splitlines()
@@ -277,7 +287,7 @@ def test_hidden_node_rejects_sample_every_below_1(tmp_path, capsys, monkeypatch)
 
 
 def test_hidden_node_lone_vehicle_reports_nan(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"highway": {"length_m": 800.0, "vehicles": 1},
+    cfg = write_cfg(tmp_path, {"highway_length_m": 800.0, "highway_vehicles": 1,
                                "duration_s": 3.0})
     out = str(tmp_path / "hn")
     assert main(["hidden-node", "--config", cfg, "--out", out]) == 0
@@ -293,7 +303,7 @@ def test_power_threshold_sweep_is_flat_when_sparse(tmp_path):
     # Sparse ring (about 12 neighbors): the occupancy threshold has nearly
     # no headroom to act, so the two extreme settings coincide within 1 pp.
     sparse = {
-        "highway": {"length_m": 4000.0, "vehicles": 120},
+        "highway_length_m": 4000.0, "highway_vehicles": 120,
         "duration_s": 13.0, "seed": 17,
     }
     cfg = write_cfg(tmp_path, sparse)

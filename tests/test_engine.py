@@ -3,7 +3,7 @@ import pytest
 
 from mode4sim import phy
 from mode4sim.config import RunConfig
-from mode4sim.engine import SimulationEngine, run_scenario
+from mode4sim.engine import SimulationEngine, run_hidden_node, run_scenario
 from mode4sim.metrics import PrrAccumulator, UdTracker
 from mode4sim.mobility import spawn_highway, step_highway
 from mode4sim.seeding import substream
@@ -223,6 +223,27 @@ def test_los_matrix_matches_scalar_blocks(tmp_path):
         blocked_seen += int((~los).sum())
         clear_seen += int(los[np.ix_(present, present)].sum()) - len(present)
     assert blocked_seen > 0 and clear_seen > 0
+
+
+def test_simulate_and_hidden_node_advance_the_same_periods(monkeypatch):
+    # 1.05 s ends half-way through period 10. The simulate clock enters it,
+    # so hidden-node samples it too.
+    cfg = RunConfig(duration_s=1.05, t_sense_ms=200, n_max=6, highway_length_m=800.0,
+                    highway_vehicles=40, seed=2)
+    advanced = []
+    real = SimulationEngine._advance_world
+
+    def record(self, t):
+        advanced.append(t)
+        real(self, t)
+
+    monkeypatch.setattr(SimulationEngine, "_advance_world", record)
+    run_scenario(cfg)
+    simulated = advanced[:]
+    advanced.clear()
+    acc = run_hidden_node(cfg)
+    assert simulated == advanced == list(range(0, 1100, 100))
+    assert len(acc.snapshot_probs) == 11
 
 
 def test_duration_must_exceed_warmup():

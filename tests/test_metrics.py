@@ -122,9 +122,14 @@ def test_out_of_range_reset_drops_pair_state():
     assert ud.total_gaps == 0  # no gap across the reset
 
 
-def test_empty_tracker_raises():
-    with pytest.raises(MetricsError):
-        ud_percentile(UdTracker(2, 0.1), 0.9)
+def test_empty_tracker_reports_nan():
+    empty = UdTracker(2, 0.1)
+    for q in (0.5, 0.9, 1.0):
+        assert np.isnan(ud_percentile(empty, q))
+    # The q range is checked before the gaps are.
+    for q in (0.0, 1.5):
+        with pytest.raises(MetricsError):
+            ud_percentile(empty, q)
 
 
 def test_gaps_are_positive_invariant():

@@ -14,22 +14,36 @@ def fresh_memory(cfg, n=1):
     return SensingMemory(n, cfg)
 
 
+NO_TX = np.zeros(0, dtype=np.int64)
+
+
 def sense_period(memory, period, srssi=None, rsrp=None, grid=GRID):
     """Vehicle 0 of `memory` senses one beacon period.
 
     `srssi` holds one S-RSSI value per flat BR; `rsrp` one RSRP value per
     flat BR, where 0 means no decoded reservation. Both are linear mW.
+    Without `srssi` vehicle 0 takes no S-RSSI sample. The transmissions
+    come from vehicles outside `memory`, one per frequency slot.
     """
     memory.begin_period(period)
     b = grid.brs_per_tti
-    observer = np.ones(1, dtype=bool)
+    observer = np.array([srssi is not None])
+    srssi = np.zeros(grid.br_count) if srssi is None else np.asarray(srssi)
+    rsrp = np.zeros(grid.br_count) if rsrp is None else np.asarray(rsrp, dtype=float)
     for subframe in range(grid.beacon_period_ms):
         brs = slice(subframe * b, (subframe + 1) * b)
-        if srssi is not None:
-            memory.record_srssi(observer, subframe, np.asarray(srssi)[brs, None])
-        if rsrp is not None:
-            power = np.asarray(rsrp, dtype=float)[brs, None]
-            memory.record_rsrp(subframe, np.arange(b), power, power > 0)
+        power = rsrp[brs, None]
+        memory.record_subframe(subframe, NO_TX, observer, srssi[brs, None],
+                               np.arange(b), power, power > 0)
+
+
+def transmit(memory, vehicles, subframe):
+    """Vehicles `vehicles` of `memory` transmit in `subframe`, and nobody
+    senses or decodes anything in it."""
+    n = len(memory.s_rssi)
+    silent = np.zeros((0, n), dtype=bool)
+    memory.record_subframe(subframe, np.asarray(vehicles), np.zeros(n, dtype=bool),
+                           0.0, NO_TX, silent, silent)
 
 
 def candidates(memory, cfg, now_tti=0):
@@ -95,7 +109,7 @@ def test_unmonitored_offsets_excluded():
     cfg = RunConfig()
     memory = fresh_memory(cfg)
     memory.begin_period(3)
-    memory.mark_transmissions(np.array([0]), 17)
+    transmit(memory, [0], 17)
     cands = candidates(memory, cfg)
     assert all(r // GRID.brs_per_tti != 17 for r in cands)
 
@@ -162,19 +176,23 @@ def test_stale_samples_beyond_t_sense_are_ignored():
 def test_writes_to_a_transmitting_row_are_counted():
     memory = fresh_memory(RunConfig(), n=3)
     memory.begin_period(0)
-    memory.mark_transmissions(np.array([1]), 4)
+    tx, slot = np.array([1]), np.array([0])
     others = np.array([True, False, True])
+    nobody = np.zeros((1, 3), dtype=bool)
     srssi = np.full((GRID.brs_per_tti, 3), 1e-9)
     own_beacon = np.full((1, 3), 1e-9)
-    memory.record_srssi(others, 4, srssi)
-    memory.record_rsrp(4, np.array([0]), own_beacon, others[None, :])
+    memory.record_subframe(4, tx, others, srssi, slot, own_beacon, others[None, :])
     assert memory.half_duplex_writes == 0
+    assert not memory.monitored[1, 0, 4] and memory.monitored[[0, 2], 0, 4].all()
     # Vehicle 1 transmits in subframe 4, so any sample it takes there counts.
-    memory.record_srssi(np.ones(3, dtype=bool), 4, srssi)
+    memory.record_subframe(4, tx, np.ones(3, dtype=bool), srssi, slot, own_beacon, nobody)
     assert memory.half_duplex_writes == 1
-    memory.record_rsrp(4, np.array([0]), own_beacon, np.array([[False, True, False]]))
+    memory.record_subframe(4, tx, others, srssi, slot, own_beacon,
+                           np.array([[False, True, False]]))
     assert memory.half_duplex_writes == 2
-    memory.record_srssi(np.ones(3, dtype=bool), 5)  # it listens in subframe 5
+    silent = np.zeros((0, 3), dtype=bool)
+    memory.record_subframe(5, NO_TX, np.ones(3, dtype=bool), memory.noise_floor_lin,
+                           NO_TX, silent, silent)  # it listens in subframe 5
     assert memory.half_duplex_writes == 2
 
 
@@ -193,9 +211,9 @@ def test_small_grid_candidate_count():
                     t_sense_ms=12, r_sel=0.2, t1=1, t2=20)
     memory = fresh_memory(cfg)
     memory.begin_period(0)
-    memory.mark_transmissions(np.array([0]), 2)
+    transmit(memory, [0], 2)
     memory.begin_period(1)
-    memory.mark_transmissions(np.array([0]), 5)
+    transmit(memory, [0], 5)
     cands = candidates(memory, cfg)
     assert len(cands) == 5
     assert all(r // cfg.brs_per_tti not in (2, 5) for r in cands)

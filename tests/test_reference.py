@@ -53,7 +53,8 @@ def test_only_reference_holds_the_oracles():
 def test_sensing_writes_match_scalar_sense_subframe():
     # One subframe with three transmitters, two of them sharing a slot, goes
     # through the engine's write path; every observer's stored samples must
-    # equal what the scalar oracle measures, up to float32 storage.
+    # equal what the scalar oracle measures, up to float32 storage, and the
+    # absent vehicle's must stay empty.
     n = 7
     counts = _check_sensing_writes(GRID, np.random.default_rng(12).uniform(
         -110, -60, size=(n, n)))
@@ -68,8 +69,10 @@ def test_sensing_writes_match_scalar_sense_subframe():
 
 def _check_sensing_writes(grid, rx_dbm):
     """Per-observer RSRP sample counts of the subframe's BRs, after checking
-    the memory's writes against `sense_subframe`."""
+    the memory's writes against `sense_subframe`. The last vehicle is absent:
+    it neither observes nor transmits."""
     n, subframe = len(rx_dbm), 37
+    absent = n - 1
     chan = make_channel(rx_dbm)
     events = [TxEvent(0, BrIndex(subframe, 0)), TxEvent(3, BrIndex(subframe, 1)),
               TxEvent(5, BrIndex(subframe, 0))]
@@ -83,15 +86,16 @@ def _check_sensing_writes(grid, rx_dbm):
     ibe_lin = phy.ibe_factor(IBE_DB)
     recv = np.ones(n, dtype=bool)
     recv[txs] = False
+    recv[absent] = False
     slot_sums = phy.slot_power_sums(power_rows, tx_slots, grid.brs_per_tti)
     _, decoded = phy.subframe_reception(power_rows, tx_slots, noise_lin,
                                         float(dbm_to_mw(grid.resolved_sinr_min_db())),
                                         ibe_lin, recv, slot_sums)
     memory = SensingMemory(n, grid)
     memory.begin_period(0)
-    memory.mark_transmissions(txs, subframe)
-    memory.record_srssi(recv, subframe, phy.subframe_srssi(slot_sums, noise_lin, ibe_lin))
-    memory.record_rsrp(subframe, tx_slots, power_rows, decoded)
+    memory.record_subframe(subframe, txs, recv,
+                           phy.subframe_srssi(slot_sums, noise_lin, ibe_lin),
+                           tx_slots, power_rows, decoded)
 
     brs = slice(subframe * grid.brs_per_tti, (subframe + 1) * grid.brs_per_tti)
     counts = []
@@ -103,6 +107,12 @@ def _check_sensing_writes(grid, rx_dbm):
         if v in txs:
             assert samples == []
             assert not srssi.any() and not rsrp_cnt.any()
+            assert not memory.monitored[v, memory.slot, subframe]
+            continue
+        assert memory.monitored[v, memory.slot, subframe]
+        if v == absent:
+            assert samples  # the oracle, blind to presence, would sense
+            assert not srssi.any() and not rsrp_sum.any() and not rsrp_cnt.any()
             continue
         want_srssi = np.zeros(grid.brs_per_tti)
         want_rsrp = np.zeros(grid.brs_per_tti)
