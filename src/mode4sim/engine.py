@@ -321,9 +321,14 @@ def run_hidden_node(cfg: RunConfig, sample_every_periods: int = 1):
         idx = np.flatnonzero(engine.present)
         if len(idx) < 2:
             continue
-        rows = np.ix_(idx, idx)
+        power, dist = engine.channel.rx_power_lin(), engine.dist
+        if len(idx) < engine.n:  # copy the present rows only under churn
+            rows = np.ix_(idx, idx)
+            power, dist = power[rows], dist[rows]
         acc.add(hidden_node_probability(
-            engine.channel.rx_power_lin()[rows], engine.dist[rows],
-            engine.noise_lin, engine.gamma_lin, cfg.prr_bin_width_m,
+            power, dist, engine.noise_lin, engine.gamma_lin, cfg.prr_bin_width_m,
             engine.awareness_m))
+        # Held into the next period, they would keep the old matrices alive
+        # while `_advance_world` builds the new ones.
+        del power, dist
     return acc

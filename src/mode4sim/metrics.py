@@ -127,6 +127,46 @@ class HiddenNodeResult:
     bin_pair_count: np.ndarray
 
 
+def _count_above(power_lin: np.ndarray, dst: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Per link k, the number of entries of column `dst[k]` above `thr[k]`.
+
+    Each column is sorted once, when a link first needs it, and searched for
+    all of its links' thresholds at once.
+    """
+    n = len(power_lin)
+    by_dst = np.argsort(dst, kind="stable")
+    bounds = np.searchsorted(dst[by_dst], np.arange(n + 1)).tolist()
+    counts = np.empty(len(dst), dtype=np.int64)
+    for b in range(n):
+        links = by_dst[bounds[b]:bounds[b + 1]]
+        if len(links):
+            counts[links] = n - np.searchsorted(np.sort(power_lin[:, b]), thr[links],
+                                                side="right")
+    return counts
+
+
+def _count_heard_above(power_lin: np.ndarray, snr_floor: float, src: np.ndarray,
+                       dst: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Per link k, the number of rows i != src[k] the source hears
+    (`power_lin[i, src[k]] >= snr_floor`) with `power_lin[i, dst[k]] > thr[k]`.
+
+    `src` must be sorted; each source compares one (heard, destinations)
+    block of the power matrix.
+    """
+    n = len(power_lin)
+    hears = np.ascontiguousarray((power_lin >= snr_floor).T)
+    np.fill_diagonal(hears, False)
+    flat = power_lin.ravel()
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    counts = np.zeros(len(src), dtype=np.int64)
+    for a in range(n):
+        lo, hi = bounds[a], bounds[a + 1]
+        if hi > lo:
+            block = flat.take(np.flatnonzero(hears[a])[:, None] * n + dst[lo:hi])
+            counts[lo:hi] = (block > thr[lo:hi]).sum(axis=0)
+    return counts
+
+
 def hidden_node_probability(power_lin: np.ndarray, dist_m: np.ndarray,
                             noise_lin: float, gamma_lin: float, bin_width_m: float,
                             max_range_m: float) -> HiddenNodeResult:
@@ -139,38 +179,47 @@ def hidden_node_probability(power_lin: np.ndarray, dist_m: np.ndarray,
     the threshold; an interferer is any third node whose power alone pushes
     the pair's SINR below it; it is hidden when the source receives it below
     the same threshold over noise.
+
+    Both counts are exact integers. The interferers of link (a, b) are the
+    entries of column b above `P[a,b]/gamma - N`, found by binary search in
+    that column sorted once, less the source's own entry if it is above
+    too (always when gamma >= 1, not always when gamma < 1). The hidden
+    ones are the interferers less those the source hears, so per source
+    only the rows i with `P[i,a] >= gamma*N`, about the decoding-range
+    neighbours, are compared. Ratio sums are added per source in source
+    order, as a loop over sources adds them, so the result does not depend
+    on how the counts were found.
     """
     n = len(power_lin)
     if n < 2:
         raise MetricsError("need at least two vehicles")
     n_bins = int(np.ceil(max_range_m / bin_width_m))
-    ratio_sum = np.zeros(n_bins)
-    pair_count = np.zeros(n_bins, dtype=np.int64)
-    total_ratio = 0.0
-    total_pairs = 0
     snr_floor = gamma_lin * noise_lin
-    for a in range(n):
-        dests = np.flatnonzero(power_lin[a] > snr_floor)
-        dests = dests[dests != a]
-        if len(dests) == 0:
-            continue
-        # Interference level at b that breaks the a->b link.
-        break_thr = power_lin[a, dests] / gamma_lin - noise_lin
-        strong = power_lin[:, dests] > break_thr[None, :]
-        strong[a, :] = False
-        source_deaf = power_lin[:, a] < snr_floor
-        i_cnt = strong.sum(axis=0)
-        h_cnt = (strong & source_deaf[:, None]).sum(axis=0)
-        has_i = i_cnt > 0
-        if not has_i.any():
-            continue
-        ratios = h_cnt[has_i] / i_cnt[has_i]
-        bin_idx = np.clip((dist_m[a, dests[has_i]] / bin_width_m).astype(int), 0, n_bins - 1)
-        ratio_sum += np.bincount(bin_idx, weights=ratios, minlength=n_bins)
-        pair_count += np.bincount(bin_idx, minlength=n_bins)
-        total_ratio += float(ratios.sum())
-        total_pairs += int(has_i.sum())
-    probability = total_ratio / total_pairs if total_pairs else 0.0
+    # Every decodable link (a, b), a != b, sources ascending, then destinations.
+    src, dst = np.nonzero(power_lin > snr_floor)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    link_power = power_lin[src, dst]
+    # Interference level at b that breaks the a->b link.
+    break_thr = link_power / gamma_lin - noise_lin
+    i_cnt = _count_above(power_lin, dst, break_thr) - (link_power > break_thr)
+    h_cnt = i_cnt - _count_heard_above(power_lin, snr_floor, src, dst, break_thr)
+    has_i = i_cnt > 0
+    src, dst = src[has_i], dst[has_i]
+    ratios = h_cnt[has_i] / i_cnt[has_i]
+    bin_idx = np.clip((dist_m[src, dst] / bin_width_m).astype(int), 0, n_bins - 1)
+    # Row a holds source a's partial sums; cumsum adds the rows in order.
+    per_source = np.bincount(src * n_bins + bin_idx, weights=ratios,
+                             minlength=n * n_bins).reshape(n, n_bins)
+    ratio_sum = np.cumsum(per_source, axis=0)[-1]
+    pair_count = np.bincount(bin_idx, minlength=n_bins)
+    # One sum per source, added in order (builtin `sum` would compensate
+    # the additions on Python 3.12+).
+    total_ratio = 0.0
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        total_ratio += float(ratios[lo:hi].sum())
+    probability = total_ratio / len(ratios) if len(ratios) else 0.0
     return HiddenNodeResult(probability, ratio_sum, pair_count)
 
 

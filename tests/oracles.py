@@ -14,7 +14,7 @@ import numpy as np
 
 from mode4sim.channel import ChannelRealization, dbm_to_mw, rx_power_dbm, shadow_sigma_db
 from mode4sim.config import RunConfig
-from mode4sim.metrics import MetricsError
+from mode4sim.metrics import HiddenNodeResult, MetricsError
 from mode4sim.phy import ibe_factor
 
 
@@ -302,6 +302,50 @@ def record_beacon(prr, ud, src: int, outcomes, snapshot: ScenarioSnapshot,
             decoded_dsts.append(out.destination)
     if decoded_dsts:
         ud.record(src, np.asarray(decoded_dsts, dtype=int), t_now_s)
+
+
+# ---------------------------------------------------------------------------
+# Hidden-node probability
+# ---------------------------------------------------------------------------
+
+def hidden_node_loop(power_lin: np.ndarray, dist_m: np.ndarray, noise_lin: float,
+                     gamma_lin: float, bin_width_m: float,
+                     max_range_m: float) -> HiddenNodeResult:
+    """`metrics.hidden_node_probability` one source at a time: for each
+    source, the whole (n, destinations) slice of the power matrix is
+    compared with the destinations' breaking thresholds."""
+    n = len(power_lin)
+    if n < 2:
+        raise MetricsError("need at least two vehicles")
+    n_bins = int(np.ceil(max_range_m / bin_width_m))
+    ratio_sum = np.zeros(n_bins)
+    pair_count = np.zeros(n_bins, dtype=np.int64)
+    total_ratio = 0.0
+    total_pairs = 0
+    snr_floor = gamma_lin * noise_lin
+    for a in range(n):
+        dests = np.flatnonzero(power_lin[a] > snr_floor)
+        dests = dests[dests != a]
+        if len(dests) == 0:
+            continue
+        # Interference level at b that breaks the a->b link.
+        break_thr = power_lin[a, dests] / gamma_lin - noise_lin
+        strong = power_lin[:, dests] > break_thr[None, :]
+        strong[a, :] = False
+        source_deaf = power_lin[:, a] < snr_floor
+        i_cnt = strong.sum(axis=0)
+        h_cnt = (strong & source_deaf[:, None]).sum(axis=0)
+        has_i = i_cnt > 0
+        if not has_i.any():
+            continue
+        ratios = h_cnt[has_i] / i_cnt[has_i]
+        bin_idx = np.clip((dist_m[a, dests[has_i]] / bin_width_m).astype(int), 0, n_bins - 1)
+        ratio_sum += np.bincount(bin_idx, weights=ratios, minlength=n_bins)
+        pair_count += np.bincount(bin_idx, minlength=n_bins)
+        total_ratio += float(ratios.sum())
+        total_pairs += int(has_i.sum())
+    probability = total_ratio / total_pairs if total_pairs else 0.0
+    return HiddenNodeResult(probability, ratio_sum, pair_count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from mode4sim import phy
+from mode4sim import engine as engine_module, phy
 from mode4sim.config import RunConfig
 from mode4sim.engine import SimulationEngine, run_hidden_node, run_scenario
 from mode4sim.metrics import PrrAccumulator, UdTracker
 from mode4sim.mobility import spawn_highway, step_highway
 from mode4sim.seeding import substream
-from oracles import RxOutcome, ScenarioSnapshot, blocks, record_beacon
+from oracles import RxOutcome, ScenarioSnapshot, blocks, hidden_node_loop, record_beacon
 
 SMALL = dict(highway_length_m=1000.0, highway_vehicles=124, seed=5)
 
@@ -244,6 +244,54 @@ def test_simulate_and_hidden_node_advance_the_same_periods(monkeypatch):
     acc = run_hidden_node(cfg)
     assert simulated == advanced == list(range(0, 1100, 100))
     assert len(acc.snapshot_probs) == 11
+
+
+def test_hidden_node_under_churn_counts_the_present_rows(tmp_path, monkeypatch):
+    # Six vehicles on a 250 m stretch; vehicle 4 leaves for a second and
+    # vehicle 5 joins late, so some snapshots hold every vehicle and some
+    # only the present ones.
+    rows = []
+    for k in range(41):
+        t = k * 0.1
+        for v in range(6):
+            if (v == 4 and 1.0 <= t <= 2.0) or (v == 5 and t < 2.5):
+                continue
+            rows.append(f"{t:.1f},{v},{50 * v + 8 * t:.2f},{4.0 * (v % 2):.1f}")
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(rows) + "\n")
+    cfg = RunConfig(scenario="trace", trace=str(path), duration_s=4.0,
+                    t_sense_ms=200, n_min=2, n_max=4, seed=3, max_trace_gap_s=0.15)
+    engines = []
+    real_advance = SimulationEngine._advance_world
+
+    def remember(self, t):
+        engines.append(self)
+        real_advance(self, t)
+
+    real_metric = engine_module.hidden_node_probability
+    sizes = []
+
+    def checked(power, dist, *rest):
+        got = real_metric(power, dist, *rest)
+        eng = engines[-1]
+        idx = np.flatnonzero(eng.present)
+        if len(idx) == eng.n:  # no copy when every vehicle is present
+            assert power is eng.channel.rx_power_lin() and dist is eng.dist
+        rows = np.ix_(idx, idx)
+        want = hidden_node_loop(eng.channel.rx_power_lin()[rows], eng.dist[rows], *rest)
+        assert power.shape == dist.shape == (len(idx), len(idx))
+        assert got.probability == want.probability
+        assert got.bin_ratio_sum.tobytes() == want.bin_ratio_sum.tobytes()
+        assert np.array_equal(got.bin_pair_count, want.bin_pair_count)
+        sizes.append((len(idx), eng.n))
+        return got
+
+    monkeypatch.setattr(SimulationEngine, "_advance_world", remember)
+    monkeypatch.setattr(engine_module, "hidden_node_probability", checked)
+    acc = run_hidden_node(cfg)
+    assert len(acc.snapshot_probs) == len(sizes) == 40
+    assert (5, 6) in sizes and (6, 6) in sizes and (4, 6) in sizes
+    assert acc.pair_count.sum() > 0
 
 
 def test_duration_must_exceed_warmup():

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mode4sim.channel import dbm_to_mw
 from mode4sim.metrics import (HiddenNodeAccumulator, MetricsError,
                               PrrAccumulator, UdTracker,
                               hidden_node_probability, ud_percentile)
 from mode4sim.scenario import pair_legs
-from oracles import (NOISE_DBM, RxOutcome, ScenarioSnapshot, make_channel, rebinned,
-                     record_beacon)
+from oracles import (NOISE_DBM, RxOutcome, ScenarioSnapshot, hidden_node_loop,
+                     make_channel, rebinned, record_beacon)
 
 GAMMA_DB = 7.30
 
@@ -213,6 +214,92 @@ def test_membership_matches_set_oracle():
             ratios.append(len(hidden) / len(interferers))
     assert res.bin_pair_count.sum() == len(ratios)
     assert res.probability == pytest.approx(float(np.mean(ratios)))
+
+
+def assert_same_as_loop(power, dist, noise, gamma, bin_width_m=10.0, max_range_m=200.0):
+    args = (power, dist, noise, gamma, bin_width_m, max_range_m)
+    got, want = hidden_node_probability(*args), hidden_node_loop(*args)
+    assert got.probability == want.probability
+    assert got.bin_ratio_sum.tobytes() == want.bin_ratio_sum.tobytes()
+    assert np.array_equal(got.bin_pair_count, want.bin_pair_count)
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@example(n=2, seed=0, gamma_db=-5.0, zero_share=0.0)
+@example(n=2, seed=1, gamma_db=15.0, zero_share=0.0)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+       gamma_db=st.floats(-5.0, 15.0), zero_share=st.floats(0.0, 0.5))
+def test_counts_equal_the_loop_on_random_matrices(n, seed, gamma_db, zero_share):
+    # Asymmetric powers over six decades, some entries and diagonals zero,
+    # distances past the last bin; the threshold below and above 0 dB.
+    rng = np.random.default_rng(seed)
+    power = 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+    power[rng.random((n, n)) < zero_share] = 0.0
+    dist = rng.uniform(0.0, 250.0, (n, n))
+    assert_same_as_loop(power, dist, 1.0, float(dbm_to_mw(gamma_db)))
+
+
+# Dyadic powers with noise 1 and a power-of-two threshold: P/gamma - 1 is
+# exact, so many entries equal some link's breaking threshold, and with
+# gamma < 1 a source's own entry can lie on either side of it.
+DYADIC = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 9), gamma=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+def test_counts_equal_the_loop_with_exact_ties(data, n, gamma):
+    values = data.draw(st.lists(st.sampled_from(DYADIC), min_size=n * n, max_size=n * n))
+    power = np.array(values).reshape(n, n)
+    dist = np.arange(n * n, dtype=float).reshape(n, n) * 3.0
+    assert_same_as_loop(power, dist, 1.0, gamma)
+
+
+def test_a_tie_with_the_breaking_threshold_does_not_interfere():
+    # Link 0 -> 1 breaks above 4/2 - 1 = 1. Node 2 sits exactly on it and
+    # node 3 just above it; only node 3 interferes, and the source is deaf
+    # to it.
+    power = np.zeros((4, 4))
+    power[0, 1] = 4.0
+    power[2, 1] = 1.0
+    power[3, 1] = np.nextafter(1.0, 2.0)
+    res = assert_same_as_loop(power, np.full((4, 4), 15.0), 1.0, 2.0)
+    assert res.bin_pair_count[1] == 1
+    assert res.probability == 1.0
+
+
+def test_source_above_its_own_threshold_is_not_an_interferer():
+    # With gamma = 1/2 the only link, 0 -> 1, breaks above
+    # 2 * 0.625 - 1 = 0.25, which the source's own 0.625 exceeds. Node 2 at
+    # 0.375 is the only interferer, and the source hears it at exactly the
+    # decoding floor of 0.5.
+    power = np.zeros((3, 3))
+    power[0, 1] = 0.625
+    power[2, 1] = 0.375
+    power[2, 0] = 0.5
+    res = assert_same_as_loop(power, np.full((3, 3), 15.0), 1.0, 0.5)
+    assert res.bin_pair_count.sum() == 1
+    assert res.probability == 0.0
+
+
+def test_source_below_its_own_threshold_is_not_subtracted():
+    # With gamma = 1/2 the link 0 -> 1 breaks above 2 * 2 - 1 = 3, above the
+    # source's own 2. Node 2 at 4 is the one interferer, and the source is
+    # deaf to it.
+    power = np.zeros((3, 3))
+    power[0, 1] = 2.0
+    power[2, 1] = 4.0
+    res = assert_same_as_loop(power, np.full((3, 3), 15.0), 1.0, 0.5)
+    assert res.bin_pair_count.sum() == 1
+    assert res.probability == 1.0
+
+
+def test_no_decodable_pair_gives_zero():
+    power = np.full((5, 5), 0.5)
+    res = assert_same_as_loop(power, np.full((5, 5), 15.0), 1.0, 2.0)
+    assert res.probability == 0.0
+    assert res.bin_pair_count.sum() == 0
+    assert not res.bin_ratio_sum.any()
 
 
 def test_probability_within_unit_interval_and_rebin():

@@ -196,6 +196,21 @@ def test_writes_to_a_transmitting_row_are_counted():
     assert memory.half_duplex_writes == 2
 
 
+def test_subframe_without_transmissions_writes_srssi_only():
+    memory = fresh_memory(RunConfig(), n=3)
+    memory.begin_period(0)
+    b = GRID.brs_per_tti
+    srssi = np.arange(1, 3 * b + 1, dtype=float).reshape(b, 3) * 1e-10
+    listening = np.array([True, False, True])
+    silent = np.zeros((0, 3), dtype=bool)
+    memory.record_subframe(5, NO_TX, listening, srssi, NO_TX, silent, silent)
+    brs = slice(5 * b, 6 * b)
+    assert np.array_equal(memory.s_rssi[:, 0, brs],
+                          np.where(listening, srssi, 0.0).T.astype(np.float32))
+    assert not memory.rsrp_sum.any() and not memory.rsrp_cnt.any()
+    assert memory.monitored.all() and memory.half_duplex_writes == 0
+
+
 def test_degenerate_window_returns_all_monitored():
     cfg = RunConfig(r_sel=1.0, t1=1, t2=20)
     cands = candidates(fresh_memory(cfg), cfg)

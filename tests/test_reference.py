@@ -21,7 +21,8 @@ ORACLE_NAMES = {"ScenarioSnapshot", "TxEvent", "RxOutcome", "SenseSample",
                 "BrIndex", "sinr", "receive_subframe", "sense_subframe",
                 "record_beacon", "shadow_step", "neighbors", "mw_to_dbm",
                 "blocks", "_orient", "_on_segment", "_segments_intersect",
-                "_point_in_polygon", "rebinned", "empirical_pmf"}
+                "_point_in_polygon", "rebinned", "empirical_pmf",
+                "hidden_node_loop"}
 # Modules the simulator must not import: the oracles and the test suite.
 TEST_MODULES = {"oracles", "tests"}
 
