@@ -318,17 +318,11 @@ def run_hidden_node(cfg: RunConfig, sample_every_periods: int = 1):
         engine._advance_world(t)
         if period % sample_every_periods:
             continue
-        idx = np.flatnonzero(engine.present)
-        if len(idx) < 2:
+        if np.count_nonzero(engine.present) < 2:
             continue
-        power, dist = engine.channel.rx_power_lin(), engine.dist
-        if len(idx) < engine.n:  # copy the present rows only under churn
-            rows = np.ix_(idx, idx)
-            power, dist = power[rows], dist[rows]
+        # An absent vehicle receives and sends zero power, so it is never a
+        # link, an interferer or heard, and adds nothing to the ratio sums.
         acc.add(hidden_node_probability(
-            power, dist, engine.noise_lin, engine.gamma_lin, cfg.prr_bin_width_m,
-            engine.awareness_m))
-        # Held into the next period, they would keep the old matrices alive
-        # while `_advance_world` builds the new ones.
-        del power, dist
+            engine.channel.rx_power_lin(), engine.dist, engine.noise_lin,
+            engine.gamma_lin, cfg.prr_bin_width_m, engine.awareness_m))
     return acc

@@ -80,8 +80,7 @@ class SensingMemory:
         to the RSRP sum and count of that BR at the vehicles that decoded it.
 
         The columns are assigned whole: `begin_period` zeroed them and each
-        subframe is written once per period, so a subframe without
-        transmissions leaves the RSRP columns as they are.
+        subframe is written once per period.
         """
         slot = self.slot
         self.monitored[txs, slot, subframe] = False
@@ -89,14 +88,11 @@ class SensingMemory:
                                        + np.count_nonzero(decoded[:, txs]))
         base = subframe * self.brs_per_tti
         brs = slice(base, base + self.brs_per_tti)
-        # `.T` views the columns as (brs_per_tti, n) blocks.
-        self.s_rssi[:, slot, brs].T[...] = np.where(observers, srssi, 0.0)
-        if len(tx_slots) == 0:
-            return
-        # At most one transmission per slot and vehicle decodes when the
-        # threshold is at least 0 dB, so each RSRP sum then has one non-zero
-        # term.
+        # `.T` views the columns as (brs_per_tti, n) blocks. At most one
+        # transmission per slot and vehicle decodes when the threshold is
+        # at least 0 dB, so each RSRP sum then has one non-zero term.
         member = (tx_slots == np.arange(self.brs_per_tti)[:, None]).astype(float)
+        self.s_rssi[:, slot, brs].T[...] = np.where(observers, srssi, 0.0)
         self.rsrp_sum[:, slot, brs].T[...] = member @ np.where(decoded, power_rows, 0.0)
         self.rsrp_cnt[:, slot, brs].T[...] = member @ decoded
 
