@@ -13,9 +13,6 @@ falls inside an observation window of n* beacon periods, with a uniformly
 random window phase inside the hold, is
 
     P_r(n*) = 1 - sum_{n >= n*} ((n - n*) / n) * P_TBC(n).
-
-A straight Monte Carlo of the counter process doubles as an independent
-oracle for both quantities.
 """
 from __future__ import annotations
 
@@ -34,7 +31,7 @@ class HoldTimeDistribution:
     """Probability vector over hold lengths in beacon periods.
 
     pmf[n] = P(hold = n periods); index 0 is unused. The vector may miss
-    `residual_mass` of probability beyond the truncation point n_trunc.
+    `residual_mass` of probability beyond its last index.
     """
 
     pmf: np.ndarray
@@ -50,10 +47,6 @@ class HoldTimeDistribution:
         total = self.pmf.sum() + self.residual_mass
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise AnalysisError(f"mass sums to {total}, not 1")
-
-    @property
-    def n_trunc(self) -> int:
-        return len(self.pmf) - 1
 
     def mean(self) -> float:
         return float(np.arange(len(self.pmf)) @ self.pmf)
@@ -126,46 +119,3 @@ def reallocation_probability(dist: HoldTimeDistribution, n_star: int) -> float:
     tail = n >= n_star
     keep_weight[tail] = (n[tail] - n_star) / np.maximum(n[tail], 1)
     return float(1.0 - keep_weight @ dist.pmf)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo oracle of the counter process
-# ---------------------------------------------------------------------------
-
-def simulate_hold_times(n_min: int, n_max: int, p_keep: float, n_samples: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Straight simulation: chain uniform draws, keep with probability p_keep."""
-    if not (1 <= n_min <= n_max):
-        raise AnalysisError("need 1 <= n_min <= n_max")
-    if not (0.0 <= p_keep < 1.0):
-        raise AnalysisError("p_keep must lie in [0, 1)")
-    if p_keep == 0.0:
-        draws_per_hold = np.ones(n_samples, dtype=np.int64)
-    else:
-        draws_per_hold = rng.geometric(1.0 - p_keep, size=n_samples).astype(np.int64)
-    draws = rng.integers(n_min, n_max + 1, size=int(draws_per_hold.sum()))
-    starts = np.concatenate([[0], np.cumsum(draws_per_hold)[:-1]])
-    return np.add.reduceat(draws, starts)
-
-
-def simulate_reallocation_probability(n_min: int, n_max: int, p_keep: float,
-                                      n_star: int, n_samples: int,
-                                      rng: np.random.Generator) -> float:
-    """Phase-sampling oracle: uniform window start inside each simulated hold."""
-    holds = simulate_hold_times(n_min, n_max, p_keep, n_samples, rng)
-    phase = rng.integers(0, holds)  # offset of the window start inside the hold
-    return float(np.mean(holds - phase <= n_star))
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """TV distance between two pmf vectors (padded to a common length)."""
-    size = max(len(p), len(q))
-    a = np.zeros(size)
-    b = np.zeros(size)
-    a[: len(p)] = p
-    b[: len(q)] = q
-    # Mass missing from either vector (truncation, out-of-range samples) is
-    # treated as fully disjoint above the support: a conservative bound.
-    missing_a = max(0.0, 1.0 - a.sum())
-    missing_b = max(0.0, 1.0 - b.sum())
-    return float(0.5 * (np.abs(a - b).sum() + missing_a + missing_b))

@@ -1,5 +1,6 @@
-"""Link-level propagation: two-slope street-canyon pathloss (WINNER+ B1),
-spatially correlated log-normal shadowing, and obstacle-based LOS checks.
+"""Link-level propagation: pairwise geometry, two-slope street-canyon
+pathloss (WINNER+ B1), spatially correlated log-normal shadowing, and
+obstacle-based LOS checks.
 
 Exact formulas are documented in the README so the reference values used in
 the tests can be reproduced by hand.
@@ -245,6 +246,27 @@ def los_state(obstacles: ObstacleMap | None, pos_i, pos_j):
 
 
 # ---------------------------------------------------------------------------
+# Pairwise geometry
+# ---------------------------------------------------------------------------
+
+def pair_legs(positions: np.ndarray, wrap_length_m: float | None = None):
+    """Pairwise |dx|, |dy| matrices, minimum-image on x for ring roads.
+
+    Non-finite coordinates (absent vehicles) yield infinite legs.
+    """
+    x = positions[:, 0]
+    y = positions[:, 1]
+    with np.errstate(invalid="ignore"):
+        adx = np.abs(x[:, None] - x[None, :])
+        if wrap_length_m is not None:
+            adx = np.minimum(adx, wrap_length_m - adx)
+        ady = np.abs(y[:, None] - y[None, :])
+    adx = np.where(np.isnan(adx), np.inf, adx)
+    ady = np.where(np.isnan(ady), np.inf, ady)
+    return adx, ady
+
+
+# ---------------------------------------------------------------------------
 # Pairwise channel realization
 # ---------------------------------------------------------------------------
 
@@ -278,12 +300,14 @@ class ChannelRealization:
         exp(-moved/decorr) for a relative displacement `moved` since the
         previous update; rho = 0 resamples the pair from scratch.
         """
+        # Drop the previous power matrix first, so it is freed before the
+        # new n x n arrays are built.
+        self._rx_lin = None
         self.los = np.asarray(los, dtype=bool)
         self.pathloss_db = pathloss_db(self.cfg, dist_m, self.los, legs)
         sigma = shadow_sigma_db(self.cfg, self.los)
         g = _symmetric_normal(rng, self.n) * sigma
         self.shadow_db = rho * self.shadow_db + np.sqrt(1.0 - rho * rho) * g
-        self._rx_lin = None
 
     def rx_power_lin(self):
         """Linear received power in mW, diagonal zeroed. rows = transmitter."""

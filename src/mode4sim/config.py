@@ -70,7 +70,7 @@ class RunConfig:
     noise_figure_db: float = 9.0
     # resource selection / MAC
     t_sense_ms: int = 1000
-    p_th_dbm: float = -110.0
+    p_th_dbm: float = -110.0  # -128 + 2 * (8a + b) at priorities a = b = 1
     r_sel: float = 0.2
     t1: int = 1
     t2: int = 100

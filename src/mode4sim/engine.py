@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mode4, phy
-from .channel import ChannelRealization, ObstacleMap, dbm_to_mw, los_state
+from .channel import ChannelRealization, ObstacleMap, dbm_to_mw, los_state, pair_legs
 from .config import RunConfig
 from .metrics import (HiddenNodeAccumulator, PrrAccumulator, UdTracker,
                       hidden_node_probability)
 from .mobility import TraceError, load_trace, spawn_highway, step_highway
-from .scenario import pair_legs
 from .seeding import substream
 
 

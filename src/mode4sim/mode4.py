@@ -18,21 +18,8 @@ from .channel import dbm_to_mw
 from .config import RunConfig
 
 
-class Mode4ParamError(ValueError):
-    pass
-
-
 class Mode4ProtocolError(RuntimeError):
     pass
-
-
-def power_threshold(a: int, b: int) -> float:
-    """Occupancy threshold in dBm from transmitter priority a, receiver priority b."""
-    if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
-        raise Mode4ParamError("priorities must be integers")
-    if not (0 <= a <= 7 and 0 <= b <= 7):
-        raise Mode4ParamError("priorities must lie in [0, 7]")
-    return float(-128 + 2 * (a * 8 + b))
 
 
 class SensingMemory:

@@ -3,8 +3,11 @@
 The simulator works on row-indexed arrays only. The functions here compute
 the same quantities one link, one vehicle or one resource at a time, from a
 per-instant `ScenarioSnapshot`, so tests can check the array paths against
-code that follows the definitions literally. No module of the simulator
-imports this one; `test_reference.py` enforces that.
+code that follows the definitions literally. Two more checks live here:
+a Monte Carlo of the counter process, against the closed forms of
+`mode4sim.analysis`, and the priority power-threshold table, which gives
+the default `p_th_dbm`. No module of the simulator imports this one;
+`test_reference.py` enforces that.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from mode4sim.analysis import AnalysisError
 from mode4sim.channel import ChannelRealization, dbm_to_mw, rx_power_dbm, shadow_sigma_db
 from mode4sim.config import RunConfig
 from mode4sim.metrics import HiddenNodeResult, MetricsError
@@ -371,6 +375,73 @@ def empirical_pmf(samples: np.ndarray, length: int) -> np.ndarray:
     """Histogram of integer samples as a pmf vector of the given length."""
     counts = np.bincount(samples, minlength=length)[:length]
     return counts / len(samples)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo oracle of the counter process
+# ---------------------------------------------------------------------------
+
+# A straight Monte Carlo of the counter process is an independent oracle for
+# both closed-form quantities of `mode4sim.analysis`: the hold-time pmf
+# (`tbc_distribution`) and the reallocation probability
+# (`reallocation_probability`).
+
+def simulate_hold_times(n_min: int, n_max: int, p_keep: float, n_samples: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Straight simulation: chain uniform draws, keep with probability p_keep."""
+    if not (1 <= n_min <= n_max):
+        raise AnalysisError("need 1 <= n_min <= n_max")
+    if not (0.0 <= p_keep < 1.0):
+        raise AnalysisError("p_keep must lie in [0, 1)")
+    if p_keep == 0.0:
+        draws_per_hold = np.ones(n_samples, dtype=np.int64)
+    else:
+        draws_per_hold = rng.geometric(1.0 - p_keep, size=n_samples).astype(np.int64)
+    draws = rng.integers(n_min, n_max + 1, size=int(draws_per_hold.sum()))
+    starts = np.concatenate([[0], np.cumsum(draws_per_hold)[:-1]])
+    return np.add.reduceat(draws, starts)
+
+
+def simulate_reallocation_probability(n_min: int, n_max: int, p_keep: float,
+                                      n_star: int, n_samples: int,
+                                      rng: np.random.Generator) -> float:
+    """Phase-sampling oracle: uniform window start inside each simulated hold."""
+    holds = simulate_hold_times(n_min, n_max, p_keep, n_samples, rng)
+    phase = rng.integers(0, holds)  # offset of the window start inside the hold
+    return float(np.mean(holds - phase <= n_star))
+
+
+def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    """TV distance between two pmf vectors (padded to a common length)."""
+    size = max(len(p), len(q))
+    a = np.zeros(size)
+    b = np.zeros(size)
+    a[: len(p)] = p
+    b[: len(q)] = q
+    # Mass missing from either vector (truncation, out-of-range samples) is
+    # treated as fully disjoint above the support: a conservative bound.
+    missing_a = max(0.0, 1.0 - a.sum())
+    missing_b = max(0.0, 1.0 - b.sum())
+    return float(0.5 * (np.abs(a - b).sum() + missing_a + missing_b))
+
+
+# ---------------------------------------------------------------------------
+# Priority power threshold
+# ---------------------------------------------------------------------------
+
+class Mode4ParamError(ValueError):
+    pass
+
+
+def power_threshold(a: int, b: int) -> float:
+    """Occupancy threshold in dBm from transmitter priority a, receiver
+    priority b. The simulator's default `RunConfig.p_th_dbm` is
+    `power_threshold(1, 1)`."""
+    if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
+        raise Mode4ParamError("priorities must be integers")
+    if not (0 <= a <= 7 and 0 <= b <= 7):
+        raise Mode4ParamError("priorities must lie in [0, 7]")
+    return float(-128 + 2 * (a * 8 + b))
 
 
 # ---------------------------------------------------------------------------

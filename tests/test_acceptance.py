@@ -12,17 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from mode4sim.analysis import (reallocation_probability, simulate_hold_times,
-                               simulate_reallocation_probability, tbc_ccdf,
-                               tbc_distribution, total_variation)
+from mode4sim.analysis import reallocation_probability, tbc_ccdf, tbc_distribution
 from mode4sim.channel import ChannelRealization
 from mode4sim.cli import main
 from mode4sim.config import RunConfig
 from mode4sim.engine import run_hidden_node, run_scenario
 from mode4sim.metrics import ud_percentile
-from mode4sim.mode4 import SensingMemory, candidate_set, power_threshold
+from mode4sim.mode4 import SensingMemory, candidate_set
 from oracles import (BrIndex, ScenarioSnapshot, TxEvent, empirical_pmf, neighbors,
-                     rebinned, sinr)
+                     power_threshold, rebinned, simulate_hold_times,
+                     simulate_reallocation_probability, sinr, total_variation)
 
 RING = dict(highway_length_m=4000.0, highway_vehicles=495, seed=7)
 
@@ -250,7 +249,10 @@ def test_criterion_9_power_threshold_table():
     for a in range(8):
         for b in range(8):
             ok = ok and power_threshold(a, b) == -128 + 2 * (a * 8 + b)
-    report(9, ok, "all 64 priority combinations match the formula")
+    # The table pins the one value the simulator uses: its default threshold.
+    ok = ok and RunConfig().p_th_dbm == power_threshold(1, 1)
+    report(9, ok, "all 64 priority combinations match the formula; "
+                  "the default p_th_dbm is power_threshold(1, 1)")
     assert ok
 
 

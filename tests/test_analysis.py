@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from mode4sim.analysis import (AnalysisError, reallocation_probability,
-                               simulate_hold_times,
-                               simulate_reallocation_probability, tbc_ccdf,
-                               tbc_distribution, tbe_distribution,
-                               total_variation)
-from oracles import empirical_pmf
+from mode4sim.analysis import (AnalysisError, reallocation_probability, tbc_ccdf,
+                               tbc_distribution, tbe_distribution)
+from oracles import (empirical_pmf, simulate_hold_times,
+                     simulate_reallocation_probability, total_variation)
 
 
 # -- single counter draw -------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -296,3 +297,22 @@ def test_vectorized_advance_stationary_variance():
     arr = np.concatenate(samples[50:])
     assert arr.var() == pytest.approx(9.0, rel=0.05)
     assert np.allclose(real.shadow_db, real.shadow_db.T)
+
+
+def test_advance_frees_the_old_power_matrix_first(monkeypatch):
+    # The previous period's n x n power matrix must be gone before advance
+    # builds the new period's pathloss; holding it until the end adds one
+    # n x n matrix to the peak memory.
+    real = _single_link_realization()
+    dist = np.array([[0.0, 60.0], [60.0, 0.0]])
+    old = weakref.ref(real.rx_power_lin())
+    dead_at_pathloss = []
+    real_pathloss = channel.pathloss_db
+
+    def spy(*args):
+        dead_at_pathloss.append(old() is None)
+        return real_pathloss(*args)
+
+    monkeypatch.setattr(channel, "pathloss_db", spy)
+    real.advance(dist, *_all_los(dist), np.random.default_rng(6), 0.5)
+    assert dead_at_pathloss == [True]

@@ -162,20 +162,26 @@ def test_highway_frames_and_first_selection():
     assert (engine.next_tx[~later] > 0).all()
 
 
-def test_trace_scenario_respects_presence(tmp_path):
+def _three_vehicle_trace_engine(tmp_path):
+    """A sparse 4 s trace run: three vehicles, and vehicle 2 leaves for
+    two seconds (1.0-3.0 s)."""
     rows = []
     for k in range(0, 46):  # 4.5 s at 0.1 s resolution
         t = k * 0.1
         rows.append(f"{t:.1f},0,{5 * t:.2f},0.0")
         rows.append(f"{t:.1f},1,{5 * t:.2f},4.0")
-        if not 1.0 <= t <= 3.0:  # vehicle 2 leaves for two seconds
+        if not 1.0 <= t <= 3.0:
             rows.append(f"{t:.1f},2,{5 * t:.2f},8.0")
     path = tmp_path / "trace.csv"
     path.write_text("\n".join(rows) + "\n")
     cfg = RunConfig(scenario="trace", trace=str(path), duration_s=4.0,
                     t_sense_ms=200, n_min=2, n_max=4, seed=1,
                     max_trace_gap_s=0.15)
-    engine = SimulationEngine(cfg)
+    return SimulationEngine(cfg)
+
+
+def test_trace_scenario_respects_presence(tmp_path):
+    engine = _three_vehicle_trace_engine(tmp_path)
     tx_times = {0: [], 1: [], 2: []}
     for t in range(4000):
         txs = np.flatnonzero(engine.next_tx == t)
@@ -186,6 +192,27 @@ def test_trace_scenario_respects_presence(tmp_path):
     gap_txs = [t for t in tx_times[2] if 1100 <= t <= 2900]
     assert gap_txs == []  # absent vehicles stay silent
     assert any(t > 3000 for t in tx_times[2])  # rejoins afterwards
+
+
+def test_current_slot_holds_no_sample_ahead_of_the_clock(tmp_path):
+    # The sensing window slides one subframe per tick: after tick t, no BR of
+    # a later subframe of the current period's slot holds an S-RSSI sample or
+    # an RSRP count yet. A noise-floor prefill of the slot when the period
+    # begins would break this. Three vehicles leave most subframes without a
+    # transmitter.
+    engine = _three_vehicle_trace_engine(tmp_path)
+    memory, per_tti = engine.memory, engine.cfg.brs_per_tti
+    silent = sensed = decoded = 0
+    for t in range(engine.total_tti):
+        silent += not (engine.next_tx == t).any()
+        engine._tick(t)
+        now = (t % engine.t_b + 1) * per_tti
+        slot = memory.slot
+        assert not memory.s_rssi[:, slot, now:].any(), t
+        assert not memory.rsrp_cnt[:, slot, now:].any(), t
+        sensed += np.count_nonzero(memory.s_rssi[:, slot, now - per_tti:now])
+        decoded += int(memory.rsrp_cnt[:, slot, now - per_tti:now].sum())
+    assert silent > engine.total_tti // 2 and sensed > 0 and decoded > 0
 
 
 def test_los_matrix_matches_scalar_blocks(tmp_path):

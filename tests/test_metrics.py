@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mode4sim.channel import dbm_to_mw
+from mode4sim.channel import dbm_to_mw, pair_legs
 from mode4sim.metrics import (HiddenNodeAccumulator, MetricsError,
                               PrrAccumulator, UdTracker,
                               hidden_node_probability, ud_percentile)
-from mode4sim.scenario import pair_legs
 from oracles import (NOISE_DBM, RxOutcome, ScenarioSnapshot, hidden_node_loop,
                      make_channel, rebinned, record_beacon)
 

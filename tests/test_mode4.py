@@ -3,9 +3,9 @@ import pytest
 
 from mode4sim.channel import dbm_to_mw
 from mode4sim.config import ConfigError, RunConfig
-from mode4sim.mode4 import (Mode4ParamError, Mode4ProtocolError, SensingMemory,
-                            candidate_set, mac_select, on_beacon_period_end,
-                            power_threshold)
+from mode4sim.mode4 import (Mode4ProtocolError, SensingMemory, candidate_set,
+                            mac_select, on_beacon_period_end)
+from oracles import Mode4ParamError, power_threshold
 
 GRID = RunConfig(mcs=7)
 

@@ -1,7 +1,9 @@
-"""The scalar oracles of `oracles.py` against the array paths, and the guard
-that keeps the oracles and their snapshot type out of the simulator."""
+"""The scalar oracles of `oracles.py` against the array paths, the guard
+that keeps the oracles and their snapshot type out of the simulator, and the
+guard that keeps test-only code out of the package."""
 import ast
 import os
+from collections import defaultdict
 
 import numpy as np
 
@@ -22,7 +24,9 @@ ORACLE_NAMES = {"ScenarioSnapshot", "TxEvent", "RxOutcome", "SenseSample",
                 "record_beacon", "shadow_step", "neighbors", "mw_to_dbm",
                 "blocks", "_orient", "_on_segment", "_segments_intersect",
                 "_point_in_polygon", "rebinned", "empirical_pmf",
-                "hidden_node_loop"}
+                "hidden_node_loop", "simulate_hold_times",
+                "simulate_reallocation_probability", "total_variation",
+                "power_threshold", "Mode4ParamError"}
 # Modules the simulator must not import: the oracles and the test suite.
 TEST_MODULES = {"oracles", "tests"}
 
@@ -49,6 +53,41 @@ def test_only_reference_holds_the_oracles():
                 assert not parts & (TEST_MODULES | ORACLE_NAMES), f"{name} imports {parts}"
     missing = ORACLE_NAMES - _defined(_parse(oracles.__file__))
     assert not missing, f"tests/oracles.py lacks {missing}"
+
+
+def unreferenced_definitions(package):
+    """Top-level functions and classes, and methods of top-level classes, of
+    the modules in `package` that no package code names outside their own
+    definition. Re-exports in `__init__.py` do not count as a use, and
+    dunder methods are called implicitly."""
+    kinds = (ast.ClassDef, ast.FunctionDef)
+    defs, uses = [], defaultdict(list)  # uses: name -> [(module, line)]
+    for module in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, kinds):
+                defs.append((module, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(module, m) for m in node.body
+                         if isinstance(m, kinds) and not m.name.startswith("__")]
+        if module == "__init__.py":
+            continue
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                uses[n.id].append((module, n.lineno))
+            elif isinstance(n, ast.Attribute):
+                uses[n.attr].append((module, n.lineno))
+
+    def used_outside(module, node):
+        return any(where != module or not node.lineno <= line <= node.end_lineno
+                   for where, line in uses[node.name])
+
+    return sorted(node.name for module, node in defs if not used_outside(module, node))
+
+
+def test_package_ships_only_code_the_package_uses():
+    assert unreferenced_definitions(os.path.dirname(mode4sim.__file__)) == []
 
 
 def test_sensing_writes_match_scalar_sense_subframe():
