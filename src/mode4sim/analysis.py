@@ -35,9 +35,6 @@ class HoldTimeDistribution:
     """
 
     pmf: np.ndarray
-    n_min: int
-    n_max: int
-    p_keep: float
     residual_mass: float = 0.0
 
     def __post_init__(self):
@@ -68,7 +65,7 @@ def tbe_distribution(n_min: int, n_max: int, form: str = "uniform") -> HoldTimeD
         pmf[n_min:n_max + 1] = weights / weights.sum()
     else:
         raise AnalysisError("form must be 'uniform' or 'one_over_n'")
-    return HoldTimeDistribution(pmf, n_min, n_max, p_keep=0.0)
+    return HoldTimeDistribution(pmf)
 
 
 def tbc_distribution(n_min: int, n_max: int, p_keep: float, eps: float = 1e-6,
@@ -94,8 +91,7 @@ def tbc_distribution(n_min: int, n_max: int, p_keep: float, eps: float = 1e-6,
     pmf = np.fft.irfft(acc, n=size)[: support + 1]
     pmf = np.clip(pmf, 0.0, None)
     # The untruncated series is missing exactly the geometric tail mass.
-    return HoldTimeDistribution(pmf, n_min, n_max, p_keep,
-                                residual_mass=p_keep ** terms)
+    return HoldTimeDistribution(pmf, residual_mass=p_keep ** terms)
 
 
 def tbc_ccdf(dist: HoldTimeDistribution) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""Discrete-time scenario runner.
+"""Discrete-time scenario runner: a world and the protocol run on it.
 
-The clock ticks in 1 ms subframes. Each period (every beacon_period_ms
-ticks) the world advances (mobility, geometry, LOS, channel realization),
-then the protocol starts its period (neighbour sets, the oldest
-sensing-memory slot recycled, trace churn). Within a subframe the tick is
-two-phase: first propagation (reception outcomes, sensing samples and
-metric credits for all of the subframe's transmitters at once), then
-per-vehicle MAC updates, so state updates never see partial data.
+`SimulationEngine` is the world: set-up decides the scenario once, and
+`advance(t)` brings presence, geometry, LOS and channel to the period at t.
+`Protocol` holds the allocation, sensing, MAC and metric state; it reads the
+world and never advances it. The engine's clock ticks in 1 ms subframes. At
+each period start the world advances, then the protocol starts its period
+(neighbour sets, the oldest sensing-memory slot recycled, trace churn).
+Within a subframe the tick is two-phase: first propagation (reception
+outcomes, sensing samples and metric credits for all of the subframe's
+transmitters at once), then per-vehicle MAC updates, so state updates never
+see partial data.
 """
 from __future__ import annotations
 
@@ -35,28 +38,26 @@ class SimulationResult:
     reselections: int
     seed: int
     warmup_s: float
-    duration_s: float
     config_items: list = field(default_factory=list)
 
 
 class SimulationEngine:
-    """One seeded scenario run."""
+    """The world of one seeded run, and the clock that runs a protocol on it."""
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
         self.cfg = cfg
-        self.awareness_m = cfg.resolved_awareness_m()
         self.t_b = cfg.beacon_period_ms
         self.total_tti = int(round(cfg.duration_s * 1000))
         # Every period the clock enters, the last one possibly in part.
         self.n_periods = -(-self.total_tti // self.t_b)
-        self.warmup_tti = cfg.t_sense_ms + cfg.n_max * self.t_b
         self.noise_lin = float(dbm_to_mw(cfg.noise_floor_dbm()))
         self.gamma_lin = float(dbm_to_mw(cfg.resolved_sinr_min_db()))
-        self.ibe_lin = phy.ibe_factor(cfg.ibe_attenuation_db)
 
         self._setup_scenario()
-        self._setup_state()
+        self.present = np.zeros(self.n, dtype=bool)  # every vehicle starts absent
+        self.shadow_rng = substream(cfg.seed, "shadow")
+        self.channel: ChannelRealization | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -94,35 +95,6 @@ class SimulationEngine:
             self.wrap = None
         self.n = self.frames.shape[1]
 
-    def _setup_state(self):
-        cfg, n = self.cfg, self.n
-        self.next_tx = np.full(n, -1, dtype=np.int64)
-        self.select_at = np.full(n, -1, dtype=np.int64)
-        self.cur_slot = np.zeros(n, dtype=np.int32)
-        self.counter = np.zeros(n, dtype=np.int64)  # reselection counters
-        self.seq = np.full(n, -1, dtype=np.int64)
-        self.held = np.zeros(n, dtype=np.int64)
-        self.present = np.zeros(n, dtype=bool)  # every vehicle starts absent
-        self.phase = substream(cfg.seed, "phase").integers(0, self.t_b, size=n)
-        self.shadow_rng = substream(cfg.seed, "shadow")
-        self.mac_rngs = [substream(cfg.seed, "mac", v) for v in range(n)]
-
-        self.memory = None
-        if cfg.allocation == "mode4":
-            self.memory = mode4.SensingMemory(n, cfg)
-
-        self.prr = PrrAccumulator(cfg.prr_bin_width_m, self.awareness_m)
-        self.ud = UdTracker(n, self.t_b / 1000.0)
-        self.hold_counts: list[int] = []
-        self.hd_violations = 0
-        self.hd_checked = 0
-        self.beacons_sent = 0
-        self.neighbor_samples = 0.0
-        self.neighbor_periods = 0
-        self.channel: ChannelRealization | None = None
-        self.dist = None
-        self.neigh = None
-
     # -- per-period geometry ----------------------------------------------
 
     def _los_matrix(self):
@@ -149,7 +121,7 @@ class SimulationEngine:
         moved = np.where(np.isnan(moved), np.inf, moved)
         return np.exp(-moved / self.cfg.resolved_decorr_dist_m())
 
-    def _advance_world(self, t: int):
+    def advance(self, t: int):
         """Positions, presence, geometry, LOS and channel of the period at t."""
         period = t // self.t_b
         self.positions = self.frames[period]
@@ -164,13 +136,56 @@ class SimulationEngine:
             self.channel.advance(self.dist, los, legs, self.shadow_rng,
                                  self._shadow_rho(period))
 
-    def _begin_period(self, t: int):
-        """Advance the world, then start the protocol's period at t."""
-        was_present = self.present
-        self._advance_world(t)
-        present, dist = self.present, self.dist
+    def run(self) -> SimulationResult:
+        protocol = Protocol(self)
+        for t in range(self.total_tti):
+            if t % self.t_b == 0:
+                self.advance(t)
+                protocol.begin_period(t)
+            protocol.tick(t)
+        return protocol.result()
+
+
+class Protocol:
+    """Allocation, sensing, MAC and metric state of one run on `world`."""
+
+    def __init__(self, world: SimulationEngine):
+        cfg, n = world.cfg, world.n
+        self.world, self.cfg, self.n, self.t_b = world, cfg, n, world.t_b
+        self.awareness_m = cfg.resolved_awareness_m()
+        self.warmup_tti = cfg.t_sense_ms + cfg.n_max * self.t_b
+        self.ibe_lin = phy.ibe_factor(cfg.ibe_attenuation_db)
+
+        self.next_tx = np.full(n, -1, dtype=np.int64)
+        self.select_at = np.full(n, -1, dtype=np.int64)
+        self.cur_slot = np.zeros(n, dtype=np.int32)
+        self.counter = np.zeros(n, dtype=np.int64)  # reselection counters
+        self.seq = np.full(n, -1, dtype=np.int64)
+        self.held = np.zeros(n, dtype=np.int64)
+        self.present = world.present  # as of the last period start
+        self.phase = substream(cfg.seed, "phase").integers(0, self.t_b, size=n)
+        self.mac_rngs = [substream(cfg.seed, "mac", v) for v in range(n)]
+
+        self.memory = None
+        if cfg.allocation == "mode4":
+            self.memory = mode4.SensingMemory(n, cfg)
+
+        self.prr = PrrAccumulator(cfg.prr_bin_width_m, self.awareness_m)
+        self.ud = UdTracker(n, self.t_b / 1000.0)
+        self.hold_counts: list[int] = []
+        self.hd_violations = 0
+        self.hd_checked = 0
+        self.beacons_sent = 0
+        self.neighbor_samples = 0.0
+        self.neighbor_periods = 0
+        self.neigh = None
+
+    def begin_period(self, t: int):
+        """Start the protocol's period at t, on the world advanced to it."""
+        was_present, present = self.present, self.world.present
+        self.present = present
         # Absent vehicles sit at an infinite distance from every other one.
-        neigh = dist <= self.awareness_m
+        neigh = self.world.dist <= self.awareness_m
         np.fill_diagonal(neigh, False)
         self.neigh = neigh
         self.ud.reset_pairs(~neigh)
@@ -221,33 +236,32 @@ class SimulationEngine:
             self.held[v] = 0
             self._select(v, t)
 
-    def _tick(self, t: int):
-        if t % self.t_b == 0:
-            self._begin_period(t)
+    def tick(self, t: int):
         subframe = t % self.t_b
 
+        # Presence changes only at period starts, where departures clear
+        # `select_at`, so every vehicle due to select here is present.
         for v in np.flatnonzero(self.select_at == t):
             self.select_at[v] = -1
-            if self.present[v]:
-                self._select(int(v), t)
+            self._select(int(v), t)
 
         txs = np.flatnonzero(self.next_tx == t)
         if len(txs) == 0:
             if self.memory is not None:
                 # Every BR reads the noise floor and nothing is decoded.
                 silent = np.zeros((0, self.n), dtype=bool)
-                self.memory.record_subframe(subframe, txs, self.present, self.noise_lin,
+                self.memory.record_subframe(subframe, txs, self.present, self.world.noise_lin,
                                             txs, silent, silent)
             return
 
         tx_mask = np.zeros(self.n, dtype=bool)
         tx_mask[txs] = True
         tx_slots = self.cur_slot[txs]
-        power_rows = self.channel.rx_power_lin()[txs]
+        power_rows = self.world.channel.rx_power_lin()[txs]
         recv_mask = self.present & ~tx_mask
         slot_sums = phy.slot_power_sums(power_rows, tx_slots, self.cfg.brs_per_tti)
         sinr_lin, decoded = phy.subframe_reception(
-            power_rows, tx_slots, self.noise_lin, self.gamma_lin,
+            power_rows, tx_slots, self.world.noise_lin, self.world.gamma_lin,
             self.ibe_lin, recv_mask, slot_sums)
 
         # Half-duplex audit: sensing samples (counted by the memory) and
@@ -256,7 +270,7 @@ class SimulationEngine:
         self.hd_checked += int(len(txs) * (len(txs) - 1))
 
         if self.memory is not None:
-            srssi = phy.subframe_srssi(slot_sums, self.noise_lin, self.ibe_lin)
+            srssi = phy.subframe_srssi(slot_sums, self.world.noise_lin, self.ibe_lin)
             self.memory.record_subframe(subframe, txs, recv_mask, srssi,
                                         tx_slots, power_rows, decoded)
 
@@ -268,7 +282,7 @@ class SimulationEngine:
             neigh = self.neigh[txs]
             credited = decoded & neigh
             self.hd_violations += int(np.count_nonzero(credited[:, tx_mask]))
-            self.prr.record_arrays(self.prr.bin_of(self.dist[txs][neigh]),
+            self.prr.record_arrays(self.prr.bin_of(self.world.dist[txs][neigh]),
                                    credited[neigh])
             # A source transmits at most once per subframe, so no
             # (source, destination) pair repeats within this call.
@@ -280,9 +294,7 @@ class SimulationEngine:
         for v in txs:
             self._mac_after_tx(int(v), t)
 
-    def run(self) -> SimulationResult:
-        for t in range(self.total_tti):
-            self._tick(t)
+    def result(self) -> SimulationResult:
         mean_neigh = (self.neighbor_samples / self.neighbor_periods
                       if self.neighbor_periods else float("nan"))
         return SimulationResult(
@@ -297,7 +309,6 @@ class SimulationEngine:
             reselections=len(self.hold_counts),
             seed=self.cfg.seed,
             warmup_s=self.warmup_tti / 1000.0,
-            duration_s=self.cfg.duration_s,
             config_items=self.cfg.resolved_items(),
         )
 
@@ -308,20 +319,19 @@ def run_scenario(cfg: RunConfig) -> SimulationResult:
 
 def run_hidden_node(cfg: RunConfig, sample_every_periods: int = 1):
     """Mobility + channel only: hidden-node statistics over sampled instants."""
-    cfg.validate()
-    engine = SimulationEngine(cfg)  # reuse the world half
+    world = SimulationEngine(cfg)
+    awareness_m = cfg.resolved_awareness_m()
     acc = HiddenNodeAccumulator(bin_width_m=cfg.prr_bin_width_m,
-                                max_range_m=engine.awareness_m)
-    for period in range(engine.n_periods):
-        t = period * engine.t_b
-        engine._advance_world(t)
+                                max_range_m=awareness_m)
+    for period in range(world.n_periods):
+        world.advance(period * world.t_b)
         if period % sample_every_periods:
             continue
-        if np.count_nonzero(engine.present) < 2:
+        if np.count_nonzero(world.present) < 2:
             continue
         # An absent vehicle receives and sends zero power, so it is never a
         # link, an interferer or heard, and adds nothing to the ratio sums.
         acc.add(hidden_node_probability(
-            engine.channel.rx_power_lin(), engine.dist, engine.noise_lin,
-            engine.gamma_lin, cfg.prr_bin_width_m, engine.awareness_m))
+            world.channel.rx_power_lin(), world.dist, world.noise_lin,
+            world.gamma_lin, cfg.prr_bin_width_m, awareness_m))
     return acc

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from mode4sim import engine as engine_module, phy
+from mode4sim import engine as engine_module, mode4, phy
 from mode4sim.config import RunConfig
-from mode4sim.engine import SimulationEngine, run_hidden_node, run_scenario
+from mode4sim.engine import Protocol, SimulationEngine, run_hidden_node, run_scenario
 from mode4sim.metrics import PrrAccumulator, UdTracker
 from mode4sim.mobility import spawn_highway, step_highway
 from mode4sim.seeding import substream
 from oracles import RxOutcome, ScenarioSnapshot, blocks, hidden_node_loop, record_beacon
 
 SMALL = dict(highway_length_m=1000.0, highway_vehicles=124, seed=5)
+
+
+def _step(world, protocol, t):
+    """Tick t by hand, in the order `SimulationEngine.run` uses."""
+    if t % world.t_b == 0:
+        world.advance(t)
+        protocol.begin_period(t)
+    protocol.tick(t)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +73,8 @@ def test_batched_credit_matches_per_beacon_oracle(monkeypatch):
     # oracle into fresh accumulators must give the same counts exactly.
     cfg = RunConfig(duration_s=3.6, t_sense_ms=200, n_max=6, highway_length_m=800.0,
                     highway_vehicles=40, seed=2)
-    engine = SimulationEngine(cfg)
+    world = SimulationEngine(cfg)
+    proto = Protocol(world)
     captured = []
     real = phy.subframe_reception
 
@@ -75,31 +84,31 @@ def test_batched_credit_matches_per_beacon_oracle(monkeypatch):
         return sinr_lin, decoded
 
     monkeypatch.setattr(phy, "subframe_reception", capture)
-    prr = PrrAccumulator(cfg.prr_bin_width_m, engine.awareness_m)
-    ud = UdTracker(engine.n, engine.t_b / 1000.0)
+    prr = PrrAccumulator(cfg.prr_bin_width_m, proto.awareness_m)
+    ud = UdTracker(world.n, world.t_b / 1000.0)
     replayed = 0
-    for t in range(engine.total_tti):
-        txs = np.flatnonzero(engine.next_tx == t)
+    for t in range(world.total_tti):
+        txs = np.flatnonzero(proto.next_tx == t)
         captured.clear()
-        engine._tick(t)
-        if t % engine.t_b == 0:
-            ud.reset_pairs(~engine.neigh)
-        if t < engine.warmup_tti or not len(txs):
+        _step(world, proto, t)
+        if t % world.t_b == 0:
+            ud.reset_pairs(~proto.neigh)
+        if t < proto.warmup_tti or not len(txs):
             continue
         (decoded,) = captured
         assert len(decoded) == len(txs)
-        snap = ScenarioSnapshot(tti=t, ids=np.arange(engine.n),
-                                positions=engine.positions, wrap_length_m=engine.wrap)
+        snap = ScenarioSnapshot(tti=t, ids=np.arange(world.n),
+                                positions=world.positions, wrap_length_m=world.wrap)
         for k, v in enumerate(txs):
             outcomes = [RxOutcome(int(v), dst, float("nan"), bool(decoded[k, dst]), False)
-                        for dst in range(engine.n) if dst != v]
-            record_beacon(prr, ud, int(v), outcomes, snap, engine.awareness_m,
-                          engine.seq[v] * engine.t_b / 1000.0)
+                        for dst in range(world.n) if dst != v]
+            record_beacon(prr, ud, int(v), outcomes, snap, proto.awareness_m,
+                          proto.seq[v] * world.t_b / 1000.0)
             replayed += 1
     assert replayed > 0 and ud.total_gaps > 0
-    assert np.array_equal(prr.neighbor_count, engine.prr.neighbor_count)
-    assert np.array_equal(prr.decoded_count, engine.prr.decoded_count)
-    assert np.array_equal(ud.gap_counts, engine.ud.gap_counts)
+    assert np.array_equal(prr.neighbor_count, proto.prr.neighbor_count)
+    assert np.array_equal(prr.decoded_count, proto.prr.decoded_count)
+    assert np.array_equal(ud.gap_counts, proto.ud.gap_counts)
 
 
 def test_hold_times_have_counter_floor(small_run):
@@ -110,61 +119,64 @@ def test_hold_times_have_counter_floor(small_run):
 def test_random_allocation_redraws_every_period():
     cfg = RunConfig(duration_s=3.6, allocation="random", t_sense_ms=200,
                     n_max=6, highway_length_m=800.0, highway_vehicles=40, seed=2)
-    engine = SimulationEngine(cfg)
+    world = SimulationEngine(cfg)
+    proto = Protocol(world)
     offsets = []
     for t in range(3600):
-        engine._tick(t)
+        _step(world, proto, t)
         if t % 100 == 99:
-            offsets.append(engine.next_tx % engine.t_b)
+            offsets.append(proto.next_tx % proto.t_b)
     offsets = np.asarray(offsets[5:])
     repeats = (offsets[1:] == offsets[:-1]).mean()
     # Uniform redraw over 200 BRs keeps the same subframe ~1% of the time.
     assert repeats < 0.05
-    assert engine.hd_violations == 0
+    assert proto.hd_violations == 0
 
 
 def test_mode4_transmissions_stay_within_selection_window():
     cfg = RunConfig(duration_s=3.0, t_sense_ms=200, n_min=2, n_max=4,
                     t1=2, t2=30, highway_length_m=800.0, highway_vehicles=30,
                     seed=3)
-    engine = SimulationEngine(cfg)
+    world = SimulationEngine(cfg)
+    proto = Protocol(world)
     for t in range(3000):
-        before = engine.next_tx % engine.t_b
-        engine._tick(t)
-        changed = np.flatnonzero(engine.next_tx % engine.t_b != before)
+        before = proto.next_tx % proto.t_b
+        _step(world, proto, t)
+        changed = np.flatnonzero(proto.next_tx % proto.t_b != before)
         for v in changed:
-            nxt = engine.next_tx[v]
+            nxt = proto.next_tx[v]
             # The first transmission on a fresh allocation happens t1..t2
             # TTIs after the selection instant.
             assert cfg.t1 <= nxt - t <= cfg.t2
-    assert engine.beacons_sent > 0
+    assert proto.beacons_sent > 0
 
 
 def test_highway_frames_and_first_selection():
     # The frames set-up builds are the highway stepped once per period, and
     # every vehicle arrives on period 0 with its first selection at its phase.
     cfg = RunConfig(duration_s=3.05, **SMALL)
-    engine = SimulationEngine(cfg)
-    assert engine.frames.shape == (31, cfg.highway_vehicles, 2)
+    world = SimulationEngine(cfg)
+    proto = Protocol(world)
+    assert world.frames.shape == (31, cfg.highway_vehicles, 2)
     state = spawn_highway(cfg, substream(cfg.seed, "mobility"))
-    for period, frame in enumerate(engine.frames):
+    for period, frame in enumerate(world.frames):
         if period:
             step_highway(cfg, state, cfg.beacon_period_ms / 1000.0)
         assert np.array_equal(frame, np.column_stack([state.x, state.y])), period
-    assert not engine.present.any()
-    engine._tick(0)
-    assert engine.present.all()
-    later = engine.phase > 0
+    assert not world.present.any() and not proto.present.any()
+    _step(world, proto, 0)
+    assert world.present.all() and proto.present.all()
+    later = proto.phase > 0
     assert later.any() and not later.all()
-    assert np.array_equal(engine.select_at[later], engine.phase[later])
+    assert np.array_equal(proto.select_at[later], proto.phase[later])
     # Phase-0 vehicles selected within tick 0.
-    assert (engine.select_at[~later] == -1).all()
-    assert (engine.next_tx[~later] > 0).all()
+    assert (proto.select_at[~later] == -1).all()
+    assert (proto.next_tx[~later] > 0).all()
 
 
-def _three_vehicle_trace_engine(tmp_path):
-    """A sparse 4 s trace run: three vehicles, and vehicle 2 leaves for
-    two seconds (1.0-3.0 s)."""
+def _three_vehicle_trace_run(tmp_path):
+    """A world and a protocol on a sparse 4 s trace: three vehicles, and
+    vehicle 2 leaves for two seconds (1.0-3.0 s)."""
     rows = []
     for k in range(0, 46):  # 4.5 s at 0.1 s resolution
         t = k * 0.1
@@ -177,15 +189,16 @@ def _three_vehicle_trace_engine(tmp_path):
     cfg = RunConfig(scenario="trace", trace=str(path), duration_s=4.0,
                     t_sense_ms=200, n_min=2, n_max=4, seed=1,
                     max_trace_gap_s=0.15)
-    return SimulationEngine(cfg)
+    world = SimulationEngine(cfg)
+    return world, Protocol(world)
 
 
 def test_trace_scenario_respects_presence(tmp_path):
-    engine = _three_vehicle_trace_engine(tmp_path)
+    world, proto = _three_vehicle_trace_run(tmp_path)
     tx_times = {0: [], 1: [], 2: []}
     for t in range(4000):
-        txs = np.flatnonzero(engine.next_tx == t)
-        engine._tick(t)
+        txs = np.flatnonzero(proto.next_tx == t)
+        _step(world, proto, t)
         for v in txs:
             tx_times[int(v)].append(t)
     assert tx_times[0] and tx_times[1]
@@ -200,19 +213,19 @@ def test_current_slot_holds_no_sample_ahead_of_the_clock(tmp_path):
     # an RSRP count yet. A noise-floor prefill of the slot when the period
     # begins would break this. Three vehicles leave most subframes without a
     # transmitter.
-    engine = _three_vehicle_trace_engine(tmp_path)
-    memory, per_tti = engine.memory, engine.cfg.brs_per_tti
+    world, proto = _three_vehicle_trace_run(tmp_path)
+    memory, per_tti = proto.memory, proto.cfg.brs_per_tti
     silent = sensed = decoded = 0
-    for t in range(engine.total_tti):
-        silent += not (engine.next_tx == t).any()
-        engine._tick(t)
-        now = (t % engine.t_b + 1) * per_tti
+    for t in range(world.total_tti):
+        silent += not (proto.next_tx == t).any()
+        _step(world, proto, t)
+        now = (t % world.t_b + 1) * per_tti
         slot = memory.slot
         assert not memory.s_rssi[:, slot, now:].any(), t
         assert not memory.rsrp_cnt[:, slot, now:].any(), t
         sensed += np.count_nonzero(memory.s_rssi[:, slot, now - per_tti:now])
         decoded += int(memory.rsrp_cnt[:, slot, now - per_tti:now].sum())
-    assert silent > engine.total_tti // 2 and sensed > 0 and decoded > 0
+    assert silent > world.total_tti // 2 and sensed > 0 and decoded > 0
 
 
 def test_los_matrix_matches_scalar_blocks(tmp_path):
@@ -235,7 +248,7 @@ def test_los_matrix_matches_scalar_blocks(tmp_path):
     engine = SimulationEngine(cfg)
     blocked_seen = clear_seen = 0
     for t in range(0, 1000, 100):
-        engine._advance_world(t)
+        engine.advance(t)
         los = engine._los_matrix()
         assert np.array_equal(los, los.T)
         want = np.ones_like(los)
@@ -258,19 +271,48 @@ def test_simulate_and_hidden_node_advance_the_same_periods(monkeypatch):
     cfg = RunConfig(duration_s=1.05, t_sense_ms=200, n_max=6, highway_length_m=800.0,
                     highway_vehicles=40, seed=2)
     advanced = []
-    real = SimulationEngine._advance_world
+    real = SimulationEngine.advance
 
     def record(self, t):
         advanced.append(t)
         real(self, t)
 
-    monkeypatch.setattr(SimulationEngine, "_advance_world", record)
+    monkeypatch.setattr(SimulationEngine, "advance", record)
     run_scenario(cfg)
     simulated = advanced[:]
     advanced.clear()
     acc = run_hidden_node(cfg)
     assert simulated == advanced == list(range(0, 1100, 100))
     assert len(acc.snapshot_probs) == 11
+
+
+def test_hidden_node_builds_no_protocol_state(monkeypatch):
+    # The hidden-node pass reads only the world: it builds no sensing memory
+    # or metric accumulator and opens no phase or MAC stream. The same probes
+    # on a simulate run see all of them.
+    built, streams = [], []
+    real_substream = engine_module.substream
+
+    def recording_substream(seed, *path):
+        streams.append(path[0])
+        return real_substream(seed, *path)
+
+    monkeypatch.setattr(engine_module, "substream", recording_substream)
+    for owner, name in ((mode4, "SensingMemory"), (engine_module, "UdTracker"),
+                        (engine_module, "PrrAccumulator")):
+        def recording(*args, _cls=getattr(owner, name), _name=name, **kwargs):
+            built.append(_name)
+            return _cls(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recording)
+    cfg = RunConfig(duration_s=1.05, t_sense_ms=200, n_max=6, highway_length_m=800.0,
+                    highway_vehicles=40, seed=2)
+    acc = run_hidden_node(cfg)
+    assert len(acc.snapshot_probs) == 11
+    assert built == []
+    assert sorted(streams) == ["mobility", "shadow"]
+    run_scenario(cfg)
+    assert sorted(built) == ["PrrAccumulator", "SensingMemory", "UdTracker"]
+    assert {"phase", "mac"} <= set(streams)
 
 
 def test_hidden_node_under_churn_counts_the_present_rows(tmp_path, monkeypatch):
@@ -289,7 +331,7 @@ def test_hidden_node_under_churn_counts_the_present_rows(tmp_path, monkeypatch):
     cfg = RunConfig(scenario="trace", trace=str(path), duration_s=4.0,
                     t_sense_ms=200, n_min=2, n_max=4, seed=3, max_trace_gap_s=0.15)
     engines = []
-    real_advance = SimulationEngine._advance_world
+    real_advance = SimulationEngine.advance
 
     def remember(self, t):
         engines.append(self)
@@ -310,7 +352,7 @@ def test_hidden_node_under_churn_counts_the_present_rows(tmp_path, monkeypatch):
         sizes.append((len(idx), eng.n))
         return got
 
-    monkeypatch.setattr(SimulationEngine, "_advance_world", remember)
+    monkeypatch.setattr(SimulationEngine, "advance", remember)
     monkeypatch.setattr(engine_module, "hidden_node_probability", checked)
     acc = run_hidden_node(cfg)
     assert len(acc.snapshot_probs) == len(sizes) == 40

@@ -1,6 +1,7 @@
 """The scalar oracles of `oracles.py` against the array paths, the guard
-that keeps the oracles and their snapshot type out of the simulator, and the
-guard that keeps test-only code out of the package."""
+that keeps the oracles and their snapshot type out of the simulator, the guard
+that keeps test-only code out of the package, and the guard that keeps
+package modules out of each other's private attributes."""
 import ast
 import os
 from collections import defaultdict
@@ -88,6 +89,22 @@ def unreferenced_definitions(package):
 
 def test_package_ships_only_code_the_package_uses():
     assert unreferenced_definitions(os.path.dirname(mode4sim.__file__)) == []
+
+
+def private_attribute_uses(package):
+    """(module, line, attribute) of every `_`-prefixed attribute that code in
+    `package` reads or writes on anything but `self` or `cls`."""
+    found = []
+    for module in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        for n in _parse(os.path.join(package, module)):
+            if (isinstance(n, ast.Attribute) and n.attr.startswith("_")
+                    and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"))):
+                found.append((module, n.lineno, n.attr))
+    return found
+
+
+def test_package_uses_no_private_attribute_of_another_object():
+    assert private_attribute_uses(os.path.dirname(mode4sim.__file__)) == []
 
 
 def test_sensing_writes_match_scalar_sense_subframe():
