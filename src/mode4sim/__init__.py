@@ -2,8 +2,7 @@
 
 from .analysis import (HoldTimeDistribution, reallocation_probability, tbc_ccdf,
                        tbc_distribution, tbe_distribution)
-from .channel import (ChannelRealization, ObstacleMap, los_state, pathloss_db,
-                      rx_power_dbm)
+from .channel import ChannelRealization, ObstacleMap, los_state
 from .config import ConfigError, RunConfig, load_config
 from .engine import SimulationEngine, SimulationResult, run_hidden_node, run_scenario
 from .metrics import (HiddenNodeAccumulator, PrrAccumulator, UdTracker,

@@ -22,27 +22,27 @@ def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
 
-def shadow_sigma_db(cfg: RunConfig, los):
-    """Shadowing sigma of each link from its LOS flag."""
-    return np.where(los, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
-
-
 def breakpoint_distance_m(carrier_ghz: float) -> float:
     h_eff = ANTENNA_HEIGHT_M - 1.0
     return 4.0 * h_eff * h_eff * carrier_ghz * 1e9 / SPEED_OF_LIGHT
 
 
-def pathloss_los_db(distance_m, carrier_ghz: float = 5.9):
+def pathloss_los_db(distance_m, carrier_ghz: float = 5.9, out=None):
     """Two-slope LOS pathloss, continuous at the breakpoint up to the
-    rounding of the published constants."""
-    d = np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M)
+    rounding of the published constants. `out`, if given, receives it."""
+    if out is None:
+        out = np.array(distance_m, dtype=float)
+    d = np.maximum(distance_m, MIN_DISTANCE_M, out=out)
     h_eff = ANTENNA_HEIGHT_M - 1.0
-    d_bp = breakpoint_distance_m(carrier_ghz)
     fc_term = np.log10(carrier_ghz / 5.0)
-    log_d = np.log10(d)
-    near = 22.7 * log_d + (41.0 + 20.0 * fc_term)
-    far = 40.0 * log_d + (9.45 - 34.6 * np.log10(h_eff) + 2.7 * fc_term)
-    return np.where(d <= d_bp, near, far)
+    near = d <= breakpoint_distance_m(carrier_ghz)
+    log_d = np.log10(d, out=d)
+    # Links within the breakpoint are few: take the near slope on them only.
+    pl_near = 22.7 * log_d[near] + (41.0 + 20.0 * fc_term)
+    pl = np.multiply(40.0, log_d, out=log_d)
+    pl += 9.45 - 34.6 * np.log10(h_eff) + 2.7 * fc_term
+    pl[near] = pl_near
+    return pl
 
 
 def _nlos_one_way(d_main, d_perp, carrier_ghz):
@@ -70,21 +70,6 @@ def pathloss_nlos_db(leg1_m, leg2_m, carrier_ghz: float = 5.9):
     )
     euclid = np.hypot(d1, d2)
     return np.maximum(corner, pathloss_los_db(euclid, carrier_ghz))
-
-
-def pathloss_db(cfg: RunConfig, distance_m, los, legs):
-    """Pathloss for links of the given length; NLOS links take the corner
-    pathloss of their two street legs."""
-    pl_los = pathloss_los_db(distance_m, cfg.carrier_ghz)
-    if np.all(los):
-        return pl_los
-    pl_nlos = pathloss_nlos_db(legs[0], legs[1], cfg.carrier_ghz)
-    return np.where(los, pl_los, pl_nlos)
-
-
-def rx_power_dbm(cfg: RunConfig, pathloss_db, shadow_db):
-    """Received power; a positive shadow sample attenuates."""
-    return cfg.tx_power_dbm + 2.0 * cfg.antenna_gain_db - np.asarray(pathloss_db) - np.asarray(shadow_db)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +117,12 @@ class ObstacleMap:
 
     @classmethod
     def from_file(cls, path) -> "ObstacleMap":
+        try:
+            fh = open(path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise ObstacleMapError(f"cannot read obstacle map {path}: {exc}") from exc
         polys = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -270,58 +259,130 @@ def pair_legs(positions: np.ndarray, wrap_length_m: float | None = None):
 # Pairwise channel realization
 # ---------------------------------------------------------------------------
 
-class ChannelRealization:
-    """Per-link pathloss + correlated shadow state for all vehicle pairs.
+# The refresh works on this many rows of the upper triangle at a time, so its
+# temporaries are a few (BLOCK_ROWS, n) arrays instead of (n, n) ones.
+BLOCK_ROWS = 128
 
-    Matrices are (n, n) and symmetric; the diagonal is unused. Shadowing is
-    an AR(1) process per unordered pair, stepped by the change in relative
-    displacement between updates.
+
+class ChannelRealization:
+    """Distances, correlated shadowing and received power of all vehicle pairs.
+
+    `dist`, `shadow_db` and the linear received power are (n, n), exactly
+    symmetric, and overwritten in place at every refresh. Shadowing is an
+    AR(1) process per unordered pair. Vehicles with a non-finite position
+    are absent: they sit at an infinite distance from every other vehicle
+    and receive and send zero power.
     """
 
-    def __init__(self, cfg: RunConfig, pathloss_db, shadow_db, los):
+    def __init__(self, cfg: RunConfig, positions, wrap_length_m: float | None,
+                 los, rng: np.random.Generator):
+        """The first period's channel, every shadow sample drawn fresh."""
+        n = len(positions)
         self.cfg = cfg
-        self.pathloss_db = np.asarray(pathloss_db, dtype=float)
-        self.shadow_db = np.asarray(shadow_db, dtype=float)
-        self.los = np.asarray(los, dtype=bool)
-        self.n = self.pathloss_db.shape[0]
-        self._rx_lin = None
+        self.wrap_length_m = wrap_length_m
+        self.dist = np.empty((n, n))
+        self.shadow_db = np.empty((n, n))
+        self._rx_lin = np.empty((n, n))
+        self._refresh(positions, los, rng, None)
 
     @classmethod
-    def initial(cls, cfg: RunConfig, dist_m, los, legs,
+    def initial(cls, cfg: RunConfig, positions, wrap_length_m, los,
                 rng: np.random.Generator) -> "ChannelRealization":
-        pl = pathloss_db(cfg, dist_m, los, legs)
-        shadow = _symmetric_normal(rng, len(pl)) * shadow_sigma_db(cfg, los)
-        return cls(cfg, pl, shadow, los)
+        """The engine's entry point for the first period; see the constructor."""
+        return cls(cfg, positions, wrap_length_m, los, rng)
 
-    def advance(self, dist_m, los, legs, rng: np.random.Generator, rho):
-        """Refresh pathloss for the new geometry and step the shadow AR(1).
+    def advance(self, positions, los, rng: np.random.Generator, rho):
+        """Refresh the channel for new positions and step the shadow AR(1).
 
-        rho is each pair's correlation with its previous sample,
-        exp(-moved/decorr) for a relative displacement `moved` since the
-        previous update; rho = 0 resamples the pair from scratch.
+        `los` holds each pair's LOS flag, or is None when every link is
+        LOS. rho is each pair's correlation with its previous sample, a
+        symmetric matrix or a scalar: exp(-moved/decorr) for a relative
+        displacement `moved` since the previous update; rho = 0 resamples
+        the pair from scratch.
         """
-        # Drop the previous power matrix first, so it is freed before the
-        # new n x n arrays are built.
-        self._rx_lin = None
-        self.los = np.asarray(los, dtype=bool)
-        self.pathloss_db = pathloss_db(self.cfg, dist_m, self.los, legs)
-        sigma = shadow_sigma_db(self.cfg, self.los)
-        g = _symmetric_normal(rng, self.n) * sigma
-        self.shadow_db = rho * self.shadow_db + np.sqrt(1.0 - rho * rho) * g
+        self._refresh(positions, los, rng, rho)
 
     def rx_power_lin(self):
         """Linear received power in mW, diagonal zeroed. rows = transmitter."""
-        if self._rx_lin is None:
-            with np.errstate(invalid="ignore"):
-                lin = dbm_to_mw(rx_power_dbm(self.cfg, self.pathloss_db,
-                                             self.shadow_db))
-            lin = np.nan_to_num(lin, nan=0.0, posinf=0.0)
-            np.fill_diagonal(lin, 0.0)
-            self._rx_lin = lin
         return self._rx_lin
 
+    def _refresh(self, positions, los, rng, rho):
+        """One pass over row blocks of the upper triangle, mirrored below.
 
-def _symmetric_normal(rng, n):
-    g = rng.standard_normal((n, n))
-    upper = np.triu(g, 1)
-    return upper + upper.T
+        Each block draws its rows of the period's (n, n) standard normals,
+        so the draws are those of one (n, n) call, and the normal of pair
+        i < j is the one at row i, column j. rho None draws the shadow
+        state afresh.
+        """
+        cfg, n, wrap = self.cfg, len(self.dist), self.wrap_length_m
+        positions = np.asarray(positions, dtype=float)
+        absent = ~np.isfinite(positions).all(axis=1)
+        gone = np.flatnonzero(absent)
+        # Absent vehicles' legs are set to infinity below; 0 keeps the
+        # arithmetic before that finite.
+        x = np.where(absent, 0.0, positions[:, 0])
+        y = np.where(absent, 0.0, positions[:, 1])
+        budget_dbm = cfg.tx_power_dbm + 2.0 * cfg.antenna_gain_db
+        lower = np.tri(BLOCK_ROWS, k=-1, dtype=bool)
+        size = min(BLOCK_ROWS, n) * n
+        normals, adx, ady, work = (np.empty(size) for _ in range(4))
+        for r0 in range(0, n, BLOCK_ROWS):
+            r1 = min(r0 + BLOCK_ROWS, n)
+            shape = (r1 - r0, n - r0)
+            g = normals[:(r1 - r0) * n].reshape(r1 - r0, n)
+            rng.standard_normal(out=g)
+            g = g[:, r0:]
+
+            # Street legs |dx| (minimum image on a ring) and |dy|.
+            dx = _view(adx, shape)
+            np.subtract(x[r0:r1, None], x[None, r0:], out=dx)
+            np.abs(dx, out=dx)
+            if wrap is not None:
+                np.minimum(dx, np.subtract(wrap, dx, out=_view(work, shape)), out=dx)
+            dy = _view(ady, shape)
+            np.subtract(y[r0:r1, None], y[None, r0:], out=dy)
+            np.abs(dy, out=dy)
+            if len(gone):
+                rows = gone[(gone >= r0) & (gone < r1)] - r0
+                cols = gone[gone >= r0] - r0
+                for leg in (dx, dy):
+                    leg[rows] = np.inf
+                    leg[:, cols] = np.inf
+            dist = self.dist[r0:r1, r0:]
+            np.hypot(dx, dy, out=dist)
+
+            pl = pathloss_los_db(dist, cfg.carrier_ghz, out=_view(work, shape))
+            sigma = cfg.shadow_sigma_los_db
+            if los is not None and not los[r0:r1, r0:].all():
+                clear = los[r0:r1, r0:]
+                np.copyto(pl, pathloss_nlos_db(dx, dy, cfg.carrier_ghz), where=~clear)
+                sigma = np.where(clear, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
+
+            shadow = self.shadow_db[r0:r1, r0:]
+            step = np.multiply(g, sigma, out=dy)
+            if rho is None:
+                shadow[...] = step
+            else:
+                r = rho[r0:r1, r0:] if np.ndim(rho) else rho
+                weight = np.multiply(r, r, out=dx)
+                step *= np.sqrt(np.subtract(1.0, weight, out=weight), out=weight)
+                np.multiply(r, shadow, out=shadow)
+                shadow += step
+
+            # Received power in dBm, then in mW.
+            np.subtract(budget_dbm, pl, out=pl)
+            pl -= shadow
+            pl /= 10.0
+            np.power(10.0, pl, out=self._rx_lin[r0:r1, r0:])
+
+            for mat in (self.dist, self.shadow_db, self._rx_lin):
+                mat[r1:, r0:r1] = mat[r0:r1, r1:].T
+                square = mat[r0:r1, r0:r1]
+                np.copyto(square, square.T, where=lower[:r1 - r0, :r1 - r0])
+        np.fill_diagonal(self.shadow_db, 0.0)
+        np.fill_diagonal(self._rx_lin, 0.0)
+
+
+def _view(buf, shape):
+    """A C-contiguous array of `shape` over the start of a flat buffer."""
+    return buf[:shape[0] * shape[1]].reshape(shape)

@@ -81,9 +81,13 @@ class SimulationEngine:
                 step_highway(cfg, state, self.t_b / 1000.0)
                 self.frames[period, :, 0] = state.x
             self.wrap = cfg.highway_length_m
-            v = state.speed
-            moved = np.abs(v[:, None] - v[None, :]) * (self.t_b / 1000.0)
-            self.rho_const = np.exp(-moved / cfg.resolved_decorr_dist_m())
+            # exp(-|v_i - v_j| * period / decorr), in one n x n buffer.
+            rho = np.subtract.outer(state.speed, state.speed)
+            np.abs(rho, out=rho)
+            rho *= self.t_b / 1000.0
+            np.negative(rho, out=rho)
+            rho /= cfg.resolved_decorr_dist_m()
+            self.rho_const = np.exp(rho, out=rho)
         else:
             # Row k of the run is the trace's k-th vehicle id.
             _, self.frames = load_trace(cfg.trace, self.t_b, cfg.max_trace_gap_s)
@@ -98,9 +102,10 @@ class SimulationEngine:
     # -- per-period geometry ----------------------------------------------
 
     def _los_matrix(self):
-        los = np.ones((self.n, self.n), dtype=bool)
+        """Per-pair LOS flags, or None when no map can block a link."""
         if self.obstacles is None:
-            return los
+            return None
+        los = np.ones((self.n, self.n), dtype=bool)
         idx = np.flatnonzero(self.present)
         a, b = np.triu_indices(len(idx), 1)
         a, b = idx[a], idx[b]
@@ -114,27 +119,23 @@ class SimulationEngine:
         if self.rho_const is not None:
             return self.rho_const
         disp = self.frames[period] - self.frames[period - 1]
-        with np.errstate(invalid="ignore"):
-            moved = np.hypot(disp[:, 0][:, None] - disp[:, 0][None, :],
-                             disp[:, 1][:, None] - disp[:, 1][None, :])
-        # Presence changes decorrelate the pair's shadowing entirely.
-        moved = np.where(np.isnan(moved), np.inf, moved)
+        # Presence changes give the pair infinite legs: rho = 0, a fresh sample.
+        moved = np.hypot(*pair_legs(disp))
         return np.exp(-moved / self.cfg.resolved_decorr_dist_m())
 
     def advance(self, t: int):
-        """Positions, presence, geometry, LOS and channel of the period at t."""
+        """Positions, presence, distances, LOS and channel of the period at t."""
         period = t // self.t_b
         self.positions = self.frames[period]
         self.present = ~np.isnan(self.positions[:, 0])
-        legs = pair_legs(self.positions, self.wrap)
-        self.dist = np.hypot(*legs)
         los = self._los_matrix()
         if self.channel is None:
             self.channel = ChannelRealization.initial(
-                self.cfg, self.dist, los, legs, self.shadow_rng)
+                self.cfg, self.positions, self.wrap, los, self.shadow_rng)
         else:
-            self.channel.advance(self.dist, los, legs, self.shadow_rng,
+            self.channel.advance(self.positions, los, self.shadow_rng,
                                  self._shadow_rho(period))
+        self.dist = self.channel.dist
 
     def run(self) -> SimulationResult:
         protocol = Protocol(self)

@@ -6,8 +6,9 @@ per-instant `ScenarioSnapshot`, so tests can check the array paths against
 code that follows the definitions literally. Two more checks live here:
 a Monte Carlo of the counter process, against the closed forms of
 `mode4sim.analysis`, and the priority power-threshold table, which gives
-the default `p_th_dbm`. No module of the simulator imports this one;
-`test_reference.py` enforces that.
+the default `p_th_dbm`. `FullMatrixChannel` is the whole-matrix channel
+refresh that the simulator's blocked pass must equal bit for bit. No module
+of the simulator imports this one; `test_reference.py` enforces that.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mode4sim.analysis import AnalysisError
-from mode4sim.channel import ChannelRealization, dbm_to_mw, rx_power_dbm, shadow_sigma_db
+from mode4sim.channel import dbm_to_mw, pathloss_los_db, pathloss_nlos_db
 from mode4sim.config import RunConfig
 from mode4sim.metrics import HiddenNodeResult, MetricsError
 from mode4sim.phy import ibe_factor
@@ -113,11 +114,88 @@ def br_from_flat(cfg: RunConfig, r: int) -> BrIndex:
 
 
 # ---------------------------------------------------------------------------
-# Shadowing
+# Channel
 # ---------------------------------------------------------------------------
 
+def pathloss_db(cfg: RunConfig, distance_m, los, legs):
+    """Pathloss for links of the given length; NLOS links take the corner
+    pathloss of their two street legs."""
+    pl_los = pathloss_los_db(distance_m, cfg.carrier_ghz)
+    if np.all(los):
+        return pl_los
+    pl_nlos = pathloss_nlos_db(legs[0], legs[1], cfg.carrier_ghz)
+    return np.where(los, pl_los, pl_nlos)
+
+
+def rx_power_dbm(cfg: RunConfig, pathloss_db, shadow_db):
+    """Received power; a positive shadow sample attenuates."""
+    return cfg.tx_power_dbm + 2.0 * cfg.antenna_gain_db - np.asarray(pathloss_db) - np.asarray(shadow_db)
+
+
+def shadow_sigma_db(cfg: RunConfig, los):
+    """Shadowing sigma of each link from its LOS flag."""
+    return np.where(los, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
+
+
+def _symmetric_normal(rng, n):
+    g = rng.standard_normal((n, n))
+    upper = np.triu(g, 1)
+    return upper + upper.T
+
+
+class FullMatrixChannel:
+    """Per-link pathloss + correlated shadow state for all vehicle pairs,
+    refreshed one whole (n, n) matrix at a time from distances and street
+    legs (`channel.pair_legs`).
+
+    Matrices are (n, n) and symmetric; the diagonal is unused. Shadowing is
+    an AR(1) process per unordered pair, stepped by the change in relative
+    displacement between updates.
+    """
+
+    def __init__(self, cfg: RunConfig, pathloss_db, shadow_db, los):
+        self.cfg = cfg
+        self.pathloss_db = np.asarray(pathloss_db, dtype=float)
+        self.shadow_db = np.asarray(shadow_db, dtype=float)
+        self.los = np.asarray(los, dtype=bool)
+        self.n = self.pathloss_db.shape[0]
+        self._rx_lin = None
+
+    @classmethod
+    def initial(cls, cfg: RunConfig, dist_m, los, legs,
+                rng: np.random.Generator) -> "FullMatrixChannel":
+        pl = pathloss_db(cfg, dist_m, los, legs)
+        shadow = _symmetric_normal(rng, len(pl)) * shadow_sigma_db(cfg, los)
+        return cls(cfg, pl, shadow, los)
+
+    def advance(self, dist_m, los, legs, rng: np.random.Generator, rho):
+        """Refresh pathloss for the new geometry and step the shadow AR(1).
+
+        rho is each pair's correlation with its previous sample,
+        exp(-moved/decorr) for a relative displacement `moved` since the
+        previous update; rho = 0 resamples the pair from scratch.
+        """
+        self._rx_lin = None
+        self.los = np.asarray(los, dtype=bool)
+        self.pathloss_db = pathloss_db(self.cfg, dist_m, self.los, legs)
+        sigma = shadow_sigma_db(self.cfg, self.los)
+        g = _symmetric_normal(rng, self.n) * sigma
+        self.shadow_db = rho * self.shadow_db + np.sqrt(1.0 - rho * rho) * g
+
+    def rx_power_lin(self):
+        """Linear received power in mW, diagonal zeroed. rows = transmitter."""
+        if self._rx_lin is None:
+            with np.errstate(invalid="ignore"):
+                lin = dbm_to_mw(rx_power_dbm(self.cfg, self.pathloss_db,
+                                             self.shadow_db))
+            lin = np.nan_to_num(lin, nan=0.0, posinf=0.0)
+            np.fill_diagonal(lin, 0.0)
+            self._rx_lin = lin
+        return self._rx_lin
+
+
 def shadow_step(
-    real: ChannelRealization, link: tuple[int, int], moved_m: float, rng
+    real: FullMatrixChannel, link: tuple[int, int], moved_m: float, rng
 ) -> float:
     """Advance one pair's shadow sample by a relative displacement."""
     if moved_m < 0:
@@ -182,10 +260,10 @@ def make_channel(rx_dbm_matrix, cfg=None):
     cfg = cfg or RunConfig()
     rx = np.asarray(rx_dbm_matrix, dtype=float)
     pl = cfg.tx_power_dbm + 2 * cfg.antenna_gain_db - rx
-    return ChannelRealization(cfg, pl, np.zeros_like(pl), np.ones_like(pl, bool))
+    return FullMatrixChannel(cfg, pl, np.zeros_like(pl), np.ones_like(pl, bool))
 
 
-def _event_power_lin(event: TxEvent, dst: int, channel: ChannelRealization) -> float:
+def _event_power_lin(event: TxEvent, dst: int, channel: FullMatrixChannel) -> float:
     src = event.vehicle
     base = float(rx_power_dbm(channel.cfg, channel.pathloss_db[src, dst],
                               channel.shadow_db[src, dst]))
@@ -194,7 +272,7 @@ def _event_power_lin(event: TxEvent, dst: int, channel: ChannelRealization) -> f
     return float(dbm_to_mw(base))
 
 
-def sinr(dst: int, src: int, events: list[TxEvent], channel: ChannelRealization,
+def sinr(dst: int, src: int, events: list[TxEvent], channel: FullMatrixChannel,
          cfg: RunConfig, noise_dbm: float = NOISE_DBM, ibe_db: float = IBE_DB) -> float:
     """SINR in dB at `dst` for the transmission of `src`, over a noise floor
     of `noise_dbm` with cross-slot leakage attenuated by `ibe_db`.
@@ -218,7 +296,7 @@ def sinr(dst: int, src: int, events: list[TxEvent], channel: ChannelRealization,
     return float(mw_to_dbm(useful / (noise + interference)))
 
 
-def receive_subframe(snapshot: ScenarioSnapshot, channel: ChannelRealization,
+def receive_subframe(snapshot: ScenarioSnapshot, channel: FullMatrixChannel,
                      cfg: RunConfig, noise_dbm: float = NOISE_DBM,
                      ibe_db: float = IBE_DB) -> list[RxOutcome]:
     """Reception outcome of every (source, destination) pair of the subframe."""
@@ -242,7 +320,7 @@ def receive_subframe(snapshot: ScenarioSnapshot, channel: ChannelRealization,
 
 
 def sense_subframe(observer: int, snapshot: ScenarioSnapshot,
-                   channel: ChannelRealization, cfg: RunConfig,
+                   channel: FullMatrixChannel, cfg: RunConfig,
                    noise_dbm: float = NOISE_DBM,
                    ibe_db: float = IBE_DB) -> list[SenseSample]:
     """Sensing samples taken by `observer` for the BRs of this subframe.

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from mode4sim.analysis import reallocation_probability, tbc_ccdf, tbc_distribution
-from mode4sim.channel import ChannelRealization
 from mode4sim.cli import main
 from mode4sim.config import RunConfig
 from mode4sim.engine import run_hidden_node, run_scenario
 from mode4sim.metrics import ud_percentile
 from mode4sim.mode4 import SensingMemory, candidate_set
-from oracles import (BrIndex, ScenarioSnapshot, TxEvent, empirical_pmf, neighbors,
-                     power_threshold, rebinned, simulate_hold_times,
+from oracles import (BrIndex, FullMatrixChannel, ScenarioSnapshot, TxEvent,
+                     empirical_pmf, neighbors, power_threshold, rebinned,
+                     simulate_hold_times,
                      simulate_reallocation_probability, sinr, total_variation)
 
 RING = dict(highway_length_m=4000.0, highway_vehicles=495, seed=7)
@@ -331,8 +331,8 @@ def test_criterion_12_invariant_oracles():
     # Scalar SINR against a literal evaluation of the interference sum.
     rx = rng.uniform(-95, -60, size=(4, 4))
     pl = cfg.tx_power_dbm + 2 * cfg.antenna_gain_db - rx
-    chan = ChannelRealization(cfg, pl, np.zeros_like(pl),
-                              np.ones_like(pl, bool))
+    chan = FullMatrixChannel(cfg, pl, np.zeros_like(pl),
+                             np.ones_like(pl, bool))
     events = [TxEvent(0, BrIndex(0, 0)), TxEvent(1, BrIndex(0, 0)),
               TxEvent(2, BrIndex(0, 1))]
     lin = lambda v: 10 ** (v / 10)

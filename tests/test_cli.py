@@ -244,6 +244,18 @@ def test_malformed_trace_exits_3(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_unreadable_obstacle_map_exits_2(tmp_path, capsys):
+    # A map that cannot be read is a configuration error, like a config
+    # file that cannot be read; only trace input errors exit 3. The map is
+    # read while the world is built, before any subframe runs.
+    for path in (tmp_path / "missing.csv", tmp_path):
+        cfg = write_cfg(tmp_path, dict(SMALL_CFG, obstacle_map=str(path)))
+        for command in (["simulate"], ["hidden-node"]):
+            assert main(command + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read obstacle map {path}"), command
+
+
 def test_analyze_writes_ccdf_and_reports(tmp_path, capsys):
     out = str(tmp_path / "an")
     assert main(["analyze", "--n-min", "5", "--n-max", "15", "--p-keep", "0",

@@ -27,7 +27,9 @@ ORACLE_NAMES = {"ScenarioSnapshot", "TxEvent", "RxOutcome", "SenseSample",
                 "_point_in_polygon", "rebinned", "empirical_pmf",
                 "hidden_node_loop", "simulate_hold_times",
                 "simulate_reallocation_probability", "total_variation",
-                "power_threshold", "Mode4ParamError"}
+                "power_threshold", "Mode4ParamError", "FullMatrixChannel",
+                "_symmetric_normal", "pathloss_db", "rx_power_dbm",
+                "shadow_sigma_db"}
 # Modules the simulator must not import: the oracles and the test suite.
 TEST_MODULES = {"oracles", "tests"}
 
