@@ -7,6 +7,9 @@ the tests can be reproduced by hand.
 """
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,6 +266,44 @@ def pair_legs(positions: np.ndarray, wrap_length_m: float | None = None):
 # temporaries are a few (BLOCK_ROWS, n) arrays instead of (n, n) ones.
 BLOCK_ROWS = 128
 
+# Refresh threads per process. The normal draw stays serial in the calling
+# thread (about 90 of the ~215 ms of a 2015-vehicle period), which bounds
+# what more threads could gain.
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+
+_pool = None  # ((pid, workers), ThreadPoolExecutor)
+
+
+def _executor(workers):
+    """This process's refresh threads, made on first use. A forked child
+    (`sweep --jobs`) has none of its parent's threads, so it makes its own."""
+    global _pool
+    key = (os.getpid(), workers)
+    if _pool is None or _pool[0] != key:
+        _pool = (key, ThreadPoolExecutor(workers, thread_name_prefix="mode4sim-refresh"))
+    return _pool[1]
+
+
+def _each(pool, fn, blocks, before=None):
+    """fn(r0, r1) for every block, on the pool, or in order in this thread
+    when the pool is None; before(r0, r1) runs first, in order, in this
+    thread. Returns once every submitted call has returned, and then
+    re-raises the first block's failure, so no block writes after the end."""
+    futures = []
+    try:
+        for r0, r1 in blocks:
+            if before is not None:
+                before(r0, r1)
+            if pool is None:
+                fn(r0, r1)
+            else:
+                futures.append(pool.submit(fn, r0, r1))
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
 
 class ChannelRealization:
     """Distances, correlated shadowing and received power of all vehicle pairs.
@@ -309,78 +350,106 @@ class ChannelRealization:
     def _refresh(self, positions, los, rng, rho):
         """One pass over row blocks of the upper triangle, mirrored below.
 
-        Each block draws its rows of the period's (n, n) standard normals,
-        so the draws are those of one (n, n) call, and the normal of pair
-        i < j is the one at row i, column j. rho None draws the shadow
-        state afresh.
+        This thread draws each block's rows of the period's (n, n) standard
+        normals into its rows of the power matrix, block by block, so the
+        draws are those of one (n, n) call and the normal of pair i < j is
+        the one at row i, column j. Each block is then computed on the
+        refresh threads, or here when there is one block or one CPU. rho
+        None draws the shadow state afresh.
         """
-        cfg, n, wrap = self.cfg, len(self.dist), self.wrap_length_m
+        n = len(self.dist)
         positions = np.asarray(positions, dtype=float)
         absent = ~np.isfinite(positions).all(axis=1)
-        gone = np.flatnonzero(absent)
-        # Absent vehicles' legs are set to infinity below; 0 keeps the
-        # arithmetic before that finite.
+        # Absent vehicles' legs are set to infinity in each block; 0 keeps
+        # the arithmetic before that finite.
         x = np.where(absent, 0.0, positions[:, 0])
         y = np.where(absent, 0.0, positions[:, 1])
-        budget_dbm = cfg.tx_power_dbm + 2.0 * cfg.antenna_gain_db
-        lower = np.tri(BLOCK_ROWS, k=-1, dtype=bool)
+        gone = np.flatnonzero(absent)
+        blocks = [(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
+        workers = WORKERS if len(blocks) > 1 else 1
+        pool = _executor(workers) if workers > 1 else None
+        # Two (BLOCK_ROWS, n) scratch buffers per thread at work.
         size = min(BLOCK_ROWS, n) * n
-        normals, adx, ady, work = (np.empty(size) for _ in range(4))
-        for r0 in range(0, n, BLOCK_ROWS):
-            r1 = min(r0 + BLOCK_ROWS, n)
-            shape = (r1 - r0, n - r0)
-            g = normals[:(r1 - r0) * n].reshape(r1 - r0, n)
-            rng.standard_normal(out=g)
-            g = g[:, r0:]
+        scratch = queue.SimpleQueue()
+        for _ in range(workers):
+            scratch.put((np.empty(size), np.empty(size)))
 
-            # Street legs |dx| (minimum image on a ring) and |dy|.
-            dx = _view(adx, shape)
-            np.subtract(x[r0:r1, None], x[None, r0:], out=dx)
-            np.abs(dx, out=dx)
-            if wrap is not None:
-                np.minimum(dx, np.subtract(wrap, dx, out=_view(work, shape)), out=dx)
-            dy = _view(ady, shape)
-            np.subtract(y[r0:r1, None], y[None, r0:], out=dy)
-            np.abs(dy, out=dy)
-            if len(gone):
-                rows = gone[(gone >= r0) & (gone < r1)] - r0
-                cols = gone[gone >= r0] - r0
-                for leg in (dx, dy):
-                    leg[rows] = np.inf
-                    leg[:, cols] = np.inf
-            dist = self.dist[r0:r1, r0:]
-            np.hypot(dx, dy, out=dist)
+        def draw(r0, r1):
+            rng.standard_normal(out=self._rx_lin[r0:r1])
 
-            pl = pathloss_los_db(dist, cfg.carrier_ghz, out=_view(work, shape))
-            sigma = cfg.shadow_sigma_los_db
-            if los is not None and not los[r0:r1, r0:].all():
-                clear = los[r0:r1, r0:]
-                np.copyto(pl, pathloss_nlos_db(dx, dy, cfg.carrier_ghz), where=~clear)
-                sigma = np.where(clear, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
+        def upper(r0, r1):
+            bufs = scratch.get()
+            try:
+                self._upper_block(r0, r1, x, y, gone, los, rho, *bufs)
+            finally:
+                scratch.put(bufs)
 
-            shadow = self.shadow_db[r0:r1, r0:]
-            step = np.multiply(g, sigma, out=dy)
-            if rho is None:
-                shadow[...] = step
-            else:
-                r = rho[r0:r1, r0:] if np.ndim(rho) else rho
-                weight = np.multiply(r, r, out=dx)
-                step *= np.sqrt(np.subtract(1.0, weight, out=weight), out=weight)
-                np.multiply(r, shadow, out=shadow)
-                shadow += step
-
-            # Received power in dBm, then in mW.
-            np.subtract(budget_dbm, pl, out=pl)
-            pl -= shadow
-            pl /= 10.0
-            np.power(10.0, pl, out=self._rx_lin[r0:r1, r0:])
-
-            for mat in (self.dist, self.shadow_db, self._rx_lin):
-                mat[r1:, r0:r1] = mat[r0:r1, r1:].T
-                square = mat[r0:r1, r0:r1]
-                np.copyto(square, square.T, where=lower[:r1 - r0, :r1 - r0])
+        _each(pool, upper, blocks, before=draw)
+        _each(pool, self._mirror, blocks)
         np.fill_diagonal(self.shadow_db, 0.0)
         np.fill_diagonal(self._rx_lin, 0.0)
+
+    def _upper_block(self, r0, r1, x, y, gone, los, rho, adx, ady):
+        """Columns r0: of rows r0:r1, in place, in the per-element operation
+        order of a whole-matrix refresh. The block's power rows hold its
+        normals on entry; the shadow step reads them before the power
+        overwrites them."""
+        cfg, n = self.cfg, len(self.dist)
+        shape = (r1 - r0, n - r0)
+        g = self._rx_lin[r0:r1, r0:]
+        dist = self.dist[r0:r1, r0:]
+
+        # Street legs |dx| (minimum image on a ring) and |dy|.
+        dx = _view(adx, shape)
+        np.subtract(x[r0:r1, None], x[None, r0:], out=dx)
+        np.abs(dx, out=dx)
+        if self.wrap_length_m is not None:
+            np.minimum(dx, np.subtract(self.wrap_length_m, dx, out=dist), out=dx)
+        dy = _view(ady, shape)
+        np.subtract(y[r0:r1, None], y[None, r0:], out=dy)
+        np.abs(dy, out=dy)
+        if len(gone):
+            rows = gone[(gone >= r0) & (gone < r1)] - r0
+            cols = gone[gone >= r0] - r0
+            for leg in (dx, dy):
+                leg[rows] = np.inf
+                leg[:, cols] = np.inf
+        np.hypot(dx, dy, out=dist)
+
+        sigma = cfg.shadow_sigma_los_db
+        nlos_pl = None
+        if los is not None and not los[r0:r1, r0:].all():
+            clear = los[r0:r1, r0:]
+            nlos_pl = pathloss_nlos_db(dx, dy, cfg.carrier_ghz)
+            sigma = np.where(clear, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
+        pl = pathloss_los_db(dist, cfg.carrier_ghz, out=dx)
+        if nlos_pl is not None:
+            np.copyto(pl, nlos_pl, where=~clear)
+
+        shadow = self.shadow_db[r0:r1, r0:]
+        step = np.multiply(g, sigma, out=g)
+        if rho is None:
+            shadow[...] = step
+        else:
+            r = rho[r0:r1, r0:] if np.ndim(rho) else rho
+            weight = np.multiply(r, r, out=dy)
+            step *= np.sqrt(np.subtract(1.0, weight, out=weight), out=weight)
+            np.multiply(r, shadow, out=shadow)
+            shadow += step
+
+        # Received power in dBm, then in mW.
+        np.subtract(cfg.tx_power_dbm + 2.0 * cfg.antenna_gain_db, pl, out=pl)
+        pl -= shadow
+        pl /= 10.0
+        np.power(10.0, pl, out=g)
+
+    def _mirror(self, r0, r1):
+        """Copy rows r0:r1 of the upper triangle below the diagonal."""
+        lower = np.tri(r1 - r0, k=-1, dtype=bool)
+        for mat in (self.dist, self.shadow_db, self._rx_lin):
+            mat[r1:, r0:r1] = mat[r0:r1, r1:].T
+            square = mat[r0:r1, r0:r1]
+            np.copyto(square, square.T, where=lower)
 
 
 def _view(buf, shape):

@@ -1,6 +1,12 @@
+import itertools
 import math
+import multiprocessing
 import re
+import signal
+import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -372,17 +378,28 @@ def _symmetric(values):
 
 @given(n=st.integers(1, 3 * BLOCK_ROWS + 5), seed=st.integers(0, 2**32 - 1),
        wrap=st.sampled_from([None, 700.0]), absent=st.sampled_from([0.0, 0.2]),
-       nlos=st.sampled_from([0.0, 0.4, 1.0]), scalar_rho=st.booleans())
-@example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, scalar_rho=False)
-@example(n=BLOCK_ROWS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, scalar_rho=False)
-@example(n=2 * BLOCK_ROWS + 1, seed=2, wrap=700.0, absent=0.0, nlos=0.0, scalar_rho=True)
+       nlos=st.sampled_from([0.0, 0.4, 1.0]), scalar_rho=st.booleans(),
+       workers=st.sampled_from([1, 2, 3]))
+@example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, scalar_rho=False, workers=2)
+@example(n=BLOCK_ROWS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, scalar_rho=False,
+         workers=2)
+@example(n=2 * BLOCK_ROWS + 1, seed=2, wrap=700.0, absent=0.0, nlos=0.0, scalar_rho=True,
+         workers=2)
+@example(n=2 * BLOCK_ROWS + 1, seed=3, wrap=None, absent=0.2, nlos=0.4, scalar_rho=False,
+         workers=3)
 @settings(max_examples=30, deadline=None)
 def test_blocked_refresh_equals_the_full_matrix_oracle(n, seed, wrap, absent, nlos,
-                                                       scalar_rho):
+                                                       scalar_rho, workers):
     # Over an initial draw and three advances with vehicles arriving and
     # leaving, mixed LOS/NLOS and rho holding exact 0s and 1s, the blocked
     # pass must give the whole-matrix refresh's distances, shadow state and
-    # power bit for bit and leave the generator in the same state.
+    # power bit for bit and leave the generator in the same state, on any
+    # number of refresh threads.
+    with mock.patch.object(channel, "WORKERS", workers):
+        _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_rho)
+
+
+def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_rho):
     params = RunConfig()
     data = np.random.default_rng(seed)
     ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
@@ -408,3 +425,63 @@ def test_blocked_refresh_equals_the_full_matrix_oracle(n, seed, wrap, absent, nl
         assert real.shadow_db.tobytes() == oracle.shadow_db.tobytes(), period
         assert real.rx_power_lin().tobytes() == oracle.rx_power_lin().tobytes(), period
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _power_bytes(n, seed):
+    """The first period's power matrix of n vehicles on a line, as bytes."""
+    real = ChannelRealization.initial(RunConfig(), _line(n), None, None,
+                                      np.random.default_rng(seed))
+    return real.rx_power_lin().tobytes()
+
+
+def _power_bytes_in_child(n, seed):
+    signal.alarm(100)  # a deadlocked child dies and breaks the pool
+    try:
+        return _power_bytes(n, seed)
+    finally:
+        signal.alarm(0)
+
+
+def test_a_forked_child_refreshes_on_its_own_threads(monkeypatch):
+    # A forked `sweep --jobs` child inherits the parent's pool object but
+    # none of its threads. Its multi-block refresh must run on threads of
+    # its own and give the parent's bytes, not wait for ever.
+    monkeypatch.setattr(channel, "WORKERS", 2)
+    n = 2 * BLOCK_ROWS + 1
+    here = _power_bytes(n, 11)
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        there = pool.submit(_power_bytes_in_child, n, 11).result(timeout=120)
+    assert there == here
+
+
+def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
+    # The second pathloss call raises; every other one is slowed down. The
+    # error must reach the caller only once every submitted block has
+    # returned, so no block writes to the matrices after advance ends, and
+    # the threads must still serve the next realization.
+    monkeypatch.setattr(channel, "WORKERS", 2)
+    params, n = RunConfig(), 4 * BLOCK_ROWS + 1
+    pos = _line(n)
+    real = ChannelRealization.initial(params, pos, None, None, np.random.default_rng(9))
+    calls = itertools.count()
+    pathloss = channel.pathloss_los_db
+
+    def flaky(*args, **kwargs):
+        if next(calls) == 1:
+            raise RuntimeError("block failed")
+        time.sleep(0.1)
+        return pathloss(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "pathloss_los_db", flaky)
+    with pytest.raises(RuntimeError, match="block failed"):
+        real.advance(pos + 1.0, None, np.random.default_rng(10), 0.5)
+    mats = (real.dist, real.shadow_db, real.rx_power_lin())
+    after = [m.tobytes() for m in mats]
+    time.sleep(0.5)
+    assert [m.tobytes() for m in mats] == after
+
+    monkeypatch.setattr(channel, "pathloss_los_db", pathloss)
+    legs = pair_legs(pos)
+    oracle = FullMatrixChannel.initial(params, np.hypot(*legs), np.ones((n, n), dtype=bool),
+                                       legs, np.random.default_rng(12))
+    assert _power_bytes(n, 12) == oracle.rx_power_lin().tobytes()
