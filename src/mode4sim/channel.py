@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import queue
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,9 +265,8 @@ def pair_legs(positions: np.ndarray, wrap_length_m: float | None = None):
 # temporaries are a few (BLOCK_ROWS, n) arrays instead of (n, n) ones.
 BLOCK_ROWS = 128
 
-# Refresh threads per process. The normal draw stays serial in the calling
-# thread (about 90 of the ~215 ms of a 2015-vehicle period), which bounds
-# what more threads could gain.
+# Refresh threads per process. Each period's normal draw runs on one of them
+# while the protocol runs, and the block computations on all of them.
 WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
 
@@ -276,29 +274,34 @@ _pool = None  # ((pid, workers), ThreadPoolExecutor)
 
 
 def _executor(workers):
-    """This process's refresh threads, made on first use. A forked child
-    (`sweep --jobs`) has none of its parent's threads, so it makes its own."""
+    """This process's refresh threads, made on first use, or None for one
+    worker. A forked child (`sweep --jobs`) has none of its parent's
+    threads, so it makes its own. `concurrent.futures` is imported here, so
+    a process that never makes the pool never loads it."""
     global _pool
+    if workers <= 1:
+        return None
     key = (os.getpid(), workers)
     if _pool is None or _pool[0] != key:
+        from concurrent.futures import ThreadPoolExecutor
         _pool = (key, ThreadPoolExecutor(workers, thread_name_prefix="mode4sim-refresh"))
     return _pool[1]
 
 
-def _each(pool, fn, blocks, before=None):
+def _each(pool, fn, blocks):
     """fn(r0, r1) for every block, on the pool, or in order in this thread
-    when the pool is None; before(r0, r1) runs first, in order, in this
-    thread. Returns once every submitted call has returned, and then
-    re-raises the first block's failure, so no block writes after the end."""
+    when the pool is None. Returns once every submitted call has returned,
+    and then re-raises the first block's failure, so no block writes after
+    the end."""
+    if pool is None:
+        for r0, r1 in blocks:
+            fn(r0, r1)
+        return
+    from concurrent.futures import wait
     futures = []
     try:
         for r0, r1 in blocks:
-            if before is not None:
-                before(r0, r1)
-            if pool is None:
-                fn(r0, r1)
-            else:
-                futures.append(pool.submit(fn, r0, r1))
+            futures.append(pool.submit(fn, r0, r1))
     finally:
         wait(futures)
     for future in futures:
@@ -324,6 +327,17 @@ class ChannelRealization:
         self.dist = np.empty((n, n))
         self.shadow_db = np.empty((n, n))
         self._rx_lin = np.empty((n, n))
+        self._blocks = [(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
+        # The period's normals of each block's columns r0: (about n^2/2
+        # values, where an (n, n) store would add a whole matrix to the
+        # peak), one block after another in one buffer, and the buffer each
+        # block's full rows are drawn into.
+        shapes = [(r1 - r0, n - r0) for r0, r1 in self._blocks]
+        sizes = [rows * cols for rows, cols in shapes]
+        parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        self._normals = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        self._draw = np.empty((min(BLOCK_ROWS, n), n))
+        self._ahead = None  # the pending draw_ahead, a Future
         self._refresh(positions, los, rng, None)
 
     @classmethod
@@ -339,24 +353,54 @@ class ChannelRealization:
         LOS. rho is each pair's correlation with its previous sample, a
         symmetric matrix or a scalar: exp(-moved/decorr) for a relative
         displacement `moved` since the previous update; rho = 0 resamples
-        the pair from scratch.
+        the pair from scratch. The period's normals come from `rng`, or
+        from the pending `draw_ahead` when there is one.
         """
         self._refresh(positions, los, rng, rho)
+
+    def draw_ahead(self, rng: np.random.Generator):
+        """Start drawing the next refresh's normals from `rng` now, on a
+        refresh thread, while the caller goes on. Nothing but the shadow
+        stream goes into them, so the next `advance` gives the same bits as
+        without it; it waits for the draw and re-raises its failure. Call it
+        at most once between two refreshes. Where the refresh runs in this
+        thread (one block, one CPU) there is nothing to overlap, and the
+        next `advance` draws as it would without this call.
+        """
+        pool = _executor(self._threads())
+        if pool is not None:
+            self._ahead = pool.submit(self._fill, rng)
 
     def rx_power_lin(self):
         """Linear received power in mW, diagonal zeroed. rows = transmitter."""
         return self._rx_lin
 
+    def _threads(self):
+        return WORKERS if len(self._blocks) > 1 else 1
+
+    def _fill(self, rng):
+        """Draw the period's (n, n) standard normals row block by row block,
+        so the stream is that of one (n, n) call, and keep each block's
+        columns r0:. The normal of pair i < j is the one at row i, column j.
+        """
+        for (r0, r1), normals in zip(self._blocks, self._normals):
+            drawn = self._draw[:r1 - r0]
+            rng.standard_normal(out=drawn)
+            np.copyto(normals, drawn[:, r0:])
+
     def _refresh(self, positions, los, rng, rho):
         """One pass over row blocks of the upper triangle, mirrored below.
 
-        This thread draws each block's rows of the period's (n, n) standard
-        normals into its rows of the power matrix, block by block, so the
-        draws are those of one (n, n) call and the normal of pair i < j is
-        the one at row i, column j. Each block is then computed on the
-        refresh threads, or here when there is one block or one CPU. rho
-        None draws the shadow state afresh.
+        The period's normals are those of a pending `draw_ahead`, or are
+        drawn here. Each block is then computed on the refresh threads, or
+        here when there is one block or one CPU. rho None draws the shadow
+        state afresh.
         """
+        ahead, self._ahead = self._ahead, None
+        if ahead is None:
+            self._fill(rng)
+        else:
+            ahead.result()
         n = len(self.dist)
         positions = np.asarray(positions, dtype=float)
         absent = ~np.isfinite(positions).all(axis=1)
@@ -365,17 +409,12 @@ class ChannelRealization:
         x = np.where(absent, 0.0, positions[:, 0])
         y = np.where(absent, 0.0, positions[:, 1])
         gone = np.flatnonzero(absent)
-        blocks = [(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
-        workers = WORKERS if len(blocks) > 1 else 1
-        pool = _executor(workers) if workers > 1 else None
+        workers = self._threads()
         # Two (BLOCK_ROWS, n) scratch buffers per thread at work.
         size = min(BLOCK_ROWS, n) * n
         scratch = queue.SimpleQueue()
         for _ in range(workers):
             scratch.put((np.empty(size), np.empty(size)))
-
-        def draw(r0, r1):
-            rng.standard_normal(out=self._rx_lin[r0:r1])
 
         def upper(r0, r1):
             bufs = scratch.get()
@@ -384,16 +423,15 @@ class ChannelRealization:
             finally:
                 scratch.put(bufs)
 
-        _each(pool, upper, blocks, before=draw)
-        _each(pool, self._mirror, blocks)
+        pool = _executor(workers)
+        _each(pool, upper, self._blocks)
+        _each(pool, self._mirror, self._blocks)
         np.fill_diagonal(self.shadow_db, 0.0)
         np.fill_diagonal(self._rx_lin, 0.0)
 
     def _upper_block(self, r0, r1, x, y, gone, los, rho, adx, ady):
         """Columns r0: of rows r0:r1, in place, in the per-element operation
-        order of a whole-matrix refresh. The block's power rows hold its
-        normals on entry; the shadow step reads them before the power
-        overwrites them."""
+        order of a whole-matrix refresh."""
         cfg, n = self.cfg, len(self.dist)
         shape = (r1 - r0, n - r0)
         g = self._rx_lin[r0:r1, r0:]
@@ -427,7 +465,7 @@ class ChannelRealization:
             np.copyto(pl, nlos_pl, where=~clear)
 
         shadow = self.shadow_db[r0:r1, r0:]
-        step = np.multiply(g, sigma, out=g)
+        step = np.multiply(self._normals[r0 // BLOCK_ROWS], sigma, out=g)
         if rho is None:
             shadow[...] = step
         else:

@@ -136,6 +136,10 @@ class SimulationEngine:
             self.channel.advance(self.positions, los, self.shadow_rng,
                                  self._shadow_rho(period))
         self.dist = self.channel.dist
+        # The next period's normals depend on the shadow stream alone: draw
+        # them while this period runs, and none that no period uses.
+        if period + 1 < self.n_periods:
+            self.channel.draw_ahead(self.shadow_rng)
 
     def run(self) -> SimulationResult:
         protocol = Protocol(self)

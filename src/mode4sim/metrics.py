@@ -53,13 +53,14 @@ class UdTracker:
     """Inter-reception gaps per ordered (source, destination) pair.
 
     Gaps are kept as integer beacon-period counts (they are exact multiples
-    of the beacon period); `last` holds the time of the previous correct
-    reception, -1 when none.
+    of the beacon period); `last` holds the previous correct reception's
+    time as a beacon-period index, -1 when none: int32 takes half the
+    memory of a time in seconds.
     """
 
     def __init__(self, n_vehicles: int, beacon_period_s: float):
         self.beacon_period_s = float(beacon_period_s)
-        self.last = np.full((n_vehicles, n_vehicles), -1.0)
+        self.last = np.full((n_vehicles, n_vehicles), -1, dtype=np.int32)
         self.gap_counts = np.zeros(1, dtype=np.int64)
 
     def _grow(self, need: int):
@@ -72,23 +73,24 @@ class UdTracker:
         """Receptions at `dst_indices` of the beacons `src` sent at `t_now_s`.
 
         `src` and `t_now_s` are scalars or arrays aligned with `dst_indices`;
-        no (src, dst) pair may repeat within one call.
+        no (src, dst) pair may repeat within one call. Times are multiples
+        of the beacon period, and each is rounded to its period index.
         """
         prev = self.last[src, dst_indices]
-        t_now_s = np.broadcast_to(np.asarray(t_now_s, dtype=float), prev.shape)
-        seen = prev >= 0.0
+        now = np.rint(np.asarray(t_now_s, dtype=float) / self.beacon_period_s)
+        now = np.broadcast_to(now.astype(np.int32), prev.shape)
+        seen = prev >= 0
         if seen.any():
-            gaps = np.rint((t_now_s[seen] - prev[seen])
-                           / self.beacon_period_s).astype(np.int64)
+            gaps = now[seen].astype(np.int64) - prev[seen]
             if (gaps <= 0).any():
                 raise MetricsError("non-positive update-delay gap")
             self._grow(int(gaps.max()))
             self.gap_counts += np.bincount(gaps, minlength=len(self.gap_counts))
-        self.last[src, dst_indices] = t_now_s
+        self.last[src, dst_indices] = now
 
     def reset_pairs(self, out_of_range: np.ndarray):
         """Forget pairs that left the awareness range."""
-        self.last[out_of_range] = -1.0
+        self.last[out_of_range] = -1
 
     @property
     def total_gaps(self) -> int:

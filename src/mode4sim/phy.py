@@ -41,13 +41,19 @@ def subframe_reception(power_rows: np.ndarray, tx_slots: np.ndarray,
     (sinr_lin, decoded), both (n_tx, n); entries for masked receivers hold
     sinr 0 / decoded False.
     """
+    # Two (n_tx, n) buffers, reused in place: a fresh temporary per step
+    # would be faulted in again on every subframe. The per-element order is
+    # that of `power / (noise + same + cross)`.
     total = slot_sums.sum(axis=0)
-    own_slot_sum = slot_sums[tx_slots]
-    same = own_slot_sum - power_rows
-    cross = (total - own_slot_sum) * ibe_lin
+    own = slot_sums[tx_slots]
+    sinr_lin = np.subtract(own, power_rows)            # same slot
+    cross = np.subtract(total, own, out=own)
+    cross *= ibe_lin                                   # other slots
+    np.add(noise_lin, sinr_lin, out=sinr_lin)
+    sinr_lin += cross
     with np.errstate(divide="ignore", invalid="ignore"):
-        sinr_lin = power_rows / (noise_lin + same + cross)
-    sinr_lin = np.where(receiver_mask[None, :], sinr_lin, 0.0)
+        np.divide(power_rows, sinr_lin, out=sinr_lin)
+    np.copyto(sinr_lin, 0.0, where=~receiver_mask)
     decoded = sinr_lin > gamma_min_lin
     return sinr_lin, decoded
 

@@ -296,6 +296,20 @@ def sinr(dst: int, src: int, events: list[TxEvent], channel: FullMatrixChannel,
     return float(mw_to_dbm(useful / (noise + interference)))
 
 
+def subframe_reception_expression(power_rows, tx_slots, noise_lin, gamma_min_lin,
+                                  ibe_lin, receiver_mask, slot_sums):
+    """`phy.subframe_reception` as one whole-array expression, a fresh
+    temporary per step; the in-place form must equal it byte for byte."""
+    total = slot_sums.sum(axis=0)
+    own_slot_sum = slot_sums[tx_slots]
+    same = own_slot_sum - power_rows
+    cross = (total - own_slot_sum) * ibe_lin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr_lin = power_rows / (noise_lin + same + cross)
+    sinr_lin = np.where(receiver_mask[None, :], sinr_lin, 0.0)
+    return sinr_lin, sinr_lin > gamma_min_lin
+
+
 def receive_subframe(snapshot: ScenarioSnapshot, channel: FullMatrixChannel,
                      cfg: RunConfig, noise_dbm: float = NOISE_DBM,
                      ibe_db: float = IBE_DB) -> list[RxOutcome]:

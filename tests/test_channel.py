@@ -379,27 +379,31 @@ def _symmetric(values):
 @given(n=st.integers(1, 3 * BLOCK_ROWS + 5), seed=st.integers(0, 2**32 - 1),
        wrap=st.sampled_from([None, 700.0]), absent=st.sampled_from([0.0, 0.2]),
        nlos=st.sampled_from([0.0, 0.4, 1.0]), scalar_rho=st.booleans(),
-       workers=st.sampled_from([1, 2, 3]))
-@example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, scalar_rho=False, workers=2)
+       workers=st.sampled_from([1, 2, 3]), ahead=st.booleans())
+@example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, scalar_rho=False, workers=2,
+         ahead=False)
 @example(n=BLOCK_ROWS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, scalar_rho=False,
-         workers=2)
+         workers=2, ahead=False)
 @example(n=2 * BLOCK_ROWS + 1, seed=2, wrap=700.0, absent=0.0, nlos=0.0, scalar_rho=True,
-         workers=2)
+         workers=2, ahead=False)
 @example(n=2 * BLOCK_ROWS + 1, seed=3, wrap=None, absent=0.2, nlos=0.4, scalar_rho=False,
-         workers=3)
+         workers=3, ahead=False)
+@example(n=2 * BLOCK_ROWS + 1, seed=4, wrap=None, absent=0.2, nlos=0.4, scalar_rho=False,
+         workers=2, ahead=True)
 @settings(max_examples=30, deadline=None)
 def test_blocked_refresh_equals_the_full_matrix_oracle(n, seed, wrap, absent, nlos,
-                                                       scalar_rho, workers):
+                                                       scalar_rho, workers, ahead):
     # Over an initial draw and three advances with vehicles arriving and
     # leaving, mixed LOS/NLOS and rho holding exact 0s and 1s, the blocked
     # pass must give the whole-matrix refresh's distances, shadow state and
     # power bit for bit and leave the generator in the same state, on any
-    # number of refresh threads.
+    # number of refresh threads, with or without each period's normals
+    # drawn ahead.
     with mock.patch.object(channel, "WORKERS", workers):
-        _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_rho)
+        _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_rho, ahead)
 
 
-def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_rho):
+def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_rho, ahead):
     params = RunConfig()
     data = np.random.default_rng(seed)
     ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
@@ -424,6 +428,8 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_rho):
         assert real.dist.tobytes() == dist.tobytes(), period
         assert real.shadow_db.tobytes() == oracle.shadow_db.tobytes(), period
         assert real.rx_power_lin().tobytes() == oracle.rx_power_lin().tobytes(), period
+        if ahead and period < 3:
+            real.draw_ahead(ours)
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -481,6 +487,31 @@ def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
     assert [m.tobytes() for m in mats] == after
 
     monkeypatch.setattr(channel, "pathloss_los_db", pathloss)
+    legs = pair_legs(pos)
+    oracle = FullMatrixChannel.initial(params, np.hypot(*legs), np.ones((n, n), dtype=bool),
+                                       legs, np.random.default_rng(12))
+    assert _power_bytes(n, 12) == oracle.rx_power_lin().tobytes()
+
+
+class _FailingDraw:
+    def standard_normal(self, out):
+        raise RuntimeError("draw failed")
+
+
+def test_a_failing_draw_ahead_fails_the_next_advance(monkeypatch):
+    # A pooled draw that raises must make the next advance raise before it
+    # writes anything, and leave the threads to serve the next realization.
+    monkeypatch.setattr(channel, "WORKERS", 2)
+    params, n = RunConfig(), 2 * BLOCK_ROWS + 1
+    pos = _line(n)
+    real = ChannelRealization.initial(params, pos, None, None, np.random.default_rng(9))
+    mats = (real.dist, real.shadow_db, real.rx_power_lin())
+    before = [m.tobytes() for m in mats]
+    real.draw_ahead(_FailingDraw())
+    with pytest.raises(RuntimeError, match="draw failed"):
+        real.advance(pos + 1.0, None, np.random.default_rng(10), 0.5)
+    assert [m.tobytes() for m in mats] == before
+
     legs = pair_legs(pos)
     oracle = FullMatrixChannel.initial(params, np.hypot(*legs), np.ones((n, n), dtype=bool),
                                        legs, np.random.default_rng(12))

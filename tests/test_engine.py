@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mode4sim import engine as engine_module, mode4, phy
+from mode4sim import channel, engine as engine_module, mode4, phy
+from mode4sim.channel import BLOCK_ROWS
 from mode4sim.config import RunConfig
 from mode4sim.engine import Protocol, SimulationEngine, run_hidden_node, run_scenario
 from mode4sim.metrics import PrrAccumulator, UdTracker
@@ -284,6 +285,32 @@ def test_simulate_and_hidden_node_advance_the_same_periods(monkeypatch):
     acc = run_hidden_node(cfg)
     assert simulated == advanced == list(range(0, 1100, 100))
     assert len(acc.snapshot_probs) == 11
+
+
+@pytest.mark.parametrize("runner", [run_scenario, run_hidden_node])
+def test_a_run_draws_one_normal_matrix_per_period(runner, monkeypatch):
+    # The world draws each period's normals one period ahead, on a refresh
+    # thread: after the run the shadow stream must have drawn exactly one
+    # (n, n) matrix per period, no more and no fewer.
+    monkeypatch.setattr(channel, "WORKERS", 2)
+    cfg = RunConfig(duration_s=1.05, t_sense_ms=200, n_max=6, highway_length_m=2000.0,
+                    highway_vehicles=2 * BLOCK_ROWS + 1, seed=3)
+    shadow = []
+    real_substream = engine_module.substream
+
+    def recording_substream(seed, *path):
+        rng = real_substream(seed, *path)
+        if path == ("shadow",):
+            shadow.append(rng)
+        return rng
+
+    monkeypatch.setattr(engine_module, "substream", recording_substream)
+    runner(cfg)
+    fresh = substream(cfg.seed, "shadow")
+    n, periods = cfg.highway_vehicles, 11
+    for _ in range(periods):
+        fresh.standard_normal((n, n))
+    assert [rng.bit_generator.state for rng in shadow] == [fresh.bit_generator.state]
 
 
 def test_hidden_node_builds_no_protocol_state(monkeypatch):

@@ -88,6 +88,20 @@ def test_lossfree_floor_gaps_are_one_period():
     assert ud_percentile(ud, 1.0) == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("t_b", [20, 100])
+def test_consecutive_period_times_give_unit_gaps(t_b):
+    # The tracker stores period indices, not times: for every k up to 10^6
+    # the beacons at k*t_b/1000 and (k+1)*t_b/1000 s are one period apart,
+    # as the old difference of times in seconds rounded them.
+    side = 1001
+    ud = UdTracker(side, t_b / 1000.0)
+    src, dst = np.divmod(np.arange(side * side), side)
+    k = np.arange(side * side, dtype=np.int64)
+    ud.record(src, dst, k * t_b / 1000.0)
+    ud.record(src, dst, (k + 1) * t_b / 1000.0)
+    assert ud.gap_counts.tolist() == [0, side * side]
+
+
 def test_nearest_rank_percentile():
     ud = UdTracker(2, 0.1)
     # Nine 0.1 s gaps and one 0.5 s gap: q=0.9 hits rank 9 of 10.

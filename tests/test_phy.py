@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mode4sim.channel import dbm_to_mw
 from mode4sim.config import RunConfig
 from mode4sim.phy import (ibe_factor, slot_power_sums, subframe_reception,
                           subframe_srssi)
 from oracles import (NOISE_DBM, BrIndex, RxOutcome, ScenarioSnapshot, TxEvent,
-                     make_channel, receive_subframe, sense_subframe, sinr)
+                     make_channel, receive_subframe, sense_subframe, sinr,
+                     subframe_reception_expression)
 
 GRID = RunConfig(mcs=7)  # gamma_min = 7.30 dB, 2 BRs per TTI
 def snapshot(n, events, tti=0):
@@ -123,6 +125,28 @@ def test_engine_core_agrees_with_scalar_sinr():
                 continue
             want = sinr(dst, int(src), events, chan, GRID)
             assert 10 * math.log10(sinr_lin[k, dst]) == pytest.approx(want, abs=1e-6)
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), n=st.integers(1, 40),
+       slots=st.integers(1, 4), masked=st.sampled_from([0.0, 0.3, 1.0]),
+       silent=st.sampled_from([0.0, 0.5]))
+@example(seed=0, k=3, n=5, slots=1, masked=0.3, silent=0.5)
+@settings(max_examples=60, deadline=None)
+def test_in_place_reception_equals_the_expression(seed, k, n, slots, masked, silent):
+    # Masked receivers, all-zero power rows (absent transmitters) and
+    # several transmitters in one slot: the two-buffer kernel must give the
+    # whole-array expression's SINR and decoded flags byte for byte.
+    rng = np.random.default_rng(seed)
+    rows = dbm_to_mw(rng.uniform(-110.0, -40.0, size=(k, n)))
+    rows[rng.random(k) < silent] = 0.0
+    tx_slots = rng.integers(0, slots, size=k)
+    recv = rng.random(n) >= masked
+    args = (rows, tx_slots, float(dbm_to_mw(NOISE_DBM)),
+            float(dbm_to_mw(GRID.resolved_sinr_min_db())), ibe_factor(25.0), recv,
+            slot_power_sums(rows, tx_slots, slots))
+    got, want = subframe_reception(*args), subframe_reception_expression(*args)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_removing_interferer_never_decreases_sinr():
