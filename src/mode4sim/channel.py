@@ -311,52 +311,52 @@ def _each(pool, fn, blocks):
 class ChannelRealization:
     """Distances, correlated shadowing and received power of all vehicle pairs.
 
-    `dist`, `shadow_db` and the linear received power are (n, n), exactly
-    symmetric, and overwritten in place at every refresh. Shadowing is an
-    AR(1) process per unordered pair. Vehicles with a non-finite position
-    are absent: they sit at an infinite distance from every other vehicle
-    and receive and send zero power.
+    `dist` and the linear received power are (n, n), exactly symmetric, and
+    overwritten in place at every refresh. Shadowing is an AR(1) process
+    per unordered pair, kept only for the upper triangle. Vehicles with a
+    non-finite position are absent: they sit at an infinite distance from
+    every other vehicle and receive and send zero power.
     """
 
     def __init__(self, cfg: RunConfig, positions, wrap_length_m: float | None,
-                 los, rng: np.random.Generator):
+                 los, rng: np.random.Generator, speeds=None):
         """The first period's channel, every shadow sample drawn fresh."""
         n = len(positions)
         self.cfg = cfg
         self.wrap_length_m = wrap_length_m
         self.dist = np.empty((n, n))
-        self.shadow_db = np.empty((n, n))
         self._rx_lin = np.empty((n, n))
         self._blocks = [(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
-        # The period's normals of each block's columns r0: (about n^2/2
-        # values, where an (n, n) store would add a whole matrix to the
-        # peak), one block after another in one buffer, and the buffer each
-        # block's full rows are drawn into.
-        shapes = [(r1 - r0, n - r0) for r0, r1 in self._blocks]
-        sizes = [rows * cols for rows, cols in shapes]
-        parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-        self._normals = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        # Normals and shadow samples by block, and the buffer normals are drawn into.
+        self._normals, self._shadow = self._upper_store(), self._upper_store()
         self._draw = np.empty((min(BLOCK_ROWS, n), n))
         self._ahead = None  # the pending draw_ahead, a Future
-        self._refresh(positions, los, rng, None)
+        self._rho = None  # per block, rho and sqrt(1 - rho^2) at constant speeds
+        if speeds is not None:
+            self._rho = list(zip(self._upper_store(), self._upper_store()))
+            for (r0, r1), (rho, weight) in zip(self._blocks, self._rho):
+                np.abs(np.subtract(speeds[r0:r1, None], speeds[None, r0:], out=rho), out=rho)
+                rho *= cfg.beacon_period_ms / 1000.0
+                self._ar1_weights(rho, rho, weight)
+        self._refresh(positions, los, rng, np.inf)  # forget the zero state
 
     @classmethod
     def initial(cls, cfg: RunConfig, positions, wrap_length_m, los,
-                rng: np.random.Generator) -> "ChannelRealization":
+                rng: np.random.Generator, speeds=None) -> "ChannelRealization":
         """The engine's entry point for the first period; see the constructor."""
-        return cls(cfg, positions, wrap_length_m, los, rng)
+        return cls(cfg, positions, wrap_length_m, los, rng, speeds)
 
-    def advance(self, positions, los, rng: np.random.Generator, rho):
+    def advance(self, positions, los, rng: np.random.Generator, moved=None):
         """Refresh the channel for new positions and step the shadow AR(1).
 
         `los` holds each pair's LOS flag, or is None when every link is
-        LOS. rho is each pair's correlation with its previous sample, a
-        symmetric matrix or a scalar: exp(-moved/decorr) for a relative
-        displacement `moved` since the previous update; rho = 0 resamples
-        the pair from scratch. The period's normals come from `rng`, or
-        from the pending `draw_ahead` when there is one.
+        LOS. `moved` is each pair's displacement in m since the last refresh,
+        a symmetric matrix or a scalar, with rho = exp(-moved/decorr); an
+        infinite one resamples the pair, and None steps by the constructor's
+        `speeds` (m/s, a highway's). The period's normals come from `rng`,
+        or from the pending `draw_ahead` when there is one.
         """
-        self._refresh(positions, los, rng, rho)
+        self._refresh(positions, los, rng, moved)
 
     def draw_ahead(self, rng: np.random.Generator):
         """Start drawing the next refresh's normals from `rng` now, on a
@@ -378,24 +378,36 @@ class ChannelRealization:
     def _threads(self):
         return WORKERS if len(self._blocks) > 1 else 1
 
+    def _upper_store(self):
+        """Zeros for each block's columns r0: (pair i < j at row i, column j), in one
+        flat buffer: n^2/2 values, where an (n, n) array adds a whole matrix."""
+        shapes = [(r1 - r0, len(self.dist) - r0) for r0, r1 in self._blocks]
+        sizes = [rows * cols for rows, cols in shapes]
+        parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
+        return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+    def _ar1_weights(self, moved, rho, weight):
+        """AR(1) weights: rho = exp(-moved/decorr) of the old sample, sqrt(1 - rho^2) of a new."""
+        np.divide(np.negative(moved, out=rho), self.cfg.resolved_decorr_dist_m(), out=rho)
+        np.exp(rho, out=rho)
+        np.sqrt(np.subtract(1.0, np.multiply(rho, rho, out=weight), out=weight), out=weight)
+        return rho, weight
+
     def _fill(self, rng):
         """Draw the period's (n, n) standard normals row block by row block,
         so the stream is that of one (n, n) call, and keep each block's
-        columns r0:. The normal of pair i < j is the one at row i, column j.
-        """
+        columns r0:."""
         for (r0, r1), normals in zip(self._blocks, self._normals):
             drawn = self._draw[:r1 - r0]
             rng.standard_normal(out=drawn)
             np.copyto(normals, drawn[:, r0:])
 
-    def _refresh(self, positions, los, rng, rho):
+    def _refresh(self, positions, los, rng, moved):
         """One pass over row blocks of the upper triangle, mirrored below.
 
         The period's normals are those of a pending `draw_ahead`, or are
         drawn here. Each block is then computed on the refresh threads, or
-        here when there is one block or one CPU. rho None draws the shadow
-        state afresh.
-        """
+        here when there is one block or one CPU."""
         ahead, self._ahead = self._ahead, None
         if ahead is None:
             self._fill(rng)
@@ -419,20 +431,19 @@ class ChannelRealization:
         def upper(r0, r1):
             bufs = scratch.get()
             try:
-                self._upper_block(r0, r1, x, y, gone, los, rho, *bufs)
+                self._upper_block(r0, r1, x, y, gone, los, moved, *bufs)
             finally:
                 scratch.put(bufs)
 
         pool = _executor(workers)
         _each(pool, upper, self._blocks)
         _each(pool, self._mirror, self._blocks)
-        np.fill_diagonal(self.shadow_db, 0.0)
         np.fill_diagonal(self._rx_lin, 0.0)
 
-    def _upper_block(self, r0, r1, x, y, gone, los, rho, adx, ady):
+    def _upper_block(self, r0, r1, x, y, gone, los, moved, adx, ady):
         """Columns r0: of rows r0:r1, in place, in the per-element operation
         order of a whole-matrix refresh."""
-        cfg, n = self.cfg, len(self.dist)
+        cfg, n, b = self.cfg, len(self.dist), r0 // BLOCK_ROWS
         shape = (r1 - r0, n - r0)
         g = self._rx_lin[r0:r1, r0:]
         dist = self.dist[r0:r1, r0:]
@@ -464,16 +475,13 @@ class ChannelRealization:
         if nlos_pl is not None:
             np.copyto(pl, nlos_pl, where=~clear)
 
-        shadow = self.shadow_db[r0:r1, r0:]
-        step = np.multiply(self._normals[r0 // BLOCK_ROWS], sigma, out=g)
-        if rho is None:
-            shadow[...] = step
-        else:
-            r = rho[r0:r1, r0:] if np.ndim(rho) else rho
-            weight = np.multiply(r, r, out=dy)
-            step *= np.sqrt(np.subtract(1.0, weight, out=weight), out=weight)
-            np.multiply(r, shadow, out=shadow)
-            shadow += step
+        # s' = rho * s + sqrt(1 - rho^2) * sigma * normal; dy is free now.
+        rho, weight = self._rho[b] if moved is None else self._ar1_weights(
+            moved[r0:r1, r0:] if np.ndim(moved) else moved, dy, g)
+        shadow = np.multiply(rho, self._shadow[b], out=self._shadow[b])
+        step = np.multiply(self._normals[b], sigma, out=dy)
+        step *= weight
+        shadow += step
 
         # Received power in dBm, then in mW.
         np.subtract(cfg.tx_power_dbm + 2.0 * cfg.antenna_gain_db, pl, out=pl)
@@ -484,7 +492,7 @@ class ChannelRealization:
     def _mirror(self, r0, r1):
         """Copy rows r0:r1 of the upper triangle below the diagonal."""
         lower = np.tri(r1 - r0, k=-1, dtype=bool)
-        for mat in (self.dist, self.shadow_db, self._rx_lin):
+        for mat in (self.dist, self._rx_lin):
             mat[r1:, r0:r1] = mat[r0:r1, r1:].T
             square = mat[r0:r1, r0:r1]
             np.copyto(square, square.T, where=lower)

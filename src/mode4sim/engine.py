@@ -62,16 +62,15 @@ class SimulationEngine:
     # -- construction -----------------------------------------------------
 
     def _setup_scenario(self):
-        """Decide the scenario once: `frames`, `wrap` and `rho_const`.
+        """Decide the scenario once: `frames`, `wrap` and `speeds`.
 
         `frames[p]` holds every vehicle's position in period p, NaN while it
-        is absent. Highway speeds are constant, so each pair's shadowing
-        correlation per period is too (`rho_const`); trace runs derive it
-        from consecutive frames.
+        is absent. The channel derives each highway pair's shadowing
+        correlation from the constant `speeds`; traces report displacements.
         """
         cfg = self.cfg
         self.obstacles = ObstacleMap.from_file(cfg.obstacle_map) if cfg.obstacle_map else None
-        self.rho_const = None
+        self.speeds = None
         if cfg.scenario == "highway":
             state = spawn_highway(cfg, substream(cfg.seed, "mobility"))
             self.frames = np.empty((self.n_periods, cfg.highway_vehicles, 2))
@@ -81,13 +80,7 @@ class SimulationEngine:
                 step_highway(cfg, state, self.t_b / 1000.0)
                 self.frames[period, :, 0] = state.x
             self.wrap = cfg.highway_length_m
-            # exp(-|v_i - v_j| * period / decorr), in one n x n buffer.
-            rho = np.subtract.outer(state.speed, state.speed)
-            np.abs(rho, out=rho)
-            rho *= self.t_b / 1000.0
-            np.negative(rho, out=rho)
-            rho /= cfg.resolved_decorr_dist_m()
-            self.rho_const = np.exp(rho, out=rho)
+            self.speeds = state.speed
         else:
             # Row k of the run is the trace's k-th vehicle id.
             _, self.frames = load_trace(cfg.trace, self.t_b, cfg.max_trace_gap_s)
@@ -114,14 +107,13 @@ class SimulationEngine:
         los[b, a] = ok
         return los
 
-    def _shadow_rho(self, period: int):
-        """Per-pair shadowing correlation from the previous period to this one."""
-        if self.rho_const is not None:
-            return self.rho_const
+    def _moved(self, period: int):
+        """Per-pair displacement since the previous period; None on a highway."""
+        if self.speeds is not None:
+            return None
         disp = self.frames[period] - self.frames[period - 1]
-        # Presence changes give the pair infinite legs: rho = 0, a fresh sample.
-        moved = np.hypot(*pair_legs(disp))
-        return np.exp(-moved / self.cfg.resolved_decorr_dist_m())
+        # Presence changes give the pair infinite legs: a fresh sample.
+        return np.hypot(*pair_legs(disp))
 
     def advance(self, t: int):
         """Positions, presence, distances, LOS and channel of the period at t."""
@@ -131,10 +123,9 @@ class SimulationEngine:
         los = self._los_matrix()
         if self.channel is None:
             self.channel = ChannelRealization.initial(
-                self.cfg, self.positions, self.wrap, los, self.shadow_rng)
+                self.cfg, self.positions, self.wrap, los, self.shadow_rng, self.speeds)
         else:
-            self.channel.advance(self.positions, los, self.shadow_rng,
-                                 self._shadow_rho(period))
+            self.channel.advance(self.positions, los, self.shadow_rng, self._moved(period))
         self.dist = self.channel.dist
         # The next period's normals depend on the shadow stream alone: draw
         # them while this period runs, and none that no period uses.
@@ -192,8 +183,9 @@ class Protocol:
         # Absent vehicles sit at an infinite distance from every other one.
         neigh = self.world.dist <= self.awareness_m
         np.fill_diagonal(neigh, False)
+        # Pairs outside last period's neighbours were forgotten then.
+        self.ud.reset_pairs(~neigh if self.neigh is None else self.neigh & ~neigh)
         self.neigh = neigh
-        self.ud.reset_pairs(~neigh)
 
         if t >= self.warmup_tti and present.any():
             self.neighbor_samples += neigh.sum(axis=1)[present].mean()

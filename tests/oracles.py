@@ -7,7 +7,9 @@ code that follows the definitions literally. Two more checks live here:
 a Monte Carlo of the counter process, against the closed forms of
 `mode4sim.analysis`, and the priority power-threshold table, which gives
 the default `p_th_dbm`. `FullMatrixChannel` is the whole-matrix channel
-refresh that the simulator's blocked pass must equal bit for bit. No module
+refresh that the simulator's blocked pass must equal bit for bit, with
+`highway_rho` its highway correlation and `full_shadow` the blocked pass's
+shadow state as a whole matrix. No module
 of the simulator imports this one; `test_reference.py` enforces that.
 """
 from __future__ import annotations
@@ -192,6 +194,30 @@ class FullMatrixChannel:
             np.fill_diagonal(lin, 0.0)
             self._rx_lin = lin
         return self._rx_lin
+
+
+def highway_rho(cfg: RunConfig, speeds):
+    """Each highway pair's shadowing correlation per beacon period,
+    exp(-|v_i - v_j| * period / decorr), in one n x n buffer: the whole
+    matrix `ChannelRealization` builds block by block from `speeds`."""
+    rho = np.subtract.outer(speeds, speeds)
+    np.abs(rho, out=rho)
+    rho *= cfg.beacon_period_ms / 1000.0
+    np.negative(rho, out=rho)
+    rho /= cfg.resolved_decorr_dist_m()
+    return np.exp(rho, out=rho)
+
+
+def full_shadow(real) -> np.ndarray:
+    """A `ChannelRealization`'s shadow state as the symmetric (n, n) matrix
+    with a zero diagonal, rebuilt from the upper triangle of its store of
+    upper-block rectangles (block b holds rows r0:r1, columns r0:)."""
+    n = len(real.dist)
+    full = np.zeros((n, n))
+    for (r0, r1), block in zip(real._blocks, real._shadow):
+        full[r0:r1, r0:] = block
+    upper = np.triu(full, 1)
+    return upper + upper.T
 
 
 def shadow_step(

@@ -17,8 +17,8 @@ from mode4sim.channel import (BLOCK_ROWS, ChannelRealization, ObstacleMap,
                               ObstacleMapError, breakpoint_distance_m, los_state,
                               pair_legs, pathloss_los_db, pathloss_nlos_db)
 from mode4sim.config import RunConfig
-from oracles import (FullMatrixChannel, _point_in_polygon, blocks, pathloss_db,
-                     rx_power_dbm, shadow_step)
+from oracles import (FullMatrixChannel, _point_in_polygon, blocks, full_shadow,
+                     highway_rho, pathloss_db, rx_power_dbm, shadow_step)
 
 PARAMS = RunConfig()
 
@@ -294,13 +294,15 @@ def _line(n, spacing_m=7.0):
 
 
 def test_shadow_process_matches_ar1_statistics():
-    # 300 vehicles, every other pair NLOS, stepped 200 times at rho = 0.8
-    # from a fresh draw. Each step must keep the state exactly symmetric;
-    # the pooled samples must show each class's sigma^2 and a lag-1
-    # correlation of rho. The standard errors are below 0.5 % of sigma^2
-    # and 0.005 in correlation.
+    # 300 vehicles, every other pair NLOS, stepped 200 times by a
+    # displacement of rho = 0.8 from a fresh draw. Each step must keep the
+    # power matrix exactly symmetric with a zero diagonal; the pooled
+    # samples must show each class's sigma^2 and a lag-1 correlation of
+    # rho. The standard errors are below 0.5 % of sigma^2 and 0.005 in
+    # correlation.
     params = RunConfig()
     n, steps, rho = 300, 200, 0.8
+    moved = np.full((n, n), -params.resolved_decorr_dist_m() * math.log(rho))
     i, j = np.triu_indices(n, 1)
     los = np.add.outer(np.arange(n), np.arange(n)) % 2 == 0
     pairs = {"los": los[i, j], "nlos": ~los[i, j]}
@@ -308,12 +310,13 @@ def test_shadow_process_matches_ar1_statistics():
     rng = np.random.default_rng(7)
     real = ChannelRealization.initial(params, _line(n), None, los, rng)
     sums = {k: np.zeros(3) for k in pairs}  # sum s_t^2, sum s_{t-1}^2, sum s_t s_{t-1}
-    prev = real.shadow_db[i, j]
+    prev = full_shadow(real)[i, j]
     for _ in range(steps):
-        real.advance(_line(n), los, rng, np.full((n, n), rho))
-        assert np.array_equal(real.shadow_db, real.shadow_db.T)
-        assert not real.shadow_db.diagonal().any()
-        cur = real.shadow_db[i, j]
+        real.advance(_line(n), los, rng, moved)
+        power = real.rx_power_lin()
+        assert np.array_equal(power, power.T)
+        assert not power.diagonal().any()
+        cur = full_shadow(real)[i, j]
         for k, mask in pairs.items():
             a, b = cur[mask], prev[mask]
             sums[k] += (a @ a, b @ b, a @ b)
@@ -323,12 +326,15 @@ def test_shadow_process_matches_ar1_statistics():
         assert sums[k][0] / count == pytest.approx(sigma[k] ** 2, rel=0.03), k
         assert sums[k][2] / sums[k][1] == pytest.approx(rho, abs=0.02), k
 
-    # rho = 0 forgets the state: a fresh sample of each class's sigma,
-    # uncorrelated with an extreme old state and with the sample before.
-    old = real.shadow_db[i, j]
-    real.shadow_db[...] += 100.0
-    real.advance(_line(n), los, rng, 0.0)
-    new = real.shadow_db[i, j]
+    # An infinite displacement (rho = 0) forgets the state: a fresh sample
+    # of each class's sigma, uncorrelated with an extreme old state, written
+    # into the channel's own store, and with the sample before.
+    old = full_shadow(real)[i, j]
+    for block in real._shadow:
+        block += 100.0
+    assert full_shadow(real)[i, j] == pytest.approx(old + 100.0)
+    real.advance(_line(n), los, rng, np.inf)
+    new = full_shadow(real)[i, j]
     for k, mask in pairs.items():
         assert abs(new[mask].mean()) < 0.1, k
         assert new[mask].var() == pytest.approx(sigma[k] ** 2, rel=0.05), k
@@ -345,7 +351,7 @@ def test_advance_frees_the_old_power_matrix_first():
     real = ChannelRealization.initial(params, _line(3), None, None, rng)
     old = real.rx_power_lin()
     before = old.copy()
-    real.advance(_line(3, spacing_m=9.0), None, rng, 0.5)
+    real.advance(_line(3, spacing_m=9.0), None, rng, 10.0)
     assert real.rx_power_lin() is old
     assert not np.array_equal(old, before)
 
@@ -359,11 +365,11 @@ def test_refresh_allocates_less_than_one_power_matrix():
     n = 600
     pos = np.column_stack([np.linspace(0.0, 3000.0, n), np.tile([2.0, 6.0], n // 2)])
     rng = np.random.default_rng(8)
-    rho = np.full((n, n), 0.9)
+    moved = np.full((n, n), 2.0)
     real = ChannelRealization.initial(params, pos, 4000.0, None, rng)
     tracemalloc.start()
     try:
-        real.advance(pos + 1.0, None, rng, rho)
+        real.advance(pos + 1.0, None, rng, moved)
         real.rx_power_lin()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -378,32 +384,52 @@ def _symmetric(values):
 
 @given(n=st.integers(1, 3 * BLOCK_ROWS + 5), seed=st.integers(0, 2**32 - 1),
        wrap=st.sampled_from([None, 700.0]), absent=st.sampled_from([0.0, 0.2]),
-       nlos=st.sampled_from([0.0, 0.4, 1.0]), scalar_rho=st.booleans(),
+       nlos=st.sampled_from([0.0, 0.4, 1.0]), scalar_moved=st.booleans(),
        workers=st.sampled_from([1, 2, 3]), ahead=st.booleans())
-@example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, scalar_rho=False, workers=2,
+@example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, scalar_moved=False, workers=2,
          ahead=False)
-@example(n=BLOCK_ROWS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, scalar_rho=False,
+@example(n=BLOCK_ROWS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, scalar_moved=False,
          workers=2, ahead=False)
-@example(n=2 * BLOCK_ROWS + 1, seed=2, wrap=700.0, absent=0.0, nlos=0.0, scalar_rho=True,
+@example(n=2 * BLOCK_ROWS + 1, seed=2, wrap=700.0, absent=0.0, nlos=0.0, scalar_moved=True,
          workers=2, ahead=False)
-@example(n=2 * BLOCK_ROWS + 1, seed=3, wrap=None, absent=0.2, nlos=0.4, scalar_rho=False,
+@example(n=2 * BLOCK_ROWS + 1, seed=3, wrap=None, absent=0.2, nlos=0.4, scalar_moved=False,
          workers=3, ahead=False)
-@example(n=2 * BLOCK_ROWS + 1, seed=4, wrap=None, absent=0.2, nlos=0.4, scalar_rho=False,
+@example(n=2 * BLOCK_ROWS + 1, seed=4, wrap=None, absent=0.2, nlos=0.4, scalar_moved=False,
          workers=2, ahead=True)
 @settings(max_examples=30, deadline=None)
 def test_blocked_refresh_equals_the_full_matrix_oracle(n, seed, wrap, absent, nlos,
-                                                       scalar_rho, workers, ahead):
+                                                       scalar_moved, workers, ahead):
     # Over an initial draw and three advances with vehicles arriving and
-    # leaving, mixed LOS/NLOS and rho holding exact 0s and 1s, the blocked
-    # pass must give the whole-matrix refresh's distances, shadow state and
-    # power bit for bit and leave the generator in the same state, on any
-    # number of refresh threads, with or without each period's normals
-    # drawn ahead.
+    # leaving, mixed LOS/NLOS and displacements holding infinities (rho = 0)
+    # and zeros (rho = 1), the blocked pass must give the whole-matrix
+    # refresh's distances, shadow state and power bit for bit and leave the
+    # generator in the same state, on any number of refresh threads, with
+    # or without each period's normals drawn ahead.
     with mock.patch.object(channel, "WORKERS", workers):
-        _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_rho, ahead)
+        _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead)
 
 
-def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_rho, ahead):
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("ahead", [False, True])
+def test_constant_speed_refresh_equals_the_full_matrix_oracle(workers, ahead):
+    # On a highway the channel builds each pair's rho and sqrt(1 - rho^2)
+    # once, block by block, from the speeds; its refreshes must equal the
+    # whole-matrix refresh fed `highway_rho` bit for bit. Vehicles 0 and
+    # n - 1 share a speed, so their rho is exactly 1 and the weight of the
+    # fresh sample exactly 0.
+    n = 2 * BLOCK_ROWS + 1
+    speeds = np.random.default_rng(5).uniform(19.0, 31.0, n)
+    speeds[-1] = speeds[0]
+    with mock.patch.object(channel, "WORKERS", workers):
+        real = _refresh_against_the_oracle(n, 6, 700.0, 0.0, 0.4, False, ahead, speeds)
+    rho, weight = real._rho[0]
+    assert rho[0, n - 1] == 1.0 and weight[0, n - 1] == 0.0
+
+
+def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead,
+                                speeds=None):
+    """The channel after four periods checked against `FullMatrixChannel`,
+    stepped by random displacements, or with `speeds` by `highway_rho`."""
     params = RunConfig()
     data = np.random.default_rng(seed)
     ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
@@ -413,24 +439,28 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_rho, ahead):
         pos[data.random(n) < absent] = np.nan
         los = _symmetric(data.random((n, n)) >= nlos)
         np.fill_diagonal(los, True)
-        rho = _symmetric(data.choice([0.0, 1.0, 0.3, 0.95], size=(n, n)))
-        if scalar_rho:
-            rho = float(data.choice([0.0, 1.0, 0.6]))
+        moved = _symmetric(data.choice([np.inf, 0.0, 3.0, 40.0], size=(n, n)))
+        if scalar_moved:
+            moved = float(data.choice([np.inf, 0.0, 8.0]))
+        rho = np.exp(-moved / params.resolved_decorr_dist_m())
+        if speeds is not None:
+            moved, rho = None, highway_rho(params, speeds)
         legs = pair_legs(pos, wrap)
         dist = np.hypot(*legs)
         los_arg = None if nlos == 0.0 else los
         if period == 0:
-            real = ChannelRealization.initial(params, pos, wrap, los_arg, ours)
+            real = ChannelRealization.initial(params, pos, wrap, los_arg, ours, speeds)
             oracle = FullMatrixChannel.initial(params, dist, los, legs, theirs)
         else:
-            real.advance(pos, los_arg, ours, rho)
+            real.advance(pos, los_arg, ours, moved)
             oracle.advance(dist, los, legs, theirs, rho)
         assert real.dist.tobytes() == dist.tobytes(), period
-        assert real.shadow_db.tobytes() == oracle.shadow_db.tobytes(), period
+        assert full_shadow(real).tobytes() == oracle.shadow_db.tobytes(), period
         assert real.rx_power_lin().tobytes() == oracle.rx_power_lin().tobytes(), period
         if ahead and period < 3:
             real.draw_ahead(ours)
     assert ours.bit_generator.state == theirs.bit_generator.state
+    return real
 
 
 def _power_bytes(n, seed):
@@ -460,6 +490,11 @@ def test_a_forked_child_refreshes_on_its_own_threads(monkeypatch):
     assert there == here
 
 
+def _state_bytes(real):
+    """The distances, shadow state and power of a realization, as bytes."""
+    return [real.dist.tobytes(), full_shadow(real).tobytes(), real.rx_power_lin().tobytes()]
+
+
 def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
     # The second pathloss call raises; every other one is slowed down. The
     # error must reach the caller only once every submitted block has
@@ -480,11 +515,10 @@ def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
 
     monkeypatch.setattr(channel, "pathloss_los_db", flaky)
     with pytest.raises(RuntimeError, match="block failed"):
-        real.advance(pos + 1.0, None, np.random.default_rng(10), 0.5)
-    mats = (real.dist, real.shadow_db, real.rx_power_lin())
-    after = [m.tobytes() for m in mats]
+        real.advance(pos + 1.0, None, np.random.default_rng(10), 10.0)
+    after = _state_bytes(real)
     time.sleep(0.5)
-    assert [m.tobytes() for m in mats] == after
+    assert _state_bytes(real) == after
 
     monkeypatch.setattr(channel, "pathloss_los_db", pathloss)
     legs = pair_legs(pos)
@@ -505,12 +539,11 @@ def test_a_failing_draw_ahead_fails_the_next_advance(monkeypatch):
     params, n = RunConfig(), 2 * BLOCK_ROWS + 1
     pos = _line(n)
     real = ChannelRealization.initial(params, pos, None, None, np.random.default_rng(9))
-    mats = (real.dist, real.shadow_db, real.rx_power_lin())
-    before = [m.tobytes() for m in mats]
+    before = _state_bytes(real)
     real.draw_ahead(_FailingDraw())
     with pytest.raises(RuntimeError, match="draw failed"):
-        real.advance(pos + 1.0, None, np.random.default_rng(10), 0.5)
-    assert [m.tobytes() for m in mats] == before
+        real.advance(pos + 1.0, None, np.random.default_rng(10), 10.0)
+    assert _state_bytes(real) == before
 
     legs = pair_legs(pos)
     oracle = FullMatrixChannel.initial(params, np.hypot(*legs), np.ones((n, n), dtype=bool),

@@ -68,12 +68,45 @@ def test_half_duplex_audit_counts_credits_to_transmitters(monkeypatch):
     assert result.half_duplex_violations > 0
 
 
+def _churn_trace(tmp_path):
+    """A 3.6 s trace of 30 vehicles on a 600 m road, driving both ways at
+    5-30 m/s, so pairs keep entering and leaving each other's range. Each
+    vehicle but every third leaves once, at a time of its own, for one
+    beacon period or for six."""
+    rng = np.random.default_rng(4)
+    x0, speed = rng.uniform(0.0, 600.0, 30), rng.uniform(5.0, 30.0, 30) * rng.choice([-1, 1], 30)
+    leaves = rng.integers(5, 25, 30)
+    rows = []
+    for k in range(37):
+        t = k * 0.1
+        for v in range(30):
+            if v % 3 and leaves[v] <= k < leaves[v] + (1 if v % 3 == 1 else 6):
+                continue
+            rows.append(f"{t:.1f},{v},{x0[v] + speed[v] * t:.2f},{4.0 * (v % 2):.1f}")
+    path = tmp_path / "churn.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return dict(scenario="trace", trace=str(path), awareness_m=100.0, max_trace_gap_s=0.15)
+
+
 def test_batched_credit_matches_per_beacon_oracle(monkeypatch):
     # The engine credits all of a subframe's transmitters in one PRR and one
     # UD call; replaying each metric-phase beacon through the per-beacon
     # oracle into fresh accumulators must give the same counts exactly.
-    cfg = RunConfig(duration_s=3.6, t_sense_ms=200, n_max=6, highway_length_m=800.0,
-                    highway_vehicles=40, seed=2)
+    _check_batched_credit(monkeypatch, RunConfig(
+        duration_s=3.6, t_sense_ms=200, n_max=6, highway_length_m=800.0,
+        highway_vehicles=40, seed=2))
+
+
+def test_batched_credit_matches_per_beacon_oracle_under_churn(monkeypatch, tmp_path):
+    # The engine forgets at each period start only the pairs that left the
+    # neighbour set; the oracle's accumulators forget every pair out of
+    # range. On a trace whose neighbour sets and presence churn, some pairs
+    # out of range for a single period, the counts must still match exactly.
+    _check_batched_credit(monkeypatch, RunConfig(
+        duration_s=3.6, t_sense_ms=200, n_max=6, seed=2, **_churn_trace(tmp_path)))
+
+
+def _check_batched_credit(monkeypatch, cfg):
     world = SimulationEngine(cfg)
     proto = Protocol(world)
     captured = []
@@ -87,13 +120,16 @@ def test_batched_credit_matches_per_beacon_oracle(monkeypatch):
     monkeypatch.setattr(phy, "subframe_reception", capture)
     prr = PrrAccumulator(cfg.prr_bin_width_m, proto.awareness_m)
     ud = UdTracker(world.n, world.t_b / 1000.0)
-    replayed = 0
+    replayed = left = 0
     for t in range(world.total_tti):
+        if t % world.t_b == 0:
+            world.advance(t)
+            proto.begin_period(t)  # departures drop their transmission
+            left += np.count_nonzero(ud.last[~proto.neigh] >= 0)
+            ud.reset_pairs(~proto.neigh)
         txs = np.flatnonzero(proto.next_tx == t)
         captured.clear()
-        _step(world, proto, t)
-        if t % world.t_b == 0:
-            ud.reset_pairs(~proto.neigh)
+        proto.tick(t)
         if t < proto.warmup_tti or not len(txs):
             continue
         (decoded,) = captured
@@ -101,12 +137,14 @@ def test_batched_credit_matches_per_beacon_oracle(monkeypatch):
         snap = ScenarioSnapshot(tti=t, ids=np.arange(world.n),
                                 positions=world.positions, wrap_length_m=world.wrap)
         for k, v in enumerate(txs):
+            # The oracle is blind to presence: offer it present receivers only.
             outcomes = [RxOutcome(int(v), dst, float("nan"), bool(decoded[k, dst]), False)
-                        for dst in range(world.n) if dst != v]
+                        for dst in np.flatnonzero(world.present) if dst != v]
             record_beacon(prr, ud, int(v), outcomes, snap, proto.awareness_m,
                           proto.seq[v] * world.t_b / 1000.0)
             replayed += 1
-    assert replayed > 0 and ud.total_gaps > 0
+    # Some credited pairs left the range with a reception time to forget.
+    assert replayed > 0 and ud.total_gaps > 0 and left > 0
     assert np.array_equal(prr.neighbor_count, proto.prr.neighbor_count)
     assert np.array_equal(prr.decoded_count, proto.prr.decoded_count)
     assert np.array_equal(ud.gap_counts, proto.ud.gap_counts)
@@ -385,6 +423,25 @@ def test_hidden_node_under_churn_counts_the_present_rows(tmp_path, monkeypatch):
     assert len(acc.snapshot_probs) == len(sizes) == 40
     assert (5, 6) in sizes and (6, 6) in sizes and (4, 6) in sizes
     assert acc.pair_count.sum() > 0
+
+
+def test_the_world_holds_no_square_matrix_but_distances_and_power():
+    # Only the protocol's reads by row and column need whole (n, n)
+    # matrices: distances and received power. The shadow state and the
+    # highway's per-pair correlation live in the channel's upper-block
+    # stores, which hold about n^2/2 values each.
+    cfg = RunConfig(duration_s=3.0, highway_length_m=3000.0, highway_vehicles=600, seed=1)
+    world = SimulationEngine(cfg)
+    world.advance(0)
+    n = world.n
+    found = {}
+    for value in [*vars(world).values(), *vars(world.channel).values()]:
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            for array in item if isinstance(item, tuple) else [item]:
+                if isinstance(array, np.ndarray) and array.shape == (n, n):
+                    found[id(array)] = array
+    want = (world.dist, world.channel.rx_power_lin())
+    assert sorted(found) == sorted(id(m) for m in want)
 
 
 def test_duration_must_exceed_warmup():
