@@ -356,6 +356,9 @@ class ChannelRealization:
         `speeds` (m/s, a highway's). The period's normals come from `rng`,
         or from the pending `draw_ahead` when there is one.
         """
+        if moved is None and self._rho is None:
+            raise ValueError("advance needs `moved`: the realization was built "
+                             "without `speeds`")
         self._refresh(positions, los, rng, moved)
 
     def draw_ahead(self, rng: np.random.Generator):

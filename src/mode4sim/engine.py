@@ -5,7 +5,8 @@
 `Protocol` holds the allocation, sensing, MAC and metric state; it reads the
 world and never advances it. The engine's clock ticks in 1 ms subframes. At
 each period start the world advances, then the protocol starts its period
-(neighbour sets, the oldest sensing-memory slot recycled, trace churn).
+(in the metric phase its neighbour pairs, the oldest sensing-memory slot
+recycled, trace churn).
 Within a subframe the tick is two-phase: first propagation (reception
 outcomes, sensing samples and metric credits for all of the subframe's
 transmitters at once), then per-vehicle MAC updates, so state updates never
@@ -167,29 +168,27 @@ class Protocol:
             self.memory = mode4.SensingMemory(n, cfg)
 
         self.prr = PrrAccumulator(cfg.prr_bin_width_m, self.awareness_m)
-        self.ud = UdTracker(n, self.t_b / 1000.0)
+        self.ud = UdTracker(self.t_b / 1000.0)
         self.hold_counts: list[int] = []
         self.hd_violations = 0
         self.hd_checked = 0
         self.beacons_sent = 0
         self.neighbor_samples = 0.0
         self.neighbor_periods = 0
-        self.neigh = None
+        # The metric phase's neighbour pairs: those of source v are
+        # pair_ptr[v]:pair_ptr[v + 1], by ascending destination.
+        self.pair_ptr = self.pair_dst = self.pair_dist = None
 
     def begin_period(self, t: int):
         """Start the protocol's period at t, on the world advanced to it."""
         was_present, present = self.present, self.world.present
         self.present = present
-        # Absent vehicles sit at an infinite distance from every other one.
-        neigh = self.world.dist <= self.awareness_m
-        np.fill_diagonal(neigh, False)
-        # Pairs outside last period's neighbours were forgotten then.
-        self.ud.reset_pairs(~neigh if self.neigh is None else self.neigh & ~neigh)
-        self.neigh = neigh
-
-        if t >= self.warmup_tti and present.any():
-            self.neighbor_samples += neigh.sum(axis=1)[present].mean()
-            self.neighbor_periods += 1
+        # The warm-up is whole periods, and nothing reads neighbours in it.
+        if t >= self.warmup_tti:
+            self._neighbour_pairs()
+            if present.any():
+                self.neighbor_samples += np.diff(self.pair_ptr)[present].mean()
+                self.neighbor_periods += 1
 
         if self.memory is not None:
             self.memory.begin_period(t // self.t_b)
@@ -203,6 +202,18 @@ class Protocol:
         self.held[gone] = 0
         fresh = present & ~was_present
         self.select_at[fresh] = t + self.phase[fresh]
+
+    def _neighbour_pairs(self):
+        """This period's neighbour pairs, as sorted keys src * n + dst."""
+        n, dist = self.n, self.world.dist
+        # Absent vehicles sit at an infinite distance from every other one.
+        near = dist <= self.awareness_m
+        np.fill_diagonal(near, False)
+        keys = np.flatnonzero(near)
+        self.pair_ptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.pair_dst = keys % n
+        self.pair_dist = dist.ravel()[keys]
+        self.ud.reset_pairs(keys)
 
     # -- selection and transmission ----------------------------------------
 
@@ -276,17 +287,20 @@ class Protocol:
         self.beacons_sent += len(txs)
 
         if t >= self.warmup_tti:
-            neigh = self.neigh[txs]
-            credited = decoded & neigh
-            self.hd_violations += int(np.count_nonzero(credited[:, tx_mask]))
-            self.prr.record_arrays(self.prr.bin_of(self.world.dist[txs][neigh]),
-                                   credited[neigh])
-            # A source transmits at most once per subframe, so no
-            # (source, destination) pair repeats within this call.
-            k, dst = np.nonzero(credited)
-            if len(dst):
-                src = txs[k]
-                self.ud.record(src, dst, self.seq[src] * self.t_b / 1000.0)
+            # The transmitters' segments of the pair list, in order.
+            lo = self.pair_ptr[txs]
+            counts = self.pair_ptr[txs + 1] - lo
+            row = np.repeat(np.arange(len(txs)), counts)
+            pairs = np.arange(len(row)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            dst = self.pair_dst[pairs]
+            credited = decoded[row, dst]
+            self.hd_violations += int(np.count_nonzero(credited & tx_mask[dst]))
+            self.prr.record_arrays(self.prr.bin_of(self.pair_dist[pairs]), credited)
+            # A source transmits at most once per subframe, so no pair
+            # repeats within this call.
+            if credited.any():
+                src = txs[row[credited]]
+                self.ud.record(pairs[credited], self.seq[src] * self.t_b / 1000.0)
 
         for v in txs:
             self._mac_after_tx(int(v), t)

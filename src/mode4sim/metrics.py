@@ -50,17 +50,18 @@ class PrrAccumulator:
 
 
 class UdTracker:
-    """Inter-reception gaps per ordered (source, destination) pair.
+    """Inter-reception gaps per ordered (source, destination) neighbour pair.
 
-    Gaps are kept as integer beacon-period counts (they are exact multiples
-    of the beacon period); `last` holds the previous correct reception's
-    time as a beacon-period index, -1 when none: int32 takes half the
-    memory of a time in seconds.
+    A period's pairs are `keys`, the sorted `src * n + dst` of its neighbour
+    list; `last[k]` holds pair k's previous correct reception as a
+    beacon-period index, -1 when none. Gaps are kept as integer
+    beacon-period counts (they are exact multiples of the beacon period).
     """
 
-    def __init__(self, n_vehicles: int, beacon_period_s: float):
+    def __init__(self, beacon_period_s: float):
         self.beacon_period_s = float(beacon_period_s)
-        self.last = np.full((n_vehicles, n_vehicles), -1, dtype=np.int32)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.last = np.empty(0, dtype=np.int32)
         self.gap_counts = np.zeros(1, dtype=np.int64)
 
     def _grow(self, need: int):
@@ -69,14 +70,15 @@ class UdTracker:
             grown[: len(self.gap_counts)] = self.gap_counts
             self.gap_counts = grown
 
-    def record(self, src, dst_indices: np.ndarray, t_now_s):
-        """Receptions at `dst_indices` of the beacons `src` sent at `t_now_s`.
+    def record(self, pairs: np.ndarray, t_now_s):
+        """Receptions over the pairs at positions `pairs` of `keys` of the
+        beacons sent at `t_now_s`.
 
-        `src` and `t_now_s` are scalars or arrays aligned with `dst_indices`;
-        no (src, dst) pair may repeat within one call. Times are multiples
-        of the beacon period, and each is rounded to its period index.
+        `t_now_s` is a scalar or an array aligned with `pairs`; no pair may
+        repeat within one call. Times are multiples of the beacon period,
+        and each is rounded to its period index.
         """
-        prev = self.last[src, dst_indices]
+        prev = self.last[pairs]
         now = np.rint(np.asarray(t_now_s, dtype=float) / self.beacon_period_s)
         now = np.broadcast_to(now.astype(np.int32), prev.shape)
         seen = prev >= 0
@@ -86,11 +88,19 @@ class UdTracker:
                 raise MetricsError("non-positive update-delay gap")
             self._grow(int(gaps.max()))
             self.gap_counts += np.bincount(gaps, minlength=len(self.gap_counts))
-        self.last[src, dst_indices] = now
+        self.last[pairs] = now
 
-    def reset_pairs(self, out_of_range: np.ndarray):
-        """Forget pairs that left the awareness range."""
-        self.last[out_of_range] = -1
+    def reset_pairs(self, keys: np.ndarray):
+        """Start a period on the sorted pair keys `keys`: pairs that stay
+        keep their last reception, pairs that left are forgotten."""
+        last = np.full(len(keys), -1, dtype=np.int32)
+        held = np.flatnonzero(self.last >= 0)
+        if len(held) and len(keys):
+            old = self.keys[held]
+            at = np.minimum(np.searchsorted(keys, old), len(keys) - 1)
+            stay = keys[at] == old
+            last[at[stay]] = self.last[held[stay]]
+        self.keys, self.last = keys, last
 
     @property
     def total_gaps(self) -> int:

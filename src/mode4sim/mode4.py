@@ -28,7 +28,9 @@ class SensingMemory:
     The memory is a ring of `t_sense / beacon_period` period slots per
     vehicle; each slot holds per-BR S-RSSI and RSRP samples in linear mW,
     stored as float32 with 0 meaning no sample, plus per-subframe monitored
-    flags. Slots older than the ring depth are overwritten, which is exactly
+    flags. A decode count is below n (one subframe's transmissions in one
+    frequency slot), so it takes the smallest unsigned type that holds n.
+    Slots older than the ring depth are overwritten, which is exactly
     the discard-after-t_sense rule. A vehicle transmitting in a subframe
     must take no sample in it; `half_duplex_writes` counts the writes that
     break this rule.
@@ -40,7 +42,7 @@ class SensingMemory:
         r = cfg.br_count
         self.s_rssi = np.zeros((n, self.n_slots, r), dtype=np.float32)
         self.rsrp_sum = np.zeros((n, self.n_slots, r), dtype=np.float32)
-        self.rsrp_cnt = np.zeros((n, self.n_slots, r), dtype=np.int32)
+        self.rsrp_cnt = np.zeros((n, self.n_slots, r), dtype=np.min_scalar_type(n))
         self.monitored = np.ones((n, self.n_slots, cfg.beacon_period_ms), dtype=bool)
         self.noise_floor_lin = float(dbm_to_mw(cfg.noise_floor_dbm()))
         self.slot = 0
@@ -67,7 +69,8 @@ class SensingMemory:
         to the RSRP sum and count of that BR at the vehicles that decoded it.
 
         The columns are assigned whole: `begin_period` zeroed them and each
-        subframe is written once per period.
+        subframe is written once per period, so a subframe without
+        transmissions leaves its RSRP columns as they are.
         """
         slot = self.slot
         self.monitored[txs, slot, subframe] = False
@@ -75,11 +78,14 @@ class SensingMemory:
                                        + np.count_nonzero(decoded[:, txs]))
         base = subframe * self.brs_per_tti
         brs = slice(base, base + self.brs_per_tti)
-        # `.T` views the columns as (brs_per_tti, n) blocks. At most one
-        # transmission per slot and vehicle decodes when the threshold is
-        # at least 0 dB, so each RSRP sum then has one non-zero term.
-        member = (tx_slots == np.arange(self.brs_per_tti)[:, None]).astype(float)
+        # `.T` views the columns as (brs_per_tti, n) blocks.
         self.s_rssi[:, slot, brs].T[...] = np.where(observers, srssi, 0.0)
+        if len(tx_slots) == 0:
+            return
+        # At most one transmission per slot and vehicle decodes when the
+        # threshold is at least 0 dB, so each RSRP sum then has one non-zero
+        # term.
+        member = (tx_slots == np.arange(self.brs_per_tti)[:, None]).astype(float)
         self.rsrp_sum[:, slot, brs].T[...] = member @ np.where(decoded, power_rows, 0.0)
         self.rsrp_cnt[:, slot, brs].T[...] = member @ decoded
 

@@ -9,7 +9,9 @@ a Monte Carlo of the counter process, against the closed forms of
 the default `p_th_dbm`. `FullMatrixChannel` is the whole-matrix channel
 refresh that the simulator's blocked pass must equal bit for bit, with
 `highway_rho` its highway correlation and `full_shadow` the blocked pass's
-shadow state as a whole matrix. No module
+shadow state as a whole matrix. `DenseUdTracker` keeps the update-delay
+state of every ordered pair in an (n, n) matrix, where the simulator keeps
+it per neighbour pair. No module
 of the simulator imports this one; `test_reference.py` enforces that.
 """
 from __future__ import annotations
@@ -401,11 +403,59 @@ def sense_subframe(observer: int, snapshot: ScenarioSnapshot,
 # Per-beacon metric bookkeeping
 # ---------------------------------------------------------------------------
 
+class DenseUdTracker:
+    """Inter-reception gaps per ordered (source, destination) pair.
+
+    Gaps are kept as integer beacon-period counts (they are exact multiples
+    of the beacon period); `last` holds the previous correct reception's
+    time as a beacon-period index, -1 when none: int32 takes half the
+    memory of a time in seconds.
+    """
+
+    def __init__(self, n_vehicles: int, beacon_period_s: float):
+        self.beacon_period_s = float(beacon_period_s)
+        self.last = np.full((n_vehicles, n_vehicles), -1, dtype=np.int32)
+        self.gap_counts = np.zeros(1, dtype=np.int64)
+
+    def _grow(self, need: int):
+        if need >= len(self.gap_counts):
+            grown = np.zeros(need + 1, dtype=np.int64)
+            grown[: len(self.gap_counts)] = self.gap_counts
+            self.gap_counts = grown
+
+    def record(self, src, dst_indices: np.ndarray, t_now_s):
+        """Receptions at `dst_indices` of the beacons `src` sent at `t_now_s`.
+
+        `src` and `t_now_s` are scalars or arrays aligned with `dst_indices`;
+        no (src, dst) pair may repeat within one call. Times are multiples
+        of the beacon period, and each is rounded to its period index.
+        """
+        prev = self.last[src, dst_indices]
+        now = np.rint(np.asarray(t_now_s, dtype=float) / self.beacon_period_s)
+        now = np.broadcast_to(now.astype(np.int32), prev.shape)
+        seen = prev >= 0
+        if seen.any():
+            gaps = now[seen].astype(np.int64) - prev[seen]
+            if (gaps <= 0).any():
+                raise MetricsError("non-positive update-delay gap")
+            self._grow(int(gaps.max()))
+            self.gap_counts += np.bincount(gaps, minlength=len(self.gap_counts))
+        self.last[src, dst_indices] = now
+
+    def reset_pairs(self, out_of_range: np.ndarray):
+        """Forget pairs that left the awareness range."""
+        self.last[out_of_range] = -1
+
+    @property
+    def total_gaps(self) -> int:
+        return int(self.gap_counts.sum())
+
+
 def record_beacon(prr, ud, src: int, outcomes, snapshot: ScenarioSnapshot,
                   awareness_m: float, t_now_s: float):
     """Per-beacon PRR and update-delay bookkeeping from reception outcomes.
 
-    `prr` is a `metrics.PrrAccumulator` and `ud` a `metrics.UdTracker`.
+    `prr` is a `metrics.PrrAccumulator` and `ud` a `DenseUdTracker`.
     Every neighbor inside the awareness range counts in the PRR denominator
     (half-duplex-blocked ones included); decoded neighbors feed the update
     delay tracker.

@@ -549,3 +549,28 @@ def test_a_failing_draw_ahead_fails_the_next_advance(monkeypatch):
     oracle = FullMatrixChannel.initial(params, np.hypot(*legs), np.ones((n, n), dtype=bool),
                                        legs, np.random.default_rng(12))
     assert _power_bytes(n, 12) == oracle.rx_power_lin().tobytes()
+
+
+def test_advance_without_moved_fails_before_any_draw(monkeypatch):
+    # A realization built without `speeds` has no stored correlation, so
+    # `advance` needs each pair's displacement. Without one it must fail at
+    # once: no normal drawn, no matrix written, and a pending `draw_ahead`
+    # left for the next advance.
+    monkeypatch.setattr(channel, "WORKERS", 2)
+    n = 2 * BLOCK_ROWS + 1
+    pos = _line(n)
+    rng = np.random.default_rng(13)
+    real = ChannelRealization.initial(PARAMS, pos, None, None, rng)
+    before, state = _state_bytes(real), rng.bit_generator.state
+    with pytest.raises(ValueError, match="moved"):
+        real.advance(pos + 1.0, None, rng)
+    assert _state_bytes(real) == before and rng.bit_generator.state == state
+    real.draw_ahead(rng)
+    with pytest.raises(ValueError, match="moved"):
+        real.advance(pos + 1.0, None, rng)
+    real.advance(pos + 1.0, None, rng, 10.0)
+    twin_rng = np.random.default_rng(13)
+    twin = ChannelRealization.initial(PARAMS, pos, None, None, twin_rng)
+    twin.advance(pos + 1.0, None, twin_rng, 10.0)
+    assert _state_bytes(real) == _state_bytes(twin)
+    assert rng.bit_generator.state == twin_rng.bit_generator.state

@@ -5,10 +5,11 @@ from mode4sim import channel, engine as engine_module, mode4, phy
 from mode4sim.channel import BLOCK_ROWS
 from mode4sim.config import RunConfig
 from mode4sim.engine import Protocol, SimulationEngine, run_hidden_node, run_scenario
-from mode4sim.metrics import PrrAccumulator, UdTracker
+from mode4sim.metrics import PrrAccumulator
 from mode4sim.mobility import spawn_highway, step_highway
 from mode4sim.seeding import substream
-from oracles import RxOutcome, ScenarioSnapshot, blocks, hidden_node_loop, record_beacon
+from oracles import (DenseUdTracker, RxOutcome, ScenarioSnapshot, blocks, hidden_node_loop,
+                     record_beacon)
 
 SMALL = dict(highway_length_m=1000.0, highway_vehicles=124, seed=5)
 
@@ -98,10 +99,11 @@ def test_batched_credit_matches_per_beacon_oracle(monkeypatch):
 
 
 def test_batched_credit_matches_per_beacon_oracle_under_churn(monkeypatch, tmp_path):
-    # The engine forgets at each period start only the pairs that left the
-    # neighbour set; the oracle's accumulators forget every pair out of
-    # range. On a trace whose neighbour sets and presence churn, some pairs
-    # out of range for a single period, the counts must still match exactly.
+    # The engine keeps update-delay state per neighbour pair and carries
+    # the pairs that stay from one period's list to the next; the oracle's
+    # (n, n) tracker forgets every pair out of range. On a trace whose
+    # neighbour sets and presence churn, some pairs out of range for a
+    # single period, the counts must still match exactly.
     _check_batched_credit(monkeypatch, RunConfig(
         duration_s=3.6, t_sense_ms=200, n_max=6, seed=2, **_churn_trace(tmp_path)))
 
@@ -119,14 +121,16 @@ def _check_batched_credit(monkeypatch, cfg):
 
     monkeypatch.setattr(phy, "subframe_reception", capture)
     prr = PrrAccumulator(cfg.prr_bin_width_m, proto.awareness_m)
-    ud = UdTracker(world.n, world.t_b / 1000.0)
+    ud = DenseUdTracker(world.n, world.t_b / 1000.0)
     replayed = left = 0
     for t in range(world.total_tti):
         if t % world.t_b == 0:
             world.advance(t)
             proto.begin_period(t)  # departures drop their transmission
-            left += np.count_nonzero(ud.last[~proto.neigh] >= 0)
-            ud.reset_pairs(~proto.neigh)
+            neigh = world.dist <= proto.awareness_m
+            np.fill_diagonal(neigh, False)
+            left += np.count_nonzero(ud.last[~neigh] >= 0)
+            ud.reset_pairs(~neigh)
         txs = np.flatnonzero(proto.next_tx == t)
         captured.clear()
         proto.tick(t)
@@ -442,6 +446,24 @@ def test_the_world_holds_no_square_matrix_but_distances_and_power():
                     found[id(array)] = array
     want = (world.dist, world.channel.rx_power_lin())
     assert sorted(found) == sorted(id(m) for m in want)
+
+
+def test_the_protocol_holds_no_square_matrix():
+    # In the metric phase the protocol keeps its neighbours and their
+    # update-delay state per neighbour pair: after a period starts, no
+    # (n, n) array is left in the protocol, its tracker or its memory.
+    cfg = RunConfig(duration_s=3.0, highway_length_m=3000.0, highway_vehicles=600, seed=1)
+    world = SimulationEngine(cfg)
+    proto = Protocol(world)
+    n = world.n
+    for t in (proto.warmup_tti, proto.warmup_tti + world.t_b):
+        world.advance(t)
+        proto.begin_period(t)
+        for owner in (proto, proto.ud, proto.memory):
+            for value in vars(owner).values():
+                for item in value if isinstance(value, (list, tuple)) else [value]:
+                    assert not (isinstance(item, np.ndarray) and item.shape == (n, n)), owner
+        assert proto.pair_ptr[-1] > 0
 
 
 def test_duration_must_exceed_warmup():

@@ -6,8 +6,8 @@ from mode4sim.channel import dbm_to_mw, pair_legs
 from mode4sim.metrics import (HiddenNodeAccumulator, MetricsError,
                               PrrAccumulator, UdTracker,
                               hidden_node_probability, ud_percentile)
-from oracles import (NOISE_DBM, RxOutcome, ScenarioSnapshot, hidden_node_loop,
-                     make_channel, rebinned, record_beacon)
+from oracles import (NOISE_DBM, DenseUdTracker, RxOutcome, ScenarioSnapshot,
+                     hidden_node_loop, make_channel, rebinned, record_beacon)
 
 GAMMA_DB = 7.30
 
@@ -26,7 +26,7 @@ def snapshot_line(xs):
 
 def test_all_neighbors_decoding_gives_unit_bin():
     prr = PrrAccumulator(10.0, 200.0)
-    ud = UdTracker(3, 0.1)
+    ud = DenseUdTracker(3, 0.1)
     snap = snapshot_line([0.0, 5.0, 8.0])
     record_beacon(prr, ud, 0, outcomes_for(0, {1: True, 2: True}), snap, 200.0, 0.1)
     centers, values, samples = prr.by_bin()
@@ -36,7 +36,7 @@ def test_all_neighbors_decoding_gives_unit_bin():
 
 def test_blocked_neighbors_count_in_denominator():
     prr = PrrAccumulator(10.0, 200.0)
-    ud = UdTracker(2, 0.1)
+    ud = DenseUdTracker(2, 0.1)
     snap = snapshot_line([0.0, 5.0])
     outcomes = [RxOutcome(0, 1, float("nan"), False, True)]
     record_beacon(prr, ud, 0, outcomes, snap, 200.0, 0.1)
@@ -46,7 +46,7 @@ def test_blocked_neighbors_count_in_denominator():
 
 def test_beyond_awareness_not_counted():
     prr = PrrAccumulator(10.0, 200.0)
-    ud = UdTracker(2, 0.1)
+    ud = DenseUdTracker(2, 0.1)
     snap = snapshot_line([0.0, 250.0])
     record_beacon(prr, ud, 0, outcomes_for(0, {1: True}), snap, 200.0, 0.1)
     assert prr.neighbor_count.sum() == 0
@@ -72,18 +72,28 @@ def test_prr_bounds_and_pooling():
 
 # -- UD -----------------------------------------------------------------------
 
+# The one pair (0 -> 1) of two vehicles: key 0 * 2 + 1, position 0.
+PAIR = np.array([0])
+
+
+def one_pair_tracker():
+    ud = UdTracker(0.1)
+    ud.reset_pairs(np.array([1]))
+    return ud
+
+
 def test_gap_arithmetic():
-    ud = UdTracker(2, 0.1)
-    ud.record(0, np.array([1]), 0.5)
-    ud.record(0, np.array([1]), 0.8)
+    ud = one_pair_tracker()
+    ud.record(PAIR, 0.5)
+    ud.record(PAIR, 0.8)
     assert ud.total_gaps == 1
     assert ud_percentile(ud, 1.0) == pytest.approx(0.3)
 
 
 def test_lossfree_floor_gaps_are_one_period():
-    ud = UdTracker(2, 0.1)
+    ud = one_pair_tracker()
     for k in range(1, 50):
-        ud.record(0, np.array([1]), k * 0.1)
+        ud.record(PAIR, k * 0.1)
     assert ud_percentile(ud, 0.5) == pytest.approx(0.1)
     assert ud_percentile(ud, 1.0) == pytest.approx(0.1)
 
@@ -93,23 +103,22 @@ def test_consecutive_period_times_give_unit_gaps(t_b):
     # The tracker stores period indices, not times: for every k up to 10^6
     # the beacons at k*t_b/1000 and (k+1)*t_b/1000 s are one period apart,
     # as the old difference of times in seconds rounded them.
-    side = 1001
-    ud = UdTracker(side, t_b / 1000.0)
-    src, dst = np.divmod(np.arange(side * side), side)
-    k = np.arange(side * side, dtype=np.int64)
-    ud.record(src, dst, k * t_b / 1000.0)
-    ud.record(src, dst, (k + 1) * t_b / 1000.0)
-    assert ud.gap_counts.tolist() == [0, side * side]
+    pairs = np.arange(1001 * 1001)
+    ud = UdTracker(t_b / 1000.0)
+    ud.reset_pairs(pairs)
+    ud.record(pairs, pairs * t_b / 1000.0)
+    ud.record(pairs, (pairs + 1) * t_b / 1000.0)
+    assert ud.gap_counts.tolist() == [0, len(pairs)]
 
 
 def test_nearest_rank_percentile():
-    ud = UdTracker(2, 0.1)
+    ud = one_pair_tracker()
     # Nine 0.1 s gaps and one 0.5 s gap: q=0.9 hits rank 9 of 10.
     t = 0.0
     for _ in range(10):
         t += 0.1
-        ud.record(0, np.array([1]), t)
-    ud.record(0, np.array([1]), t + 0.5)
+        ud.record(PAIR, t)
+    ud.record(PAIR, t + 0.5)
     assert ud.total_gaps == 10
     assert ud_percentile(ud, 0.9) == pytest.approx(0.1)
     assert ud_percentile(ud, 1.0) == pytest.approx(0.5)
@@ -117,27 +126,40 @@ def test_nearest_rank_percentile():
 
 def test_percentile_monotone_in_q():
     rng = np.random.default_rng(1)
-    ud = UdTracker(2, 0.1)
+    ud = one_pair_tracker()
     t = 0.0
     for _ in range(500):
         t += 0.1 * int(rng.integers(1, 20))
-        ud.record(0, np.array([1]), t)
+        ud.record(PAIR, t)
     qs = np.linspace(0.05, 1.0, 40)
     vals = [ud_percentile(ud, q) for q in qs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_out_of_range_reset_drops_pair_state():
-    ud = UdTracker(2, 0.1)
-    ud.record(0, np.array([1]), 0.1)
-    mask = np.ones((2, 2), dtype=bool)  # everything out of range
-    ud.reset_pairs(mask)
-    ud.record(0, np.array([1]), 5.0)
+    ud = one_pair_tracker()
+    ud.record(PAIR, 0.1)
+    ud.reset_pairs(np.array([0, 2]))  # the pair left the range
+    ud.reset_pairs(np.array([1]))  # and came back
+    ud.record(PAIR, 5.0)
     assert ud.total_gaps == 0  # no gap across the reset
+    ud.reset_pairs(np.array([], dtype=np.int64))  # every pair left
+    assert len(ud.last) == 0
+
+
+def test_staying_pairs_keep_their_reception_at_a_new_position():
+    ud = UdTracker(0.1)
+    ud.reset_pairs(np.array([1, 5]))
+    ud.record(np.array([0, 1]), np.array([0.1, 0.2]))
+    # Key 1 moves to position 1 and key 5 to position 3; key 3 is new.
+    ud.reset_pairs(np.array([0, 1, 3, 5]))
+    assert ud.last.tolist() == [-1, 1, -1, 2]
+    ud.record(np.array([1, 2, 3]), 0.5)
+    assert ud.gap_counts.tolist() == [0, 0, 0, 1, 1]
 
 
 def test_empty_tracker_reports_nan():
-    empty = UdTracker(2, 0.1)
+    empty = UdTracker(0.1)
     for q in (0.5, 0.9, 1.0):
         assert np.isnan(ud_percentile(empty, q))
     # The q range is checked before the gaps are.
@@ -147,10 +169,63 @@ def test_empty_tracker_reports_nan():
 
 
 def test_gaps_are_positive_invariant():
-    ud = UdTracker(2, 0.1)
-    ud.record(0, np.array([1]), 0.3)
+    ud = one_pair_tracker()
+    ud.record(PAIR, 0.3)
     with pytest.raises(MetricsError):
-        ud.record(0, np.array([1]), 0.3)
+        ud.record(PAIR, 0.3)
+
+
+@st.composite
+def ud_histories(draw):
+    """Periods of (neighbour mask, credits) on n vehicles, some absent in
+    each period. A credit is a mask of decoded pairs and, per source, the
+    beacon periods its clock advances before it sends; an advance of 0
+    repeats a reception time."""
+    n = draw(st.integers(2, 6))
+    flags = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+    periods = []
+    for _ in range(draw(st.integers(1, 6))):
+        present = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        neigh = np.array(draw(flags)).reshape(n, n) & present & present[:, None]
+        np.fill_diagonal(neigh, False)
+        credits = draw(st.lists(st.tuples(
+            flags, st.lists(st.sampled_from([0, 1, 1, 2, 5]), min_size=n, max_size=n)),
+            max_size=3))
+        periods.append((neigh, [(np.array(m).reshape(n, n), np.array(a)) for m, a in credits]))
+    return n, periods
+
+
+def _outcome(record, *args):
+    try:
+        record(*args)
+    except MetricsError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(ud_histories())
+def test_pair_tracker_equals_the_dense_oracle(history):
+    # Pairs leave the neighbour set and come back, and vehicles go absent;
+    # the pair tracker matches each period's sorted keys to the last, while
+    # the oracle forgets every pair out of range.
+    n, periods = history
+    pair, dense = UdTracker(0.1), DenseUdTracker(n, 0.1)
+    clock = np.zeros(n, dtype=np.int64)
+    for neigh, credits in periods:
+        keys = np.flatnonzero(neigh)
+        pair.reset_pairs(keys)
+        dense.reset_pairs(~neigh)
+        for decoded, advance in credits:
+            clock += advance
+            src, dst = np.nonzero(decoded & neigh)
+            t_now_s = clock[src] * 0.1
+            want = _outcome(dense.record, src, dst, t_now_s)
+            got = _outcome(pair.record, np.searchsorted(keys, src * n + dst), t_now_s)
+            assert got == want
+            assert np.array_equal(pair.gap_counts, dense.gap_counts)
+            if want is not None:
+                return
 
 
 # -- hidden node ----------------------------------------------------------------

@@ -211,6 +211,27 @@ def test_subframe_without_transmissions_writes_srssi_only():
     assert memory.monitored.all() and memory.half_duplex_writes == 0
 
 
+def test_decode_counts_hold_every_transmission_of_a_subframe():
+    # The counts take the smallest type that holds n. At 300 vehicles one
+    # vehicle decodes the other 299, all in frequency slot 0 of subframe 0:
+    # a count above 255, which one byte would wrap.
+    n, cfg = 300, RunConfig()
+    memory = fresh_memory(cfg, n=n)
+    memory.begin_period(0)
+    txs = np.arange(1, n)
+    power = np.random.default_rng(3).uniform(1e-12, 1e-9, (n - 1, n))
+    decoded = np.zeros((n - 1, n), dtype=bool)
+    decoded[:, 0] = True
+    memory.record_subframe(0, txs, np.arange(n) == 0, power.sum(axis=0),
+                           np.zeros(n - 1, dtype=np.int64), power, decoded)
+    assert memory.rsrp_cnt.dtype == np.uint16 and memory.rsrp_cnt[0, 0, 0] == n - 1
+    count = np.zeros(cfg.br_count, dtype=np.int32)
+    count[0] = n - 1
+    total = memory.rsrp_sum[0].sum(axis=0, dtype=np.float64)
+    want = np.where(count > 0, total / np.maximum(count, 1), 0.0)
+    assert memory.avg_rsrp_lin(0).tobytes() == want.tobytes()
+
+
 def test_degenerate_window_returns_all_monitored():
     cfg = RunConfig(r_sel=1.0, t1=1, t2=20)
     cands = candidates(fresh_memory(cfg), cfg)

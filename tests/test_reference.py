@@ -30,7 +30,7 @@ ORACLE_NAMES = {"ScenarioSnapshot", "TxEvent", "RxOutcome", "SenseSample",
                 "power_threshold", "Mode4ParamError", "FullMatrixChannel",
                 "_symmetric_normal", "pathloss_db", "rx_power_dbm",
                 "shadow_sigma_db", "subframe_reception_expression",
-                "highway_rho", "full_shadow"}
+                "highway_rho", "full_shadow", "DenseUdTracker"}
 # Modules the simulator must not import: the oracles and the test suite.
 TEST_MODULES = {"oracles", "tests"}
 
