@@ -29,7 +29,7 @@ def breakpoint_distance_m(carrier_ghz: float) -> float:
     return 4.0 * h_eff * h_eff * carrier_ghz * 1e9 / SPEED_OF_LIGHT
 
 
-def pathloss_los_db(distance_m, carrier_ghz: float = 5.9, out=None):
+def pathloss_los_db(distance_m, carrier_ghz: float, out=None):
     """Two-slope LOS pathloss, continuous at the breakpoint up to the
     rounding of the published constants. `out`, if given, receives it."""
     if out is None:
@@ -58,7 +58,7 @@ def _nlos_one_way(d_main, d_perp, carrier_ghz):
     )
 
 
-def pathloss_nlos_db(leg1_m, leg2_m, carrier_ghz: float = 5.9):
+def pathloss_nlos_db(leg1_m, leg2_m, carrier_ghz: float):
     """Around-the-corner pathloss from the two right-triangle legs.
 
     Symmetric in the legs (best of the two street orderings) and floored at
@@ -320,10 +320,11 @@ class ChannelRealization:
 
     def __init__(self, cfg: RunConfig, positions, wrap_length_m: float | None,
                  los, rng: np.random.Generator, speeds=None):
-        """The first period's channel, every shadow sample drawn fresh."""
+        """The first period's channel; it keeps `rng` as its shadow stream."""
         n = len(positions)
         self.cfg = cfg
         self.wrap_length_m = wrap_length_m
+        self._rng = rng
         self.dist = np.empty((n, n))
         self._rx_lin = np.empty((n, n))
         self._blocks = [(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
@@ -338,7 +339,7 @@ class ChannelRealization:
                 np.abs(np.subtract(speeds[r0:r1, None], speeds[None, r0:], out=rho), out=rho)
                 rho *= cfg.beacon_period_ms / 1000.0
                 self._ar1_weights(rho, rho, weight)
-        self._refresh(positions, los, rng, np.inf)  # forget the zero state
+        self._refresh(positions, los, np.inf)  # forget the zero state
 
     @classmethod
     def initial(cls, cfg: RunConfig, positions, wrap_length_m, los,
@@ -346,33 +347,32 @@ class ChannelRealization:
         """The engine's entry point for the first period; see the constructor."""
         return cls(cfg, positions, wrap_length_m, los, rng, speeds)
 
-    def advance(self, positions, los, rng: np.random.Generator, moved=None):
+    def advance(self, positions, los, moved=None):
         """Refresh the channel for new positions and step the shadow AR(1).
 
         `los` holds each pair's LOS flag, or is None when every link is
         LOS. `moved` is each pair's displacement in m since the last refresh,
         a symmetric matrix or a scalar, with rho = exp(-moved/decorr); an
         infinite one resamples the pair, and None steps by the constructor's
-        `speeds` (m/s, a highway's). The period's normals come from `rng`,
-        or from the pending `draw_ahead` when there is one.
+        `speeds` (m/s, a highway's).
         """
         if moved is None and self._rho is None:
             raise ValueError("advance needs `moved`: the realization was built "
                              "without `speeds`")
-        self._refresh(positions, los, rng, moved)
+        self._refresh(positions, los, moved)
 
-    def draw_ahead(self, rng: np.random.Generator):
-        """Start drawing the next refresh's normals from `rng` now, on a
-        refresh thread, while the caller goes on. Nothing but the shadow
-        stream goes into them, so the next `advance` gives the same bits as
-        without it; it waits for the draw and re-raises its failure. Call it
-        at most once between two refreshes. Where the refresh runs in this
-        thread (one block, one CPU) there is nothing to overlap, and the
-        next `advance` draws as it would without this call.
+    def draw_ahead(self):
+        """Start drawing the next refresh's normals now, on a refresh
+        thread, while the caller goes on. Nothing but the shadow stream goes
+        into them, so the next `advance` gives the same bits as without it;
+        it waits for the draw and re-raises its failure. Call it at most once
+        between two refreshes. Where the refresh runs in this thread (one
+        block, one CPU) there is nothing to overlap, and the next `advance`
+        draws as it would without this call.
         """
         pool = _executor(self._threads())
         if pool is not None:
-            self._ahead = pool.submit(self._fill, rng)
+            self._ahead = pool.submit(self._fill)
 
     def rx_power_lin(self):
         """Linear received power in mW, diagonal zeroed. rows = transmitter."""
@@ -396,24 +396,24 @@ class ChannelRealization:
         np.sqrt(np.subtract(1.0, np.multiply(rho, rho, out=weight), out=weight), out=weight)
         return rho, weight
 
-    def _fill(self, rng):
+    def _fill(self):
         """Draw the period's (n, n) standard normals row block by row block,
         so the stream is that of one (n, n) call, and keep each block's
         columns r0:."""
         for (r0, r1), normals in zip(self._blocks, self._normals):
             drawn = self._draw[:r1 - r0]
-            rng.standard_normal(out=drawn)
+            self._rng.standard_normal(out=drawn)
             np.copyto(normals, drawn[:, r0:])
 
-    def _refresh(self, positions, los, rng, moved):
+    def _refresh(self, positions, los, moved):
         """One pass over row blocks of the upper triangle, mirrored below.
 
         The period's normals are those of a pending `draw_ahead`, or are
-        drawn here. Each block is then computed on the refresh threads, or
-        here when there is one block or one CPU."""
+        drawn here. Each block is then computed and mirrored by one task on
+        the refresh threads, or here when there is one block or one CPU."""
         ahead, self._ahead = self._ahead, None
         if ahead is None:
-            self._fill(rng)
+            self._fill()
         else:
             ahead.result()
         n = len(self.dist)
@@ -431,16 +431,15 @@ class ChannelRealization:
         for _ in range(workers):
             scratch.put((np.empty(size), np.empty(size)))
 
-        def upper(r0, r1):
+        def block(r0, r1):
             bufs = scratch.get()
             try:
                 self._upper_block(r0, r1, x, y, gone, los, moved, *bufs)
             finally:
                 scratch.put(bufs)
+            self._mirror(r0, r1)
 
-        pool = _executor(workers)
-        _each(pool, upper, self._blocks)
-        _each(pool, self._mirror, self._blocks)
+        _each(_executor(workers), block, self._blocks)
         np.fill_diagonal(self._rx_lin, 0.0)
 
     def _upper_block(self, r0, r1, x, y, gone, los, moved, adx, ady):
@@ -493,7 +492,9 @@ class ChannelRealization:
         np.power(10.0, pl, out=g)
 
     def _mirror(self, r0, r1):
-        """Copy rows r0:r1 of the upper triangle below the diagonal."""
+        """Copy rows r0:r1 of the upper triangle below the diagonal. It reads
+        rows r0:r1 from column r0 on, which only this block writes, and
+        writes columns r0:r1 from row r0 on, which no other block writes."""
         lower = np.tri(r1 - r0, k=-1, dtype=bool)
         for mat in (self.dist, self._rx_lin):
             mat[r1:, r0:r1] = mat[r0:r1, r1:].T

@@ -51,12 +51,13 @@ def _write_lines(path, lines):
         raise OutputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _ratio_text(value) -> str:
+    return "nan" if np.isnan(value) else f"{value:.6f}"
+
+
 def write_run_outputs(result: SimulationResult, outdir: str):
-    centers, prr, samples = result.prr.by_bin()
-    rows = ["bin_center_m,prr,samples"]
-    for c, p, s in zip(centers, prr, samples):
-        value = "nan" if np.isnan(p) else f"{p:.6f}"
-        rows.append(f"{c:.1f},{value},{int(s)}")
+    rows = ["bin_center_m,prr,samples"] + [
+        f"{c:.1f},{_ratio_text(p)},{int(s)}" for c, p, s in zip(*result.prr.by_bin())]
     _write_lines(os.path.join(outdir, "prr_by_distance.csv"), rows)
 
     rows = ["q,seconds"] + [f"{q},{ud_percentile(result.ud, q):.4f}" for q in UD_QUANTILES]
@@ -77,12 +78,11 @@ def write_run_outputs(result: SimulationResult, outdir: str):
         f"half_duplex_violations: {result.half_duplex_violations}",
         f"half_duplex_pairs_checked: {result.half_duplex_pairs_checked}",
         f"ud_gaps_recorded: {result.ud.total_gaps}",
-        f"warmup_s: {result.warmup_s}",
-        f"seed: {result.seed}",
+        f"warmup_s: {result.cfg.warmup_s}",
+        f"seed: {result.cfg.seed}",
     ]
     summary += [f"ud_p{q}: {ud_percentile(result.ud, q):.4f}" for q in UD_QUANTILES]
-    for key, value in result.config_items:
-        summary.append(f"config.{key}: {value}")
+    summary += [f"config.{key}: {value}" for key, value in result.cfg.resolved_items()]
     _write_lines(os.path.join(outdir, "summary.txt"), summary)
 
 
@@ -180,10 +180,7 @@ def cmd_hidden_node(args) -> int:
     _make_outdir(args.out)
     acc = run_hidden_node(cfg, sample_every_periods=args.sample_every)
     centers, prob, _pairs = acc.by_bin()
-    rows = ["d_bin_m,probability"]
-    for c, p in zip(centers, prob):
-        value = "nan" if np.isnan(p) else f"{p:.6f}"
-        rows.append(f"{c:.1f},{value}")
+    rows = ["d_bin_m,probability"] + [f"{c:.1f},{_ratio_text(p)}" for c, p in zip(centers, prob)]
     _write_lines(os.path.join(args.out, "hidden_node.csv"), rows)
     summary = [f"hidden_node_probability: {acc.overall():.6f}",
                f"contributing_pair_samples: {int(acc.pair_count.sum())}",

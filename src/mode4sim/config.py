@@ -148,8 +148,12 @@ class RunConfig:
         return self
 
     @property
+    def warmup_tti(self) -> int:
+        return self.t_sense_ms + self.n_max * self.beacon_period_ms
+
+    @property
     def warmup_s(self) -> float:
-        return (self.t_sense_ms + self.n_max * self.beacon_period_ms) / 1000.0
+        return self.warmup_tti / 1000.0
 
     @property
     def brs_per_tti(self) -> int:

@@ -14,7 +14,7 @@ see partial data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,7 @@ class SimulationResult:
     mean_neighbors: float
     beacons_sent: int
     reselections: int
-    seed: int
-    warmup_s: float
-    config_items: list = field(default_factory=list)
+    cfg: RunConfig
 
 
 class SimulationEngine:
@@ -126,12 +124,12 @@ class SimulationEngine:
             self.channel = ChannelRealization.initial(
                 self.cfg, self.positions, self.wrap, los, self.shadow_rng, self.speeds)
         else:
-            self.channel.advance(self.positions, los, self.shadow_rng, self._moved(period))
+            self.channel.advance(self.positions, los, self._moved(period))
         self.dist = self.channel.dist
         # The next period's normals depend on the shadow stream alone: draw
         # them while this period runs, and none that no period uses.
         if period + 1 < self.n_periods:
-            self.channel.draw_ahead(self.shadow_rng)
+            self.channel.draw_ahead()
 
     def run(self) -> SimulationResult:
         protocol = Protocol(self)
@@ -150,7 +148,6 @@ class Protocol:
         cfg, n = world.cfg, world.n
         self.world, self.cfg, self.n, self.t_b = world, cfg, n, world.t_b
         self.awareness_m = cfg.resolved_awareness_m()
-        self.warmup_tti = cfg.t_sense_ms + cfg.n_max * self.t_b
         self.ibe_lin = phy.ibe_factor(cfg.ibe_attenuation_db)
 
         self.next_tx = np.full(n, -1, dtype=np.int64)
@@ -175,16 +172,16 @@ class Protocol:
         self.beacons_sent = 0
         self.neighbor_samples = 0.0
         self.neighbor_periods = 0
-        # The metric phase's neighbour pairs: those of source v are
-        # pair_ptr[v]:pair_ptr[v + 1], by ascending destination.
-        self.pair_ptr = self.pair_dst = self.pair_dist = None
+        # The metric phase's neighbour pairs and their PRR bins: those of
+        # source v are pair_ptr[v]:pair_ptr[v + 1], by ascending destination.
+        self.pair_ptr = self.pair_dst = self.pair_bin = None
 
     def begin_period(self, t: int):
         """Start the protocol's period at t, on the world advanced to it."""
         was_present, present = self.present, self.world.present
         self.present = present
         # The warm-up is whole periods, and nothing reads neighbours in it.
-        if t >= self.warmup_tti:
+        if t >= self.cfg.warmup_tti:
             self._neighbour_pairs()
             if present.any():
                 self.neighbor_samples += np.diff(self.pair_ptr)[present].mean()
@@ -212,7 +209,7 @@ class Protocol:
         keys = np.flatnonzero(near)
         self.pair_ptr = np.searchsorted(keys, np.arange(n + 1) * n)
         self.pair_dst = keys % n
-        self.pair_dist = dist.ravel()[keys]
+        self.pair_bin = self.prr.bin_of(dist.ravel()[keys])
         self.ud.reset_pairs(keys)
 
     # -- selection and transmission ----------------------------------------
@@ -286,7 +283,7 @@ class Protocol:
         self.held[txs] += 1
         self.beacons_sent += len(txs)
 
-        if t >= self.warmup_tti:
+        if t >= self.cfg.warmup_tti:
             # The transmitters' segments of the pair list, in order.
             lo = self.pair_ptr[txs]
             counts = self.pair_ptr[txs + 1] - lo
@@ -295,12 +292,12 @@ class Protocol:
             dst = self.pair_dst[pairs]
             credited = decoded[row, dst]
             self.hd_violations += int(np.count_nonzero(credited & tx_mask[dst]))
-            self.prr.record_arrays(self.prr.bin_of(self.pair_dist[pairs]), credited)
+            self.prr.record_arrays(self.pair_bin[pairs], credited)
             # A source transmits at most once per subframe, so no pair
             # repeats within this call.
             if credited.any():
                 src = txs[row[credited]]
-                self.ud.record(pairs[credited], self.seq[src] * self.t_b / 1000.0)
+                self.ud.record(pairs[credited], self.seq[src])
 
         for v in txs:
             self._mac_after_tx(int(v), t)
@@ -318,9 +315,7 @@ class Protocol:
             mean_neighbors=float(mean_neigh),
             beacons_sent=self.beacons_sent,
             reselections=len(self.hold_counts),
-            seed=self.cfg.seed,
-            warmup_s=self.warmup_tti / 1000.0,
-            config_items=self.cfg.resolved_items(),
+            cfg=self.cfg,
         )
 
 

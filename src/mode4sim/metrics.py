@@ -12,6 +12,25 @@ class MetricsError(ValueError):
     pass
 
 
+def _n_bins(bin_width_m: float, max_range_m: float) -> int:
+    return int(np.ceil(max_range_m / bin_width_m))
+
+
+def _bin_index(distance_m, bin_width_m: float, n_bins: int):
+    """Each finite, non-negative distance's bin; the last bin also holds
+    every distance past the range."""
+    idx = np.asarray(distance_m / bin_width_m, dtype=np.int64)
+    return np.clip(idx, 0, n_bins - 1)
+
+
+def _ratio_by_bin(bin_width_m: float, total, count):
+    """(bin centers, total / count with NaN where the count is 0, count)."""
+    centers = (np.arange(len(count)) + 0.5) * bin_width_m
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(count > 0, total / np.maximum(count, 1), np.nan)
+    return centers, ratio, count.copy()
+
+
 class PrrAccumulator:
     """Decoded/neighbor counts in fixed-width distance bins."""
 
@@ -19,13 +38,12 @@ class PrrAccumulator:
         if bin_width_m <= 0 or max_range_m <= 0:
             raise MetricsError("bin width and range must be positive")
         self.bin_width_m = float(bin_width_m)
-        self.n_bins = int(np.ceil(max_range_m / bin_width_m))
+        self.n_bins = _n_bins(bin_width_m, max_range_m)
         self.neighbor_count = np.zeros(self.n_bins, dtype=np.int64)
         self.decoded_count = np.zeros(self.n_bins, dtype=np.int64)
 
     def bin_of(self, distance_m):
-        idx = np.asarray(distance_m / self.bin_width_m, dtype=np.int64)
-        return np.clip(idx, 0, self.n_bins - 1)
+        return _bin_index(distance_m, self.bin_width_m, self.n_bins)
 
     def record_arrays(self, bin_idx: np.ndarray, decoded: np.ndarray):
         self.neighbor_count += np.bincount(bin_idx, minlength=self.n_bins)
@@ -34,12 +52,7 @@ class PrrAccumulator:
 
     def by_bin(self):
         """(bin centers, prr, samples); prr is NaN for empty bins."""
-        centers = (np.arange(self.n_bins) + 0.5) * self.bin_width_m
-        with np.errstate(invalid="ignore"):
-            prr = np.where(self.neighbor_count > 0,
-                           self.decoded_count / np.maximum(self.neighbor_count, 1),
-                           np.nan)
-        return centers, prr, self.neighbor_count.copy()
+        return _ratio_by_bin(self.bin_width_m, self.decoded_count, self.neighbor_count)
 
     def pooled(self) -> float:
         """PRR over all bins; NaN when no neighbor was ever in range."""
@@ -53,9 +66,9 @@ class UdTracker:
     """Inter-reception gaps per ordered (source, destination) neighbour pair.
 
     A period's pairs are `keys`, the sorted `src * n + dst` of its neighbour
-    list; `last[k]` holds pair k's previous correct reception as a
-    beacon-period index, -1 when none. Gaps are kept as integer
-    beacon-period counts (they are exact multiples of the beacon period).
+    list; `last[k]` holds the sequence number of pair k's previous correct
+    reception, -1 when none. A source sends one beacon per period, so gaps
+    are kept as integer beacon-period counts.
     """
 
     def __init__(self, beacon_period_s: float):
@@ -64,30 +77,22 @@ class UdTracker:
         self.last = np.empty(0, dtype=np.int32)
         self.gap_counts = np.zeros(1, dtype=np.int64)
 
-    def _grow(self, need: int):
-        if need >= len(self.gap_counts):
-            grown = np.zeros(need + 1, dtype=np.int64)
-            grown[: len(self.gap_counts)] = self.gap_counts
-            self.gap_counts = grown
-
-    def record(self, pairs: np.ndarray, t_now_s):
+    def record(self, pairs: np.ndarray, beacon):
         """Receptions over the pairs at positions `pairs` of `keys` of the
-        beacons sent at `t_now_s`.
-
-        `t_now_s` is a scalar or an array aligned with `pairs`; no pair may
-        repeat within one call. Times are multiples of the beacon period,
-        and each is rounded to its period index.
+        beacons with sequence number `beacon`, an integer or an integer
+        array aligned with `pairs`. No pair may repeat within one call.
         """
         prev = self.last[pairs]
-        now = np.rint(np.asarray(t_now_s, dtype=float) / self.beacon_period_s)
-        now = np.broadcast_to(now.astype(np.int32), prev.shape)
+        now = np.broadcast_to(np.asarray(beacon, dtype=np.int32), prev.shape)
         seen = prev >= 0
         if seen.any():
             gaps = now[seen].astype(np.int64) - prev[seen]
             if (gaps <= 0).any():
                 raise MetricsError("non-positive update-delay gap")
-            self._grow(int(gaps.max()))
-            self.gap_counts += np.bincount(gaps, minlength=len(self.gap_counts))
+            counts = np.bincount(gaps)
+            if len(counts) > len(self.gap_counts):
+                self.gap_counts = np.pad(self.gap_counts, (0, len(counts) - len(self.gap_counts)))
+            self.gap_counts[:len(counts)] += counts
         self.last[pairs] = now
 
     def reset_pairs(self, keys: np.ndarray):
@@ -205,7 +210,7 @@ def hidden_node_probability(power_lin: np.ndarray, dist_m: np.ndarray,
     n = len(power_lin)
     if n < 2:
         raise MetricsError("need at least two vehicles")
-    n_bins = int(np.ceil(max_range_m / bin_width_m))
+    n_bins = _n_bins(bin_width_m, max_range_m)
     snr_floor = gamma_lin * noise_lin
     # Every decodable link (a, b), a != b, sources ascending, then destinations.
     src, dst = np.nonzero(power_lin > snr_floor)
@@ -219,7 +224,7 @@ def hidden_node_probability(power_lin: np.ndarray, dist_m: np.ndarray,
     has_i = i_cnt > 0
     src, dst = src[has_i], dst[has_i]
     ratios = h_cnt[has_i] / i_cnt[has_i]
-    bin_idx = np.clip((dist_m[src, dst] / bin_width_m).astype(int), 0, n_bins - 1)
+    bin_idx = _bin_index(dist_m[src, dst], bin_width_m, n_bins)
     # Row a holds source a's partial sums; cumsum adds the rows in order.
     per_source = np.bincount(src * n_bins + bin_idx, weights=ratios,
                              minlength=n * n_bins).reshape(n, n_bins)
@@ -240,9 +245,8 @@ class HiddenNodeAccumulator:
 
     def __init__(self, bin_width_m: float, max_range_m: float):
         self.bin_width_m = bin_width_m
-        n_bins = int(np.ceil(max_range_m / bin_width_m))
-        self.ratio_sum = np.zeros(n_bins)
-        self.pair_count = np.zeros(n_bins, dtype=np.int64)
+        self.ratio_sum = np.zeros(_n_bins(bin_width_m, max_range_m))
+        self.pair_count = np.zeros(len(self.ratio_sum), dtype=np.int64)
         self.snapshot_probs = []
 
     def add(self, result: HiddenNodeResult):
@@ -257,8 +261,5 @@ class HiddenNodeAccumulator:
         return float(np.mean(self.snapshot_probs))
 
     def by_bin(self):
-        centers = (np.arange(len(self.ratio_sum)) + 0.5) * self.bin_width_m
-        with np.errstate(invalid="ignore"):
-            prob = np.where(self.pair_count > 0,
-                            self.ratio_sum / np.maximum(self.pair_count, 1), np.nan)
-        return centers, prob, self.pair_count.copy()
+        """(bin centers, probability, pair samples); NaN for empty bins."""
+        return _ratio_by_bin(self.bin_width_m, self.ratio_sum, self.pair_count)

@@ -176,9 +176,10 @@ def test_malformed_obstacle_map_is_rejected(tmp_path, capsys):
 # -- pathloss -------------------------------------------------------------
 
 def test_los_pathloss_monotone():
-    assert pathloss_los_db(3.0) < pathloss_los_db(300.0)
+    fc = PARAMS.carrier_ghz
+    assert pathloss_los_db(3.0, fc) < pathloss_los_db(300.0, fc)
     d = np.linspace(3, 2000, 4000)
-    pl = pathloss_los_db(d)
+    pl = pathloss_los_db(d, fc)
     assert (np.diff(pl) >= 0).all()
 
 
@@ -196,8 +197,10 @@ def test_pathloss_reference_value_at_100m():
 
 def test_pathloss_continuous_at_breakpoint():
     # Continuous up to the rounding of the published slope constants.
-    bp = breakpoint_distance_m(5.9)
-    assert pathloss_los_db(bp - 1e-9) == pytest.approx(pathloss_los_db(bp + 1e-9), abs=5e-3)
+    fc = PARAMS.carrier_ghz
+    bp = breakpoint_distance_m(fc)
+    assert pathloss_los_db(bp - 1e-9, fc) == pytest.approx(pathloss_los_db(bp + 1e-9, fc),
+                                                           abs=5e-3)
 
 
 def test_nlos_never_below_los():
@@ -209,15 +212,17 @@ def test_nlos_never_below_los():
     # Degenerate legs: one street leg much shorter than the other.
     for d1, d2 in ((3, 200), (5, 50), (150, 3), (400, 12)):
         euclid = math.hypot(d1, d2)
-        assert pathloss_nlos_db(d1, d2) >= pathloss_los_db(euclid) - 1e-12
+        assert (pathloss_nlos_db(d1, d2, PARAMS.carrier_ghz)
+                >= pathloss_los_db(euclid, PARAMS.carrier_ghz) - 1e-12)
 
 
 def test_nlos_symmetric_in_legs():
-    assert pathloss_nlos_db(20, 80) == pytest.approx(pathloss_nlos_db(80, 20))
+    fc = PARAMS.carrier_ghz
+    assert pathloss_nlos_db(20, 80, fc) == pytest.approx(pathloss_nlos_db(80, 20, fc))
 
 
 def test_distance_clamped_below_3m():
-    assert pathloss_los_db(0.5) == pathloss_los_db(3.0)
+    assert pathloss_los_db(0.5, PARAMS.carrier_ghz) == pathloss_los_db(3.0, PARAMS.carrier_ghz)
 
 
 # -- received power -------------------------------------------------------
@@ -312,7 +317,7 @@ def test_shadow_process_matches_ar1_statistics():
     sums = {k: np.zeros(3) for k in pairs}  # sum s_t^2, sum s_{t-1}^2, sum s_t s_{t-1}
     prev = full_shadow(real)[i, j]
     for _ in range(steps):
-        real.advance(_line(n), los, rng, moved)
+        real.advance(_line(n), los, moved)
         power = real.rx_power_lin()
         assert np.array_equal(power, power.T)
         assert not power.diagonal().any()
@@ -333,7 +338,7 @@ def test_shadow_process_matches_ar1_statistics():
     for block in real._shadow:
         block += 100.0
     assert full_shadow(real)[i, j] == pytest.approx(old + 100.0)
-    real.advance(_line(n), los, rng, np.inf)
+    real.advance(_line(n), los, np.inf)
     new = full_shadow(real)[i, j]
     for k, mask in pairs.items():
         assert abs(new[mask].mean()) < 0.1, k
@@ -351,7 +356,7 @@ def test_advance_frees_the_old_power_matrix_first():
     real = ChannelRealization.initial(params, _line(3), None, None, rng)
     old = real.rx_power_lin()
     before = old.copy()
-    real.advance(_line(3, spacing_m=9.0), None, rng, 10.0)
+    real.advance(_line(3, spacing_m=9.0), None, 10.0)
     assert real.rx_power_lin() is old
     assert not np.array_equal(old, before)
 
@@ -364,12 +369,11 @@ def test_refresh_allocates_less_than_one_power_matrix():
     params = RunConfig()
     n = 600
     pos = np.column_stack([np.linspace(0.0, 3000.0, n), np.tile([2.0, 6.0], n // 2)])
-    rng = np.random.default_rng(8)
     moved = np.full((n, n), 2.0)
-    real = ChannelRealization.initial(params, pos, 4000.0, None, rng)
+    real = ChannelRealization.initial(params, pos, 4000.0, None, np.random.default_rng(8))
     tracemalloc.start()
     try:
-        real.advance(pos + 1.0, None, rng, moved)
+        real.advance(pos + 1.0, None, moved)
         real.rx_power_lin()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -452,13 +456,13 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead
             real = ChannelRealization.initial(params, pos, wrap, los_arg, ours, speeds)
             oracle = FullMatrixChannel.initial(params, dist, los, legs, theirs)
         else:
-            real.advance(pos, los_arg, ours, moved)
+            real.advance(pos, los_arg, moved)
             oracle.advance(dist, los, legs, theirs, rho)
         assert real.dist.tobytes() == dist.tobytes(), period
         assert full_shadow(real).tobytes() == oracle.shadow_db.tobytes(), period
         assert real.rx_power_lin().tobytes() == oracle.rx_power_lin().tobytes(), period
         if ahead and period < 3:
-            real.draw_ahead(ours)
+            real.draw_ahead()
     assert ours.bit_generator.state == theirs.bit_generator.state
     return real
 
@@ -490,6 +494,23 @@ def test_a_forked_child_refreshes_on_its_own_threads(monkeypatch):
     assert there == here
 
 
+def test_a_refresh_is_one_pass_of_one_task_per_block(monkeypatch):
+    # Each block's task computes its rows of the upper triangle and then
+    # mirrors them, so every refresh waits on the refresh threads once.
+    monkeypatch.setattr(channel, "WORKERS", 2)
+    passes, each = [], channel._each
+
+    def counted(pool, fn, blocks):
+        passes.append(len(blocks))
+        each(pool, fn, blocks)
+
+    monkeypatch.setattr(channel, "_each", counted)
+    n = 2 * BLOCK_ROWS + 1
+    real = ChannelRealization.initial(PARAMS, _line(n), None, None, np.random.default_rng(14))
+    real.advance(_line(n, spacing_m=9.0), None, 10.0)
+    assert passes == [3, 3]
+
+
 def _state_bytes(real):
     """The distances, shadow state and power of a realization, as bytes."""
     return [real.dist.tobytes(), full_shadow(real).tobytes(), real.rx_power_lin().tobytes()]
@@ -515,7 +536,7 @@ def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
 
     monkeypatch.setattr(channel, "pathloss_los_db", flaky)
     with pytest.raises(RuntimeError, match="block failed"):
-        real.advance(pos + 1.0, None, np.random.default_rng(10), 10.0)
+        real.advance(pos + 1.0, None, 10.0)
     after = _state_bytes(real)
     time.sleep(0.5)
     assert _state_bytes(real) == after
@@ -527,22 +548,32 @@ def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
     assert _power_bytes(n, 12) == oracle.rx_power_lin().tobytes()
 
 
-class _FailingDraw:
+class _FailingDraws:
+    """A generator whose draws raise once `failing` is set."""
+
+    def __init__(self, seed):
+        self.rng, self.failing = np.random.default_rng(seed), False
+
     def standard_normal(self, out):
-        raise RuntimeError("draw failed")
+        if self.failing:
+            raise RuntimeError("draw failed")
+        return self.rng.standard_normal(out=out)
 
 
 def test_a_failing_draw_ahead_fails_the_next_advance(monkeypatch):
     # A pooled draw that raises must make the next advance raise before it
     # writes anything, and leave the threads to serve the next realization.
+    # The realization's own stream fails from the second period's draws on.
     monkeypatch.setattr(channel, "WORKERS", 2)
     params, n = RunConfig(), 2 * BLOCK_ROWS + 1
     pos = _line(n)
-    real = ChannelRealization.initial(params, pos, None, None, np.random.default_rng(9))
+    draws = _FailingDraws(9)
+    real = ChannelRealization.initial(params, pos, None, None, draws)
     before = _state_bytes(real)
-    real.draw_ahead(_FailingDraw())
+    draws.failing = True
+    real.draw_ahead()
     with pytest.raises(RuntimeError, match="draw failed"):
-        real.advance(pos + 1.0, None, np.random.default_rng(10), 10.0)
+        real.advance(pos + 1.0, None, 10.0)
     assert _state_bytes(real) == before
 
     legs = pair_legs(pos)
@@ -563,14 +594,14 @@ def test_advance_without_moved_fails_before_any_draw(monkeypatch):
     real = ChannelRealization.initial(PARAMS, pos, None, None, rng)
     before, state = _state_bytes(real), rng.bit_generator.state
     with pytest.raises(ValueError, match="moved"):
-        real.advance(pos + 1.0, None, rng)
+        real.advance(pos + 1.0, None)
     assert _state_bytes(real) == before and rng.bit_generator.state == state
-    real.draw_ahead(rng)
+    real.draw_ahead()
     with pytest.raises(ValueError, match="moved"):
-        real.advance(pos + 1.0, None, rng)
-    real.advance(pos + 1.0, None, rng, 10.0)
+        real.advance(pos + 1.0, None)
+    real.advance(pos + 1.0, None, 10.0)
     twin_rng = np.random.default_rng(13)
     twin = ChannelRealization.initial(PARAMS, pos, None, None, twin_rng)
-    twin.advance(pos + 1.0, None, twin_rng, 10.0)
+    twin.advance(pos + 1.0, None, 10.0)
     assert _state_bytes(real) == _state_bytes(twin)
     assert rng.bit_generator.state == twin_rng.bit_generator.state

@@ -1,7 +1,9 @@
 """`RunConfig` as the only parameter object, and the shipped configs."""
+import ast
 import dataclasses
 import glob
 import importlib
+import inspect
 import math
 import os
 import pkgutil
@@ -27,6 +29,25 @@ def test_no_other_dataclass_defaults_a_config_key():
                        if f.name in keys and (f.default is not dataclasses.MISSING
                                               or f.default_factory is not dataclasses.MISSING)]
     assert not copies, f"fields that repeat a RunConfig key with a default: {copies}"
+
+
+def test_no_package_function_defaults_a_config_key():
+    # A parameter named like a RunConfig key with a default is a second copy
+    # of that default, used by any caller that leaves the argument out.
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    copies = []
+    for info in pkgutil.iter_modules(mode4sim.__path__):
+        module = importlib.import_module(f"mode4sim.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+                copies += [f"{info.name}.{node.name}({arg.arg})" for arg in defaulted
+                           if arg.arg in keys]
+    assert not copies, f"parameters that repeat a RunConfig key with a default: {copies}"
 
 
 def test_shipped_configs_load():

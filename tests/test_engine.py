@@ -134,7 +134,7 @@ def _check_batched_credit(monkeypatch, cfg):
         txs = np.flatnonzero(proto.next_tx == t)
         captured.clear()
         proto.tick(t)
-        if t < proto.warmup_tti or not len(txs):
+        if t < cfg.warmup_tti or not len(txs):
             continue
         (decoded,) = captured
         assert len(decoded) == len(txs)
@@ -456,7 +456,7 @@ def test_the_protocol_holds_no_square_matrix():
     world = SimulationEngine(cfg)
     proto = Protocol(world)
     n = world.n
-    for t in (proto.warmup_tti, proto.warmup_tti + world.t_b):
+    for t in (cfg.warmup_tti, cfg.warmup_tti + world.t_b):
         world.advance(t)
         proto.begin_period(t)
         for owner in (proto, proto.ud, proto.memory):

@@ -84,8 +84,8 @@ def one_pair_tracker():
 
 def test_gap_arithmetic():
     ud = one_pair_tracker()
-    ud.record(PAIR, 0.5)
-    ud.record(PAIR, 0.8)
+    ud.record(PAIR, 5)
+    ud.record(PAIR, 8)
     assert ud.total_gaps == 1
     assert ud_percentile(ud, 1.0) == pytest.approx(0.3)
 
@@ -93,32 +93,17 @@ def test_gap_arithmetic():
 def test_lossfree_floor_gaps_are_one_period():
     ud = one_pair_tracker()
     for k in range(1, 50):
-        ud.record(PAIR, k * 0.1)
+        ud.record(PAIR, k)
     assert ud_percentile(ud, 0.5) == pytest.approx(0.1)
     assert ud_percentile(ud, 1.0) == pytest.approx(0.1)
-
-
-@pytest.mark.parametrize("t_b", [20, 100])
-def test_consecutive_period_times_give_unit_gaps(t_b):
-    # The tracker stores period indices, not times: for every k up to 10^6
-    # the beacons at k*t_b/1000 and (k+1)*t_b/1000 s are one period apart,
-    # as the old difference of times in seconds rounded them.
-    pairs = np.arange(1001 * 1001)
-    ud = UdTracker(t_b / 1000.0)
-    ud.reset_pairs(pairs)
-    ud.record(pairs, pairs * t_b / 1000.0)
-    ud.record(pairs, (pairs + 1) * t_b / 1000.0)
-    assert ud.gap_counts.tolist() == [0, len(pairs)]
 
 
 def test_nearest_rank_percentile():
     ud = one_pair_tracker()
     # Nine 0.1 s gaps and one 0.5 s gap: q=0.9 hits rank 9 of 10.
-    t = 0.0
-    for _ in range(10):
-        t += 0.1
-        ud.record(PAIR, t)
-    ud.record(PAIR, t + 0.5)
+    for beacon in range(1, 11):
+        ud.record(PAIR, beacon)
+    ud.record(PAIR, 15)
     assert ud.total_gaps == 10
     assert ud_percentile(ud, 0.9) == pytest.approx(0.1)
     assert ud_percentile(ud, 1.0) == pytest.approx(0.5)
@@ -127,10 +112,10 @@ def test_nearest_rank_percentile():
 def test_percentile_monotone_in_q():
     rng = np.random.default_rng(1)
     ud = one_pair_tracker()
-    t = 0.0
+    beacon = 0
     for _ in range(500):
-        t += 0.1 * int(rng.integers(1, 20))
-        ud.record(PAIR, t)
+        beacon += int(rng.integers(1, 20))
+        ud.record(PAIR, beacon)
     qs = np.linspace(0.05, 1.0, 40)
     vals = [ud_percentile(ud, q) for q in qs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -138,10 +123,10 @@ def test_percentile_monotone_in_q():
 
 def test_out_of_range_reset_drops_pair_state():
     ud = one_pair_tracker()
-    ud.record(PAIR, 0.1)
+    ud.record(PAIR, 1)
     ud.reset_pairs(np.array([0, 2]))  # the pair left the range
     ud.reset_pairs(np.array([1]))  # and came back
-    ud.record(PAIR, 5.0)
+    ud.record(PAIR, 50)
     assert ud.total_gaps == 0  # no gap across the reset
     ud.reset_pairs(np.array([], dtype=np.int64))  # every pair left
     assert len(ud.last) == 0
@@ -150,11 +135,11 @@ def test_out_of_range_reset_drops_pair_state():
 def test_staying_pairs_keep_their_reception_at_a_new_position():
     ud = UdTracker(0.1)
     ud.reset_pairs(np.array([1, 5]))
-    ud.record(np.array([0, 1]), np.array([0.1, 0.2]))
+    ud.record(np.array([0, 1]), np.array([1, 2]))
     # Key 1 moves to position 1 and key 5 to position 3; key 3 is new.
     ud.reset_pairs(np.array([0, 1, 3, 5]))
     assert ud.last.tolist() == [-1, 1, -1, 2]
-    ud.record(np.array([1, 2, 3]), 0.5)
+    ud.record(np.array([1, 2, 3]), 5)
     assert ud.gap_counts.tolist() == [0, 0, 0, 1, 1]
 
 
@@ -170,9 +155,9 @@ def test_empty_tracker_reports_nan():
 
 def test_gaps_are_positive_invariant():
     ud = one_pair_tracker()
-    ud.record(PAIR, 0.3)
+    ud.record(PAIR, 3)
     with pytest.raises(MetricsError):
-        ud.record(PAIR, 0.3)
+        ud.record(PAIR, 3)
 
 
 @st.composite
@@ -208,7 +193,8 @@ def _outcome(record, *args):
 def test_pair_tracker_equals_the_dense_oracle(history):
     # Pairs leave the neighbour set and come back, and vehicles go absent;
     # the pair tracker matches each period's sorted keys to the last, while
-    # the oracle forgets every pair out of range.
+    # the oracle forgets every pair out of range. The oracle takes times in
+    # seconds, the pair tracker beacon sequence numbers.
     n, periods = history
     pair, dense = UdTracker(0.1), DenseUdTracker(n, 0.1)
     clock = np.zeros(n, dtype=np.int64)
@@ -219,9 +205,8 @@ def test_pair_tracker_equals_the_dense_oracle(history):
         for decoded, advance in credits:
             clock += advance
             src, dst = np.nonzero(decoded & neigh)
-            t_now_s = clock[src] * 0.1
-            want = _outcome(dense.record, src, dst, t_now_s)
-            got = _outcome(pair.record, np.searchsorted(keys, src * n + dst), t_now_s)
+            want = _outcome(dense.record, src, dst, clock[src] * 0.1)
+            got = _outcome(pair.record, np.searchsorted(keys, src * n + dst), clock[src])
             assert got == want
             assert np.array_equal(pair.gap_counts, dense.gap_counts)
             if want is not None:
