@@ -89,20 +89,20 @@ def write_run_outputs(result: SimulationResult, outdir: str):
 def _load_with_overrides(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "trace", None):
+    if args.trace:
         overrides["scenario"] = "trace"
         overrides["trace"] = args.trace
-    if getattr(args, "highway", False):
+    if args.highway:
         overrides["scenario"] = "highway"
         if cfg.trace:
             cfg = replace(cfg, trace=None)  # --highway supersedes a config trace
-    if getattr(args, "vehicles", None) is not None:
+    if args.vehicles is not None:
         overrides["highway_vehicles"] = args.vehicles
-    if getattr(args, "length_m", None) is not None:
+    if args.length_m is not None:
         overrides["highway_length_m"] = args.length_m
-    if getattr(args, "duration_s", None) is not None:
+    if args.duration_s is not None:
         overrides["duration_s"] = args.duration_s
     return with_overrides(cfg, **overrides)
 
@@ -222,12 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_an = sub.add_parser("analyze", help="closed-form hold-time statistics")
-    p_an.add_argument("--n-min", type=int, default=5)
-    p_an.add_argument("--n-max", type=int, default=15)
-    p_an.add_argument("--p-keep", type=float, default=0.4)
-    p_an.add_argument("--t-sense-ms", type=int, default=1000)
+    defaults = RunConfig()
+    p_an.add_argument("--n-min", type=int, default=defaults.n_min)
+    p_an.add_argument("--n-max", type=int, default=defaults.n_max)
+    p_an.add_argument("--p-keep", type=float, default=defaults.p_keep)
+    p_an.add_argument("--t-sense-ms", type=int, default=defaults.t_sense_ms)
     p_an.add_argument("--eps", type=float, default=1e-6)
-    p_an.add_argument("--beacon-period-ms", type=int, default=100)
+    p_an.add_argument("--beacon-period-ms", type=int, default=defaults.beacon_period_ms)
     p_an.add_argument("--tbe-form", choices=("uniform", "one_over_n"), default="uniform")
     p_an.add_argument("--out", default="out")
     p_an.set_defaults(func=cmd_analyze)

@@ -150,13 +150,12 @@ class Protocol:
         self.awareness_m = cfg.resolved_awareness_m()
         self.ibe_lin = phy.ibe_factor(cfg.ibe_attenuation_db)
 
+        # Next event, -1 while absent: a selection while `cur_slot` is -1.
         self.next_tx = np.full(n, -1, dtype=np.int64)
-        self.select_at = np.full(n, -1, dtype=np.int64)
-        self.cur_slot = np.zeros(n, dtype=np.int32)
+        self.cur_slot = np.full(n, -1, dtype=np.int32)
         self.counter = np.zeros(n, dtype=np.int64)  # reselection counters
-        self.seq = np.full(n, -1, dtype=np.int64)
-        self.held = np.zeros(n, dtype=np.int64)
-        self.present = world.present  # as of the last period start
+        self.seq = np.full(n, -1, dtype=np.int64)  # beacons sent, less one
+        self.since = np.zeros(n, dtype=np.int64)  # `seq` at the last selection
         self.phase = substream(cfg.seed, "phase").integers(0, self.t_b, size=n)
         self.mac_rngs = [substream(cfg.seed, "mac", v) for v in range(n)]
 
@@ -169,7 +168,6 @@ class Protocol:
         self.hold_counts: list[int] = []
         self.hd_violations = 0
         self.hd_checked = 0
-        self.beacons_sent = 0
         self.neighbor_samples = 0.0
         self.neighbor_periods = 0
         # The metric phase's neighbour pairs and their PRR bins: those of
@@ -178,8 +176,8 @@ class Protocol:
 
     def begin_period(self, t: int):
         """Start the protocol's period at t, on the world advanced to it."""
-        was_present, present = self.present, self.world.present
-        self.present = present
+        # Every present vehicle has an event scheduled, every absent one -1.
+        was_present, present = self.next_tx >= 0, self.world.present
         # The warm-up is whole periods, and nothing reads neighbours in it.
         if t >= self.cfg.warmup_tti:
             self._neighbour_pairs()
@@ -190,15 +188,13 @@ class Protocol:
         if self.memory is not None:
             self.memory.begin_period(t // self.t_b)
 
-        # Departures drop their allocation; arrivals (every highway vehicle
-        # on period 0) schedule a first selection within this period.
+        # Departures drop their allocation (`cur_slot` -1), so arrivals (every
+        # highway vehicle on period 0) schedule a selection in this period.
         gone = was_present & ~present
         self.next_tx[gone] = -1
-        self.select_at[gone] = -1
-        self.counter[gone] = 0
-        self.held[gone] = 0
+        self.cur_slot[gone] = -1
         fresh = present & ~was_present
-        self.select_at[fresh] = t + self.phase[fresh]
+        self.next_tx[fresh] = t + self.phase[fresh]
 
     def _neighbour_pairs(self):
         """This period's neighbour pairs, as sorted keys src * n + dst."""
@@ -227,6 +223,7 @@ class Protocol:
             r = int(rng.integers(self.cfg.br_count))
         offset, self.cur_slot[v] = divmod(r, self.cfg.brs_per_tti)
         self.next_tx[v] = t + self._delta_to_offset(offset, t)
+        self.since[v] = self.seq[v]
 
     def _mac_after_tx(self, v: int, t: int):
         if self.memory is None:
@@ -237,25 +234,24 @@ class Protocol:
         if action == "keep":
             self.next_tx[v] = t + self.t_b
         else:
-            self.hold_counts.append(int(self.held[v]))
-            self.held[v] = 0
+            self.hold_counts.append(int(self.seq[v] - self.since[v]))
             self._select(v, t)
 
     def tick(self, t: int):
-        subframe = t % self.t_b
-
-        # Presence changes only at period starts, where departures clear
-        # `select_at`, so every vehicle due to select here is present.
-        for v in np.flatnonzero(self.select_at == t):
-            self.select_at[v] = -1
+        subframe, present = t % self.t_b, self.world.present
+        # Departures clear `next_tx`, so every vehicle due is present. A
+        # selection schedules its first beacon 1..t_b subframes on, not at t.
+        due = np.flatnonzero(self.next_tx == t)
+        holds = self.cur_slot[due] >= 0
+        txs = due[holds]
+        for v in due[~holds]:
             self._select(int(v), t)
 
-        txs = np.flatnonzero(self.next_tx == t)
         if len(txs) == 0:
             if self.memory is not None:
                 # Every BR reads the noise floor and nothing is decoded.
                 silent = np.zeros((0, self.n), dtype=bool)
-                self.memory.record_subframe(subframe, txs, self.present, self.world.noise_lin,
+                self.memory.record_subframe(subframe, txs, present, self.world.noise_lin,
                                             txs, silent, silent)
             return
 
@@ -263,7 +259,7 @@ class Protocol:
         tx_mask[txs] = True
         tx_slots = self.cur_slot[txs]
         power_rows = self.world.channel.rx_power_lin()[txs]
-        recv_mask = self.present & ~tx_mask
+        recv_mask = present & ~tx_mask
         slot_sums = phy.slot_power_sums(power_rows, tx_slots, self.cfg.brs_per_tti)
         sinr_lin, decoded = phy.subframe_reception(
             power_rows, tx_slots, self.world.noise_lin, self.world.gamma_lin,
@@ -280,8 +276,6 @@ class Protocol:
                                         tx_slots, power_rows, decoded)
 
         self.seq[txs] += 1
-        self.held[txs] += 1
-        self.beacons_sent += len(txs)
 
         if t >= self.cfg.warmup_tti:
             # The transmitters' segments of the pair list, in order.
@@ -313,7 +307,7 @@ class Protocol:
                 self.memory.half_duplex_writes if self.memory is not None else 0),
             half_duplex_pairs_checked=self.hd_checked,
             mean_neighbors=float(mean_neigh),
-            beacons_sent=self.beacons_sent,
+            beacons_sent=int((self.seq + 1).sum()),
             reselections=len(self.hold_counts),
             cfg=self.cfg,
         )

@@ -77,23 +77,22 @@ class UdTracker:
         self.last = np.empty(0, dtype=np.int32)
         self.gap_counts = np.zeros(1, dtype=np.int64)
 
-    def record(self, pairs: np.ndarray, beacon):
-        """Receptions over the pairs at positions `pairs` of `keys` of the
-        beacons with sequence number `beacon`, an integer or an integer
-        array aligned with `pairs`. No pair may repeat within one call.
+    def record(self, pairs: np.ndarray, beacons: np.ndarray):
+        """Receptions over the pairs at positions `pairs` of `keys`, pair
+        `pairs[k]` of the beacon with sequence number `beacons[k]`. No pair
+        may repeat within one call.
         """
         prev = self.last[pairs]
-        now = np.broadcast_to(np.asarray(beacon, dtype=np.int32), prev.shape)
         seen = prev >= 0
         if seen.any():
-            gaps = now[seen].astype(np.int64) - prev[seen]
+            gaps = beacons[seen] - prev[seen]
             if (gaps <= 0).any():
                 raise MetricsError("non-positive update-delay gap")
             counts = np.bincount(gaps)
             if len(counts) > len(self.gap_counts):
                 self.gap_counts = np.pad(self.gap_counts, (0, len(counts) - len(self.gap_counts)))
             self.gap_counts[:len(counts)] += counts
-        self.last[pairs] = now
+        self.last[pairs] = beacons
 
     def reset_pairs(self, keys: np.ndarray):
         """Start a period on the sorted pair keys `keys`: pairs that stay

@@ -1,12 +1,12 @@
 """Distributed sidelink resource selection (sensing + semi-persistent MAC).
 
 Selection walks the standardized pipeline: restrict to the [t1, t2] window,
-drop unmonitored BRs, drop BRs whose decoded control messages mark them
-reserved with average RSRP above the power threshold (escalating the
-threshold 3 dB at a time until enough survive), rank the rest by average
-S-RSSI and hand the lowest n_R to the MAC, which picks uniformly and holds
-the choice for a counter drawn in [n_min, n_max], rolling a keep/reselect
-die at every expiry.
+drop unmonitored BRs unless none would be left, drop BRs whose decoded
+control messages mark them reserved with average RSRP above the power
+threshold (escalating the threshold 3 dB at a time until enough survive),
+rank the rest by average S-RSSI and hand the lowest n_R to the MAC, which
+picks uniformly and holds the choice for a counter drawn in [n_min, n_max],
+rolling a keep/reselect die at every expiry.
 """
 from __future__ import annotations
 
@@ -27,13 +27,14 @@ class SensingMemory:
 
     The memory is a ring of `t_sense / beacon_period` period slots per
     vehicle; each slot holds per-BR S-RSSI and RSRP samples in linear mW,
-    stored as float32 with 0 meaning no sample, plus per-subframe monitored
-    flags. A decode count is below n (one subframe's transmissions in one
-    frequency slot), so it takes the smallest unsigned type that holds n.
-    Slots older than the ring depth are overwritten, which is exactly
-    the discard-after-t_sense rule. A vehicle transmitting in a subframe
-    must take no sample in it; `half_duplex_writes` counts the writes that
-    break this rule.
+    stored as float32 with 0 meaning no sample. A decode count is below n
+    (one subframe's transmissions in one frequency slot), so it takes the
+    smallest unsigned type that holds n. Slots older than the ring depth
+    are overwritten, which is exactly the discard-after-t_sense rule.
+    `last_tx[v, s]`, the period of v's latest transmission in subframe s,
+    tells whether v monitored s over the ring. A vehicle transmitting in a
+    subframe must take no sample in it; `half_duplex_writes` counts the
+    writes that break this rule.
     """
 
     def __init__(self, n: int, cfg: RunConfig):
@@ -43,18 +44,18 @@ class SensingMemory:
         self.s_rssi = np.zeros((n, self.n_slots, r), dtype=np.float32)
         self.rsrp_sum = np.zeros((n, self.n_slots, r), dtype=np.float32)
         self.rsrp_cnt = np.zeros((n, self.n_slots, r), dtype=np.min_scalar_type(n))
-        self.monitored = np.ones((n, self.n_slots, cfg.beacon_period_ms), dtype=bool)
+        self.last_tx = np.full((n, cfg.beacon_period_ms), -self.n_slots, dtype=np.int32)
         self.noise_floor_lin = float(dbm_to_mw(cfg.noise_floor_dbm()))
-        self.slot = 0
+        self.period = self.slot = 0
         self.half_duplex_writes = 0
 
     def begin_period(self, period: int):
         """Recycle the ring slot of the period about to be sensed."""
+        self.period = period
         self.slot = period % self.n_slots
         self.s_rssi[:, self.slot] = 0.0
         self.rsrp_sum[:, self.slot] = 0.0
         self.rsrp_cnt[:, self.slot] = 0
-        self.monitored[:, self.slot] = True
 
     def record_subframe(self, subframe: int, txs: np.ndarray, observers: np.ndarray,
                         srssi, tx_slots: np.ndarray, power_rows: np.ndarray,
@@ -73,7 +74,7 @@ class SensingMemory:
         transmissions leaves its RSRP columns as they are.
         """
         slot = self.slot
-        self.monitored[txs, slot, subframe] = False
+        self.last_tx[txs, subframe] = self.period
         self.half_duplex_writes += int(np.count_nonzero(observers[txs])
                                        + np.count_nonzero(decoded[:, txs]))
         base = subframe * self.brs_per_tti
@@ -92,7 +93,7 @@ class SensingMemory:
     # Aggregates of vehicle v over the whole ring (= the sensing window).
 
     def monitored_offsets(self, v: int) -> np.ndarray:
-        return self.monitored[v].all(axis=0)
+        return self.last_tx[v] <= self.period - self.n_slots
 
     def avg_srssi_lin(self, v: int) -> np.ndarray:
         s_rssi = self.s_rssi[v]
@@ -118,20 +119,19 @@ def candidate_set(memory: SensingMemory, v: int, cfg: RunConfig,
 
     Escalating the power threshold only relaxes occupancy; if the monitored
     in-window BRs themselves number fewer than n_R, all of them are returned.
+    A window without a monitored subframe offers all of its BRs instead.
     """
     t_b = cfg.beacon_period_ms
     offsets = (now_tti + np.arange(cfg.t1, cfg.t2 + 1)) % t_b
     in_window = np.zeros(t_b, dtype=bool)
     in_window[offsets] = True
     usable = in_window & memory.monitored_offsets(v)
-    cand = np.repeat(usable, cfg.brs_per_tti)
+    cand = np.repeat(usable if usable.any() else in_window, cfg.brs_per_tti)
     if cfg.nr_basis == "window":
         basis = int(in_window.sum()) * cfg.brs_per_tti
     else:
         basis = cfg.br_count
     n_r = selection_count(cfg.r_sel, basis)
-    if not cand.any():
-        return np.flatnonzero(cand)
 
     # Unreserved BRs average 0 mW, below any threshold.
     avg_rsrp = memory.avg_rsrp_lin(v)

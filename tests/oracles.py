@@ -11,7 +11,9 @@ refresh that the simulator's blocked pass must equal bit for bit, with
 `highway_rho` its highway correlation and `full_shadow` the blocked pass's
 shadow state as a whole matrix. `DenseUdTracker` keeps the update-delay
 state of every ordered pair in an (n, n) matrix, where the simulator keeps
-it per neighbour pair. No module
+it per neighbour pair; `MonitoredFlagRing` keeps a monitored flag per
+vehicle, period slot and subframe, where the simulator keeps each
+vehicle's latest transmission period per subframe. No module
 of the simulator imports this one; `test_reference.py` enforces that.
 """
 from __future__ import annotations
@@ -397,6 +399,32 @@ def sense_subframe(observer: int, snapshot: ScenarioSnapshot,
             samples.append(SenseSample(BrIndex(subframe, slot), s_rssi, None,
                                        snapshot.tti))
     return samples
+
+
+class MonitoredFlagRing:
+    """Per-subframe monitored flags of every vehicle, in a ring of
+    `t_sense / beacon_period` period slots beside the sensing samples.
+
+    A period's slot starts all True; a transmission clears its vehicle's
+    flag for that subframe. A subframe is monitored when no slot of the
+    ring has its flag cleared. `SensingMemory` keeps each vehicle's latest
+    transmission period per subframe instead.
+    """
+
+    def __init__(self, n: int, cfg: RunConfig):
+        self.n_slots = cfg.t_sense_ms // cfg.beacon_period_ms
+        self.flags = np.ones((n, self.n_slots, cfg.beacon_period_ms), dtype=bool)
+        self.slot = 0
+
+    def begin_period(self, period: int):
+        self.slot = period % self.n_slots
+        self.flags[:, self.slot] = True
+
+    def record_transmissions(self, subframe: int, txs):
+        self.flags[txs, self.slot, subframe] = False
+
+    def monitored_offsets(self, v: int) -> np.ndarray:
+        return self.flags[v].all(axis=0)
 
 
 # ---------------------------------------------------------------------------

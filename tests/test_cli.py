@@ -198,6 +198,19 @@ def test_mcs14_requires_explicit_threshold(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o2")]) == 0
 
 
+def test_simulate_survives_a_window_without_monitored_subframes(tmp_path):
+    # One-period holds that are never kept: every beacon ends its
+    # allocation and the next lands 1..20 subframes on, so over a 2 s
+    # sensing window a vehicle transmits in every subframe of some
+    # selection window. Selection then falls back to the whole window.
+    cfg = write_cfg(tmp_path, {"highway_length_m": 800.0, "highway_vehicles": 40,
+                               "duration_s": 8, "n_min": 1, "n_max": 1, "p_keep": 0.0,
+                               "t_sense_ms": 2000, "t2": 20})
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert "half_duplex_violations: 0" in read_bytes(out, "summary.txt").decode()
+
+
 def test_lone_vehicle_reports_nan_prr(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"highway_length_m": 800.0, "highway_vehicles": 1,
                                "duration_s": 3.0})

@@ -50,6 +50,30 @@ def test_no_package_function_defaults_a_config_key():
     assert not copies, f"parameters that repeat a RunConfig key with a default: {copies}"
 
 
+def test_no_command_line_flag_defaults_a_config_key():
+    # A flag whose destination is a RunConfig key and whose default is a
+    # literal repeats that key's default; it must read it from RunConfig.
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    copies = []
+    for info in pkgutil.iter_modules(mode4sim.__path__):
+        module = importlib.import_module(f"mode4sim.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"):
+                continue
+            kw = {k.arg: k.value for k in node.keywords}
+            flags = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            long = [f for f in flags if f.startswith("--")] or flags
+            dest = kw["dest"].value if "dest" in kw else long[0].lstrip("-").replace("-", "_")
+            if dest in keys and "default" in kw:
+                try:
+                    ast.literal_eval(kw["default"])
+                except ValueError:
+                    continue  # a name or an expression, not a literal
+                copies.append(f"{info.name}: {long[0]}")
+    assert not copies, f"flags that repeat a RunConfig default as a literal: {copies}"
+
+
 def test_shipped_configs_load():
     paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
     assert paths

@@ -131,7 +131,8 @@ def _check_batched_credit(monkeypatch, cfg):
             np.fill_diagonal(neigh, False)
             left += np.count_nonzero(ud.last[~neigh] >= 0)
             ud.reset_pairs(~neigh)
-        txs = np.flatnonzero(proto.next_tx == t)
+        # Vehicles due at t without a frequency slot select, not transmit.
+        txs = np.flatnonzero((proto.next_tx == t) & (proto.cur_slot >= 0))
         captured.clear()
         proto.tick(t)
         if t < cfg.warmup_tti or not len(txs):
@@ -182,16 +183,39 @@ def test_mode4_transmissions_stay_within_selection_window():
                     seed=3)
     world = SimulationEngine(cfg)
     proto = Protocol(world)
+    selections = 0
     for t in range(3000):
         before = proto.next_tx % proto.t_b
         _step(world, proto, t)
-        changed = np.flatnonzero(proto.next_tx % proto.t_b != before)
+        # An arrival's first selection moves `next_tx` too, but holds no slot.
+        changed = np.flatnonzero((proto.next_tx % proto.t_b != before)
+                                 & (proto.cur_slot >= 0))
         for v in changed:
             nxt = proto.next_tx[v]
             # The first transmission on a fresh allocation happens t1..t2
             # TTIs after the selection instant.
             assert cfg.t1 <= nxt - t <= cfg.t2
-    assert proto.beacons_sent > 0
+        selections += len(changed)
+    assert selections > cfg.highway_vehicles
+    assert proto.result().beacons_sent > 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "model gap: a reselection schedules the new allocation's first beacon "
+    "t1..t2 subframes after the beacon that ended the old one, so about half "
+    "of the reselections send a second beacon within one 100 ms period "
+    "(ring-495, 6 s, seed 1: 30,453 beacons against 29,700 generations)"))
+def test_no_vehicle_sends_more_beacons_than_it_generates():
+    # Every vehicle is present from t = 0 and generates one beacon per
+    # period from its phase on.
+    cfg = RunConfig(duration_s=3.6, t_sense_ms=200, n_max=6, highway_length_m=800.0,
+                    highway_vehicles=40, seed=2)
+    world = SimulationEngine(cfg)
+    proto = Protocol(world)
+    for t in range(world.total_tti):
+        _step(world, proto, t)
+    generated = -(-(world.total_tti - proto.phase) // world.t_b)
+    assert ((proto.seq + 1) <= generated).all()
 
 
 def test_highway_frames_and_first_selection():
@@ -206,14 +230,16 @@ def test_highway_frames_and_first_selection():
         if period:
             step_highway(cfg, state, cfg.beacon_period_ms / 1000.0)
         assert np.array_equal(frame, np.column_stack([state.x, state.y])), period
-    assert not world.present.any() and not proto.present.any()
+    assert not world.present.any() and (proto.next_tx == -1).all()
     _step(world, proto, 0)
-    assert world.present.all() and proto.present.all()
+    assert world.present.all()
     later = proto.phase > 0
     assert later.any() and not later.all()
-    assert np.array_equal(proto.select_at[later], proto.phase[later])
+    # The others are due to select at their phase, holding no slot yet.
+    assert np.array_equal(proto.next_tx[later], proto.phase[later])
+    assert (proto.cur_slot[later] == -1).all()
     # Phase-0 vehicles selected within tick 0.
-    assert (proto.select_at[~later] == -1).all()
+    assert (proto.cur_slot[~later] >= 0).all()
     assert (proto.next_tx[~later] > 0).all()
 
 
@@ -240,9 +266,9 @@ def test_trace_scenario_respects_presence(tmp_path):
     world, proto = _three_vehicle_trace_run(tmp_path)
     tx_times = {0: [], 1: [], 2: []}
     for t in range(4000):
-        txs = np.flatnonzero(proto.next_tx == t)
+        sent = proto.seq.copy()
         _step(world, proto, t)
-        for v in txs:
+        for v in np.flatnonzero(proto.seq != sent):
             tx_times[int(v)].append(t)
     assert tx_times[0] and tx_times[1]
     gap_txs = [t for t in tx_times[2] if 1100 <= t <= 2900]
@@ -260,8 +286,9 @@ def test_current_slot_holds_no_sample_ahead_of_the_clock(tmp_path):
     memory, per_tti = proto.memory, proto.cfg.brs_per_tti
     silent = sensed = decoded = 0
     for t in range(world.total_tti):
-        silent += not (proto.next_tx == t).any()
+        sent = proto.seq.copy()
         _step(world, proto, t)
+        silent += np.array_equal(proto.seq, sent)
         now = (t % world.t_b + 1) * per_tti
         slot = memory.slot
         assert not memory.s_rssi[:, slot, now:].any(), t

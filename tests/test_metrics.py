@@ -84,8 +84,8 @@ def one_pair_tracker():
 
 def test_gap_arithmetic():
     ud = one_pair_tracker()
-    ud.record(PAIR, 5)
-    ud.record(PAIR, 8)
+    ud.record(PAIR, np.array([5]))
+    ud.record(PAIR, np.array([8]))
     assert ud.total_gaps == 1
     assert ud_percentile(ud, 1.0) == pytest.approx(0.3)
 
@@ -93,7 +93,7 @@ def test_gap_arithmetic():
 def test_lossfree_floor_gaps_are_one_period():
     ud = one_pair_tracker()
     for k in range(1, 50):
-        ud.record(PAIR, k)
+        ud.record(PAIR, np.array([k]))
     assert ud_percentile(ud, 0.5) == pytest.approx(0.1)
     assert ud_percentile(ud, 1.0) == pytest.approx(0.1)
 
@@ -102,8 +102,8 @@ def test_nearest_rank_percentile():
     ud = one_pair_tracker()
     # Nine 0.1 s gaps and one 0.5 s gap: q=0.9 hits rank 9 of 10.
     for beacon in range(1, 11):
-        ud.record(PAIR, beacon)
-    ud.record(PAIR, 15)
+        ud.record(PAIR, np.array([beacon]))
+    ud.record(PAIR, np.array([15]))
     assert ud.total_gaps == 10
     assert ud_percentile(ud, 0.9) == pytest.approx(0.1)
     assert ud_percentile(ud, 1.0) == pytest.approx(0.5)
@@ -115,7 +115,7 @@ def test_percentile_monotone_in_q():
     beacon = 0
     for _ in range(500):
         beacon += int(rng.integers(1, 20))
-        ud.record(PAIR, beacon)
+        ud.record(PAIR, np.array([beacon]))
     qs = np.linspace(0.05, 1.0, 40)
     vals = [ud_percentile(ud, q) for q in qs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -123,10 +123,10 @@ def test_percentile_monotone_in_q():
 
 def test_out_of_range_reset_drops_pair_state():
     ud = one_pair_tracker()
-    ud.record(PAIR, 1)
+    ud.record(PAIR, np.array([1]))
     ud.reset_pairs(np.array([0, 2]))  # the pair left the range
     ud.reset_pairs(np.array([1]))  # and came back
-    ud.record(PAIR, 50)
+    ud.record(PAIR, np.array([50]))
     assert ud.total_gaps == 0  # no gap across the reset
     ud.reset_pairs(np.array([], dtype=np.int64))  # every pair left
     assert len(ud.last) == 0
@@ -139,7 +139,7 @@ def test_staying_pairs_keep_their_reception_at_a_new_position():
     # Key 1 moves to position 1 and key 5 to position 3; key 3 is new.
     ud.reset_pairs(np.array([0, 1, 3, 5]))
     assert ud.last.tolist() == [-1, 1, -1, 2]
-    ud.record(np.array([1, 2, 3]), 5)
+    ud.record(np.array([1, 2, 3]), np.full(3, 5))
     assert ud.gap_counts.tolist() == [0, 0, 0, 1, 1]
 
 
@@ -155,9 +155,9 @@ def test_empty_tracker_reports_nan():
 
 def test_gaps_are_positive_invariant():
     ud = one_pair_tracker()
-    ud.record(PAIR, 3)
+    ud.record(PAIR, np.array([3]))
     with pytest.raises(MetricsError):
-        ud.record(PAIR, 3)
+        ud.record(PAIR, np.array([3]))
 
 
 @st.composite

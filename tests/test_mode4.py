@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mode4sim.channel import dbm_to_mw
 from mode4sim.config import ConfigError, RunConfig
 from mode4sim.mode4 import (Mode4ProtocolError, SensingMemory, candidate_set,
                             mac_select, on_beacon_period_end)
-from oracles import Mode4ParamError, power_threshold
+from oracles import Mode4ParamError, MonitoredFlagRing, power_threshold
 
 GRID = RunConfig(mcs=7)
 
@@ -173,6 +174,30 @@ def test_stale_samples_beyond_t_sense_are_ignored():
     assert np.array_equal(candidates(memory, cfg), baseline)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), t_b=st.integers(1, 5),
+       n_slots=st.integers(1, 4))
+def test_monitored_offsets_match_the_flag_ring(data, n, t_b, n_slots):
+    # Periods run from 0, so the first n_slots - 1 of them read a ring that
+    # is not full yet. Vehicle v transmits in drawn subframes up to period
+    # stop[v] and then stays silent, so its subframes return to monitored
+    # as its transmissions age out of the window.
+    cfg = RunConfig(beacon_period_ms=t_b, t_sense_ms=n_slots * t_b)
+    memory, ring = fresh_memory(cfg, n), MonitoredFlagRing(n, cfg)
+    stop = data.draw(st.lists(st.integers(-1, 2 * n_slots), min_size=n, max_size=n))
+    for period in range(data.draw(st.integers(1, 3 * n_slots + 1))):
+        memory.begin_period(period)
+        ring.begin_period(period)
+        for subframe in range(t_b):
+            drawn = data.draw(st.sets(st.integers(0, n - 1)))
+            txs = np.array([v for v in sorted(drawn) if period <= stop[v]], dtype=np.int64)
+            transmit(memory, txs, subframe)
+            ring.record_transmissions(subframe, txs)
+            for v in range(n):
+                assert np.array_equal(memory.monitored_offsets(v),
+                                      ring.monitored_offsets(v)), (period, subframe, v)
+
+
 def test_writes_to_a_transmitting_row_are_counted():
     memory = fresh_memory(RunConfig(), n=3)
     memory.begin_period(0)
@@ -183,7 +208,7 @@ def test_writes_to_a_transmitting_row_are_counted():
     own_beacon = np.full((1, 3), 1e-9)
     memory.record_subframe(4, tx, others, srssi, slot, own_beacon, others[None, :])
     assert memory.half_duplex_writes == 0
-    assert not memory.monitored[1, 0, 4] and memory.monitored[[0, 2], 0, 4].all()
+    assert [memory.monitored_offsets(v)[4] for v in range(3)] == [True, False, True]
     # Vehicle 1 transmits in subframe 4, so any sample it takes there counts.
     memory.record_subframe(4, tx, np.ones(3, dtype=bool), srssi, slot, own_beacon, nobody)
     assert memory.half_duplex_writes == 1
@@ -208,7 +233,8 @@ def test_subframe_without_transmissions_writes_srssi_only():
     assert np.array_equal(memory.s_rssi[:, 0, brs],
                           np.where(listening, srssi, 0.0).T.astype(np.float32))
     assert not memory.rsrp_sum.any() and not memory.rsrp_cnt.any()
-    assert memory.monitored.all() and memory.half_duplex_writes == 0
+    assert all(memory.monitored_offsets(v).all() for v in range(3))
+    assert memory.half_duplex_writes == 0
 
 
 def test_decode_counts_hold_every_transmission_of_a_subframe():
@@ -237,6 +263,26 @@ def test_degenerate_window_returns_all_monitored():
     cands = candidates(fresh_memory(cfg), cfg)
     # n_R = 200 but only 20 offsets are in the window: all of them come back.
     assert len(cands) == 20 * GRID.brs_per_tti
+
+
+def test_window_without_monitored_subframe_offers_the_whole_window():
+    # Vehicle 0 transmitted in every subframe of its window within the
+    # sensing window, so none is monitored: the whole window stays
+    # candidate, the reserved BR still drops out and S-RSSI still ranks.
+    cfg = RunConfig(t1=1, t2=20, r_sel=0.1, p_th_dbm=-110.0)
+    memory = fresh_memory(cfg)
+    b = GRID.brs_per_tti
+    srssi = np.random.default_rng(5).uniform(1e-13, 1e-9, size=GRID.br_count)
+    rsrp = np.zeros(GRID.br_count)
+    rsrp[7] = dbm_to_mw(-80)  # subframe 3, in the window
+    sense_period(memory, 0, srssi=srssi, rsrp=rsrp)
+    memory.begin_period(1)
+    for subframe in range(cfg.t1, cfg.t2 + 1):
+        transmit(memory, [0], subframe)
+    assert not memory.monitored_offsets(0)[cfg.t1:cfg.t2 + 1].any()
+    window = [r for r in range(cfg.t1 * b, (cfg.t2 + 1) * b) if r != 7]
+    want = sorted(window, key=lambda r: (srssi[r], r))[:20]  # ceil(0.1 * 200)
+    assert candidates(memory, cfg).tolist() == want
 
 
 def test_small_grid_candidate_count():

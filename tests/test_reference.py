@@ -30,7 +30,8 @@ ORACLE_NAMES = {"ScenarioSnapshot", "TxEvent", "RxOutcome", "SenseSample",
                 "power_threshold", "Mode4ParamError", "FullMatrixChannel",
                 "_symmetric_normal", "pathloss_db", "rx_power_dbm",
                 "shadow_sigma_db", "subframe_reception_expression",
-                "highway_rho", "full_shadow", "DenseUdTracker"}
+                "highway_rho", "full_shadow", "DenseUdTracker",
+                "MonitoredFlagRing"}
 # Modules the simulator must not import: the oracles and the test suite.
 TEST_MODULES = {"oracles", "tests"}
 
@@ -167,9 +168,9 @@ def _check_sensing_writes(grid, rx_dbm):
         if v in txs:
             assert samples == []
             assert not srssi.any() and not rsrp_cnt.any()
-            assert not memory.monitored[v, memory.slot, subframe]
+            assert not memory.monitored_offsets(v)[subframe]
             continue
-        assert memory.monitored[v, memory.slot, subframe]
+        assert memory.monitored_offsets(v)[subframe]
         if v == absent:
             assert samples  # the oracle, blind to presence, would sense
             assert not srssi.any() and not rsrp_sum.any() and not rsrp_cnt.any()
