@@ -313,7 +313,9 @@ class ChannelRealization:
 
     `dist` and the linear received power are (n, n), exactly symmetric, and
     overwritten in place at every refresh. Shadowing is an AR(1) process
-    per unordered pair, kept only for the upper triangle. Vehicles with a
+    per unordered pair, kept only for the upper triangle, beside the
+    period's normals; its weights are computed in each refresh block and
+    never stored. Vehicles with a
     non-finite position are absent: they sit at an infinite distance from
     every other vehicle and receive and send zero power.
     """
@@ -332,13 +334,7 @@ class ChannelRealization:
         self._normals, self._shadow = self._upper_store(), self._upper_store()
         self._draw = np.empty((min(BLOCK_ROWS, n), n))
         self._ahead = None  # the pending draw_ahead, a Future
-        self._rho = None  # per block, rho and sqrt(1 - rho^2) at constant speeds
-        if speeds is not None:
-            self._rho = list(zip(self._upper_store(), self._upper_store()))
-            for (r0, r1), (rho, weight) in zip(self._blocks, self._rho):
-                np.abs(np.subtract(speeds[r0:r1, None], speeds[None, r0:], out=rho), out=rho)
-                rho *= cfg.beacon_period_ms / 1000.0
-                self._ar1_weights(rho, rho, weight)
+        self._speeds = speeds  # m/s on a highway, None on a trace
         self._refresh(positions, los, np.inf)  # forget the zero state
 
     @classmethod
@@ -356,9 +352,9 @@ class ChannelRealization:
         infinite one resamples the pair, and None steps by the constructor's
         `speeds` (m/s, a highway's).
         """
-        if moved is None and self._rho is None:
-            raise ValueError("advance needs `moved`: the realization was built "
-                             "without `speeds`")
+        if moved is None and self._speeds is None:
+            raise ValueError("advance needs `moved` or a realization built with "
+                             "`speeds`: it has no displacement to step by")
         self._refresh(positions, los, moved)
 
     def draw_ahead(self):
@@ -388,13 +384,6 @@ class ChannelRealization:
         sizes = [rows * cols for rows, cols in shapes]
         parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
         return [part.reshape(shape) for part, shape in zip(parts, shapes)]
-
-    def _ar1_weights(self, moved, rho, weight):
-        """AR(1) weights: rho = exp(-moved/decorr) of the old sample, sqrt(1 - rho^2) of a new."""
-        np.divide(np.negative(moved, out=rho), self.cfg.resolved_decorr_dist_m(), out=rho)
-        np.exp(rho, out=rho)
-        np.sqrt(np.subtract(1.0, np.multiply(rho, rho, out=weight), out=weight), out=weight)
-        return rho, weight
 
     def _fill(self):
         """Draw the period's (n, n) standard normals row block by row block,
@@ -477,9 +466,18 @@ class ChannelRealization:
         if nlos_pl is not None:
             np.copyto(pl, nlos_pl, where=~clear)
 
-        # s' = rho * s + sqrt(1 - rho^2) * sigma * normal; dy is free now.
-        rho, weight = self._rho[b] if moved is None else self._ar1_weights(
-            moved[r0:r1, r0:] if np.ndim(moved) else moved, dy, g)
+        # s' = rho * s + sqrt(1 - rho^2) * sigma * normal, with
+        # rho = exp(-moved/decorr); dy is free now. A highway pair moves
+        # |v_i - v_j| * period apart in a period.
+        if moved is None:
+            moved = np.subtract(self._speeds[r0:r1, None], self._speeds[None, r0:], out=dy)
+            np.abs(moved, out=moved)
+            moved *= cfg.beacon_period_ms / 1000.0
+        elif np.ndim(moved):
+            moved = moved[r0:r1, r0:]
+        rho = np.divide(moved, -cfg.resolved_decorr_dist_m(), out=dy)
+        np.exp(rho, out=rho)
+        weight = np.sqrt(np.subtract(1.0, np.multiply(rho, rho, out=g), out=g), out=g)
         shadow = np.multiply(rho, self._shadow[b], out=self._shadow[b])
         step = np.multiply(self._normals[b], sigma, out=dy)
         step *= weight

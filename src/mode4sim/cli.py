@@ -127,6 +127,9 @@ def cmd_sweep(args) -> int:
     values = [cast(v) for v in args.values.split(",") if v != ""]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise ConfigError(f"sweep {args.param} value {value} is repeated")
     points = [with_overrides(cfg, **{args.param: value}) for value in values]
     _make_outdir(args.out)
     # Points are independent seeded runs, so any worker count gives the
@@ -249,7 +252,7 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TraceError, OSError) as exc:
+    except TraceError as exc:
         # TraceError subclasses ValueError; match it before the config catch.
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_TRACE_IO

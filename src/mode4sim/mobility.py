@@ -28,29 +28,43 @@ class TraceError(ValueError):
     pass
 
 
+def _trace_lines(path):
+    """(line number, stripped text) of each line that is neither blank nor a
+    comment; a file that cannot be read as text raises TraceError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from exc
+
+
 def _parse_trace(path) -> dict[int, np.ndarray]:
-    """Trace file -> per vehicle id, its (t, x, y) records as a (k, 3) array."""
+    """Trace file -> per vehicle id, its (t, x, y) records as a (k, 3) array.
+
+    The first line that is neither blank nor a comment may be a header."""
     by_vehicle: dict[int, list] = {}
     n_records = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if lineno == 1 and any(not _is_number(p) for p in parts[:1]):
-                continue  # optional header
-            if len(parts) != 4:
-                raise TraceError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                t, vid = float(parts[0]), int(float(parts[1]))
-                x, y = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
-                raise TraceError(f"{path}:{lineno}: non-finite value")
-            by_vehicle.setdefault(vid, []).append((t, x, y))
-            n_records += 1
+    for k, (lineno, line) in enumerate(_trace_lines(path)):
+        parts = line.split(",")
+        if k == 0 and not _is_number(parts[0]):
+            continue  # optional header
+        if len(parts) != 4:
+            raise TraceError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            t, vid = float(parts[0]), float(parts[1])
+            x, y = float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise TraceError(f"{path}:{lineno}: {exc}") from exc
+        if not vid.is_integer():
+            raise TraceError(f"{path}:{lineno}: vehicle id {parts[1].strip()} "
+                             "is not an integer")
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+            raise TraceError(f"{path}:{lineno}: non-finite value")
+        by_vehicle.setdefault(int(vid), []).append((t, x, y))
+        n_records += 1
     if n_records == 0:
         raise TraceError(f"{path}: empty trace")
     records = {vid: np.array(rows) for vid, rows in by_vehicle.items()}

@@ -203,7 +203,8 @@ class FullMatrixChannel:
 def highway_rho(cfg: RunConfig, speeds):
     """Each highway pair's shadowing correlation per beacon period,
     exp(-|v_i - v_j| * period / decorr), in one n x n buffer: the whole
-    matrix `ChannelRealization` builds block by block from `speeds`."""
+    matrix of what each `ChannelRealization` refresh block computes from
+    `speeds`."""
     rho = np.subtract.outer(speeds, speeds)
     np.abs(rho, out=rho)
     rho *= cfg.beacon_period_ms / 1000.0

@@ -381,6 +381,41 @@ def test_refresh_allocates_less_than_one_power_matrix():
     assert peak < n * n * 8
 
 
+def _retained_bytes(build):
+    """Bytes still allocated, under tracemalloc, once `build()` has returned
+    while its result is alive."""
+    tracemalloc.start()
+    try:
+        kept = build()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del kept
+    return retained
+
+
+def test_highway_realization_retains_no_more_than_a_trace_one():
+    # A highway steps its shadow by the constant speeds, computed in each
+    # refresh block: a realization built with `speeds` keeps only the speeds
+    # beside what one built without them keeps, not a per-pair store of
+    # rho (two upper-block stores, 3.5 MB at 600 vehicles).
+    params = RunConfig()
+    n = 600
+    pos = np.column_stack([np.linspace(0.0, 3000.0, n), np.tile([2.0, 6.0], n // 2)])
+    speeds = np.random.default_rng(9).uniform(19.0, 31.0, n)
+
+    def build(speeds, moved):
+        real = ChannelRealization.initial(params, pos, 4000.0, None,
+                                          np.random.default_rng(8), speeds)
+        real.advance(pos + 1.0, None, moved)
+        return real
+
+    with mock.patch.object(channel, "WORKERS", 1):
+        trace = _retained_bytes(lambda: build(None, 2.0))
+        highway = _retained_bytes(lambda: build(speeds, None))
+    assert highway <= trace + 64 * 1024
+
+
 def _symmetric(values):
     m = np.triu(values, 1)
     return m + m.T
@@ -416,28 +451,32 @@ def test_blocked_refresh_equals_the_full_matrix_oracle(n, seed, wrap, absent, nl
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("ahead", [False, True])
 def test_constant_speed_refresh_equals_the_full_matrix_oracle(workers, ahead):
-    # On a highway the channel builds each pair's rho and sqrt(1 - rho^2)
-    # once, block by block, from the speeds; its refreshes must equal the
+    # On a highway each refresh block computes its pairs' rho and
+    # sqrt(1 - rho^2) from the speeds; the refreshes must equal the
     # whole-matrix refresh fed `highway_rho` bit for bit. Vehicles 0 and
     # n - 1 share a speed, so their rho is exactly 1 and the weight of the
-    # fresh sample exactly 0.
+    # fresh sample exactly 0: their shadow sample never changes, while that
+    # of vehicles 0 and 1 does.
     n = 2 * BLOCK_ROWS + 1
     speeds = np.random.default_rng(5).uniform(19.0, 31.0, n)
     speeds[-1] = speeds[0]
     with mock.patch.object(channel, "WORKERS", workers):
-        real = _refresh_against_the_oracle(n, 6, 700.0, 0.0, 0.4, False, ahead, speeds)
-    rho, weight = real._rho[0]
-    assert rho[0, n - 1] == 1.0 and weight[0, n - 1] == 0.0
+        shadows = _refresh_against_the_oracle(n, 6, 700.0, 0.0, 0.4, False, ahead, speeds)
+    same_speed = {s[0, n - 1].tobytes() for s in shadows}
+    assert len(same_speed) == 1 and shadows[0][0, n - 1] != 0.0
+    assert len({s[0, 1].tobytes() for s in shadows}) == len(shadows)
 
 
 def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead,
                                 speeds=None):
-    """The channel after four periods checked against `FullMatrixChannel`,
-    stepped by random displacements, or with `speeds` by `highway_rho`."""
+    """The channel over four periods checked against `FullMatrixChannel`,
+    stepped by random displacements, or with `speeds` by `highway_rho`.
+    Returns the shadow state of each period, through `full_shadow`."""
     params = RunConfig()
     data = np.random.default_rng(seed)
     ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     real = oracle = None
+    shadows = []
     for period in range(4):
         pos = data.uniform(0.0, 600.0, size=(n, 2))
         pos[data.random(n) < absent] = np.nan
@@ -459,12 +498,13 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead
             real.advance(pos, los_arg, moved)
             oracle.advance(dist, los, legs, theirs, rho)
         assert real.dist.tobytes() == dist.tobytes(), period
-        assert full_shadow(real).tobytes() == oracle.shadow_db.tobytes(), period
+        shadows.append(full_shadow(real))
+        assert shadows[-1].tobytes() == oracle.shadow_db.tobytes(), period
         assert real.rx_power_lin().tobytes() == oracle.rx_power_lin().tobytes(), period
         if ahead and period < 3:
             real.draw_ahead()
     assert ours.bit_generator.state == theirs.bit_generator.state
-    return real
+    return shadows
 
 
 def _power_bytes(n, seed):

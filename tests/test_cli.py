@@ -187,6 +187,12 @@ def test_sweep_rejects_bad_point_before_running(tmp_path, capsys, monkeypatch):
                      "--values", values, "--out", out]) == 2, values
         assert f"{param} must be" in capsys.readouterr().err
         assert not os.path.exists(out)
+    # A repeated value would run one point twice into one directory.
+    for param, values, repeated in (("seed", "1,2,1", "1"), ("p_keep", "0.4,0.40", "0.4")):
+        assert main(["sweep", "--config", cfg, "--param", param,
+                     "--values", values, "--out", out]) == 2, values
+        assert f"{param} value {repeated} is repeated" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def test_mcs14_requires_explicit_threshold(tmp_path):
@@ -249,12 +255,17 @@ def test_missing_trace_exits_3(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
-def test_malformed_trace_exits_3(tmp_path):
-    trace = tmp_path / "bad.csv"
-    trace.write_text("0.0,1,0,0\nbroken line\n")
-    cfg = write_cfg(tmp_path, {"scenario": "trace", "trace": str(trace),
-                               "duration_s": 4.0, "t_sense_ms": 500, "n_max": 8})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+def test_malformed_trace_exits_3(tmp_path, capsys):
+    # Fractional vehicle ids would otherwise merge 0 with 0.5 and 1 with 1.5.
+    fractional = "".join(f"{t / 10},{vid},{5 * k},0\n" for t in range(30)
+                         for k, vid in enumerate(("0", "0.5", "1", "1.5")))
+    for text in ("0.0,1,0,0\nbroken line\n", fractional):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(text)
+        cfg = write_cfg(tmp_path, {"scenario": "trace", "trace": str(trace),
+                                   "duration_s": 2.6, "t_sense_ms": 500, "n_max": 8})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(f"trace error: {trace}:2:")
 
 
 def test_unreadable_obstacle_map_exits_2(tmp_path, capsys):

@@ -64,9 +64,13 @@ def test_interpolation_at_tenth_second(tmp_path):
 
 
 def test_header_is_optional(tmp_path):
-    path = write_trace(tmp_path, "time_s,vehicle_id,x_m,y_m\n0.0,1,0,0\n0.5,1,5,0\n")
-    snaps = load_snapshots(path)
-    assert list(snaps[0].ids) == [1]
+    # The header, if any, is the first line that is neither blank nor a comment.
+    rows = "0.0,1,0,0\n0.5,1,5,0\n"
+    for head in ("", "time_s,vehicle_id,x_m,y_m\n",
+                 "# generated\ntime_s,vehicle_id,x_m,y_m\n",
+                 "\n# generated\n\ntime_s,vehicle_id,x_m,y_m\n"):
+        snaps = load_snapshots(write_trace(tmp_path, head + rows))
+        assert list(snaps[0].ids) == [1], head
 
 
 def test_gap_excludes_vehicle(tmp_path):
@@ -91,9 +95,19 @@ def test_gap_excludes_vehicle(tmp_path):
 
 
 def test_malformed_line_reports_number(tmp_path):
-    path = write_trace(tmp_path, "0.0,1,0,0\nnot,a,row\n")
-    with pytest.raises(TraceError, match=":2"):
-        load_trace(path, 100, 1.0)
+    # A fractional vehicle id would otherwise merge two vehicles into one.
+    for bad in ("not,a,row", "0.0,0.5,1,1", "0.0,inf,1,1", "time_s,vehicle_id,x_m,y_m"):
+        path = write_trace(tmp_path, f"0.0,1,0,0\n{bad}\n")
+        with pytest.raises(TraceError, match=":2"):
+            load_trace(path, 100, 1.0)
+
+
+def test_unreadable_trace_is_a_trace_error(tmp_path):
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"0.0,1,0,0\n\xff\xfe\n")
+    for path in (tmp_path / "missing.csv", tmp_path, binary):
+        with pytest.raises(TraceError, match=f"cannot read trace {path}"):
+            load_trace(path, 100, 1.0)
 
 
 def test_empty_trace_rejected(tmp_path):
