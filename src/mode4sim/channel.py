@@ -309,25 +309,25 @@ def _each(pool, fn, blocks):
 
 
 class ChannelRealization:
-    """Distances, correlated shadowing and received power of all vehicle pairs.
+    """Correlated shadowing and received power of all vehicle pairs.
 
-    `dist` and the linear received power are (n, n), exactly symmetric, and
-    overwritten in place at every refresh. Shadowing is an AR(1) process
+    The linear received power is the one (n, n) matrix, exactly symmetric
+    and overwritten in place at every refresh. Shadowing is an AR(1) process
     per unordered pair, kept only for the upper triangle, beside the
     period's normals; its weights are computed in each refresh block and
-    never stored. Vehicles with a
-    non-finite position are absent: they sit at an infinite distance from
-    every other vehicle and receive and send zero power.
+    never stored. Distances are kept only for the pairs within the
+    awareness range, in `neighbours`, and only when a refresh asks. Vehicles
+    with a non-finite position are absent: they sit at an infinite distance
+    from every other vehicle and receive and send zero power.
     """
 
     def __init__(self, cfg: RunConfig, positions, wrap_length_m: float | None,
-                 los, rng: np.random.Generator, speeds=None):
+                 los, rng: np.random.Generator, speeds=None, neighbours=False):
         """The first period's channel; it keeps `rng` as its shadow stream."""
         n = len(positions)
         self.cfg = cfg
         self.wrap_length_m = wrap_length_m
         self._rng = rng
-        self.dist = np.empty((n, n))
         self._rx_lin = np.empty((n, n))
         self._blocks = [(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
         # Normals and shadow samples by block, and the buffer normals are drawn into.
@@ -335,27 +335,29 @@ class ChannelRealization:
         self._draw = np.empty((min(BLOCK_ROWS, n), n))
         self._ahead = None  # the pending draw_ahead, a Future
         self._speeds = speeds  # m/s on a highway, None on a trace
-        self._refresh(positions, los, np.inf)  # forget the zero state
+        self._refresh(positions, los, np.inf, neighbours)  # forget the zero state
 
     @classmethod
     def initial(cls, cfg: RunConfig, positions, wrap_length_m, los,
-                rng: np.random.Generator, speeds=None) -> "ChannelRealization":
+                rng: np.random.Generator, speeds=None,
+                neighbours=False) -> "ChannelRealization":
         """The engine's entry point for the first period; see the constructor."""
-        return cls(cfg, positions, wrap_length_m, los, rng, speeds)
+        return cls(cfg, positions, wrap_length_m, los, rng, speeds, neighbours)
 
-    def advance(self, positions, los, moved=None):
+    def advance(self, positions, los, moved=None, neighbours=False):
         """Refresh the channel for new positions and step the shadow AR(1).
 
         `los` holds each pair's LOS flag, or is None when every link is
         LOS. `moved` is each pair's displacement in m since the last refresh,
         a symmetric matrix or a scalar, with rho = exp(-moved/decorr); an
         infinite one resamples the pair, and None steps by the constructor's
-        `speeds` (m/s, a highway's).
+        `speeds` (m/s, a highway's). `neighbours` asks the refresh to list
+        the pairs within the awareness range in `neighbours` (else None).
         """
         if moved is None and self._speeds is None:
             raise ValueError("advance needs `moved` or a realization built with "
                              "`speeds`: it has no displacement to step by")
-        self._refresh(positions, los, moved)
+        self._refresh(positions, los, moved, neighbours)
 
     def draw_ahead(self):
         """Start drawing the next refresh's normals now, on a refresh
@@ -380,7 +382,7 @@ class ChannelRealization:
     def _upper_store(self):
         """Zeros for each block's columns r0: (pair i < j at row i, column j), in one
         flat buffer: n^2/2 values, where an (n, n) array adds a whole matrix."""
-        shapes = [(r1 - r0, len(self.dist) - r0) for r0, r1 in self._blocks]
+        shapes = [(r1 - r0, len(self._rx_lin) - r0) for r0, r1 in self._blocks]
         sizes = [rows * cols for rows, cols in shapes]
         parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
         return [part.reshape(shape) for part, shape in zip(parts, shapes)]
@@ -394,18 +396,21 @@ class ChannelRealization:
             self._rng.standard_normal(out=drawn)
             np.copyto(normals, drawn[:, r0:])
 
-    def _refresh(self, positions, los, moved):
+    def _refresh(self, positions, los, moved, neighbours):
         """One pass over row blocks of the upper triangle, mirrored below.
 
         The period's normals are those of a pending `draw_ahead`, or are
         drawn here. Each block is then computed and mirrored by one task on
-        the refresh threads, or here when there is one block or one CPU."""
+        the refresh threads, or here when there is one block or one CPU.
+        With `neighbours`, each block also lists its pairs within the
+        awareness range, and the lists are joined in block order, so the
+        result does not depend on thread timing."""
         ahead, self._ahead = self._ahead, None
         if ahead is None:
             self._fill()
         else:
             ahead.result()
-        n = len(self.dist)
+        n = len(self._rx_lin)
         positions = np.asarray(positions, dtype=float)
         absent = ~np.isfinite(positions).all(axis=1)
         # Absent vehicles' legs are set to infinity in each block; 0 keeps
@@ -419,32 +424,36 @@ class ChannelRealization:
         scratch = queue.SimpleQueue()
         for _ in range(workers):
             scratch.put((np.empty(size), np.empty(size)))
+        near = [None] * len(self._blocks)
 
         def block(r0, r1):
             bufs = scratch.get()
             try:
-                self._upper_block(r0, r1, x, y, gone, los, moved, *bufs)
+                near[r0 // BLOCK_ROWS] = self._upper_block(r0, r1, x, y, gone, los, moved,
+                                                           neighbours, *bufs)
             finally:
                 scratch.put(bufs)
             self._mirror(r0, r1)
 
         _each(_executor(workers), block, self._blocks)
         np.fill_diagonal(self._rx_lin, 0.0)
+        self.neighbours = _both_ways(near, n) if neighbours else None
 
-    def _upper_block(self, r0, r1, x, y, gone, los, moved, adx, ady):
+    def _upper_block(self, r0, r1, x, y, gone, los, moved, neighbours, adx, ady):
         """Columns r0: of rows r0:r1, in place, in the per-element operation
-        order of a whole-matrix refresh."""
-        cfg, n, b = self.cfg, len(self.dist), r0 // BLOCK_ROWS
+        order of a whole-matrix refresh. With `neighbours`, returns the
+        block's pairs i < j within the awareness range as (i, j, distance)."""
+        cfg, n, b = self.cfg, len(self._rx_lin), r0 // BLOCK_ROWS
         shape = (r1 - r0, n - r0)
+        # The block's power rows hold its distances until the AR(1) weight.
         g = self._rx_lin[r0:r1, r0:]
-        dist = self.dist[r0:r1, r0:]
 
         # Street legs |dx| (minimum image on a ring) and |dy|.
         dx = _view(adx, shape)
         np.subtract(x[r0:r1, None], x[None, r0:], out=dx)
         np.abs(dx, out=dx)
         if self.wrap_length_m is not None:
-            np.minimum(dx, np.subtract(self.wrap_length_m, dx, out=dist), out=dx)
+            np.minimum(dx, np.subtract(self.wrap_length_m, dx, out=g), out=dx)
         dy = _view(ady, shape)
         np.subtract(y[r0:r1, None], y[None, r0:], out=dy)
         np.abs(dy, out=dy)
@@ -454,7 +463,13 @@ class ChannelRealization:
             for leg in (dx, dy):
                 leg[rows] = np.inf
                 leg[:, cols] = np.inf
-        np.hypot(dx, dy, out=dist)
+        dist = np.hypot(dx, dy, out=g)
+        near = None
+        if neighbours:
+            # Row k, column c is pair (r0 + k, r0 + c); c > k keeps i < j.
+            k, c = np.divmod(np.flatnonzero(dist <= cfg.resolved_awareness_m()), n - r0)
+            k, c = k[c > k], c[c > k]
+            near = (r0 + k, r0 + c, dist[k, c])
 
         sigma = cfg.shadow_sigma_los_db
         nlos_pl = None
@@ -488,16 +503,25 @@ class ChannelRealization:
         pl -= shadow
         pl /= 10.0
         np.power(10.0, pl, out=g)
+        return near
 
     def _mirror(self, r0, r1):
         """Copy rows r0:r1 of the upper triangle below the diagonal. It reads
         rows r0:r1 from column r0 on, which only this block writes, and
         writes columns r0:r1 from row r0 on, which no other block writes."""
-        lower = np.tri(r1 - r0, k=-1, dtype=bool)
-        for mat in (self.dist, self._rx_lin):
-            mat[r1:, r0:r1] = mat[r0:r1, r1:].T
-            square = mat[r0:r1, r0:r1]
-            np.copyto(square, square.T, where=lower)
+        g = self._rx_lin
+        g[r1:, r0:r1] = g[r0:r1, r1:].T
+        square = g[r0:r1, r0:r1]
+        np.copyto(square, square.T, where=np.tri(r1 - r0, k=-1, dtype=bool))
+
+
+def _both_ways(near, n):
+    """The blocks' pairs i < j in both directions: the ascending keys
+    src * n + dst, and each pair's distance."""
+    i, j, dist = (np.concatenate(part) for part in zip(*near))
+    keys = np.concatenate([i * n + j, j * n + i])
+    order = np.argsort(keys)
+    return keys[order], np.concatenate([dist, dist])[order]
 
 
 def _view(buf, shape):

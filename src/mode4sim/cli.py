@@ -18,7 +18,7 @@ from .analysis import (reallocation_probability, tbc_ccdf, tbc_distribution)
 from .channel import ObstacleMapError
 from .config import (SWEEPABLE_KEYS, ConfigError, RunConfig, load_config,
                      with_overrides)
-from .engine import SimulationResult, run_hidden_node, run_scenario
+from .engine import SimulationEngine, SimulationResult, run_scenario
 from .metrics import ud_percentile
 from .mobility import TraceError
 
@@ -108,9 +108,9 @@ def _load_with_overrides(args) -> RunConfig:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_with_overrides(args)
+    world = SimulationEngine(_load_with_overrides(args))
     _make_outdir(args.out)
-    result = run_scenario(cfg)
+    result = world.run()
     write_run_outputs(result, args.out)
     print(f"pooled PRR {result.prr.pooled():.4f} over {result.beacons_sent} beacons "
           f"(mean neighbors {result.mean_neighbors:.1f}); outputs in {args.out}")
@@ -180,8 +180,9 @@ def cmd_hidden_node(args) -> int:
     if args.sample_every < 1:
         raise ConfigError("--sample-every must be >= 1")
     cfg = _load_with_overrides(args)
+    world = SimulationEngine(cfg)
     _make_outdir(args.out)
-    acc = run_hidden_node(cfg, sample_every_periods=args.sample_every)
+    acc = world.hidden_node(args.sample_every)
     centers, prob, _pairs = acc.by_bin()
     rows = ["d_bin_m,probability"] + [f"{c:.1f},{_ratio_text(p)}" for c, p in zip(centers, prob)]
     _write_lines(os.path.join(args.out, "hidden_node.csv"), rows)

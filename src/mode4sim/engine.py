@@ -1,11 +1,12 @@
 """Discrete-time scenario runner: a world and the protocol run on it.
 
 `SimulationEngine` is the world: set-up decides the scenario once, and
-`advance(t)` brings presence, geometry, LOS and channel to the period at t.
-`Protocol` holds the allocation, sensing, MAC and metric state; it reads the
-world and never advances it. The engine's clock ticks in 1 ms subframes. At
-each period start the world advances, then the protocol starts its period
-(in the metric phase its neighbour pairs, the oldest sensing-memory slot
+`advance(t, neighbours)` brings presence, geometry, LOS and channel to the
+period at t, and lists the period's neighbour pairs when asked. `Protocol`
+holds the allocation, sensing, MAC and metric state; it reads the world and
+never advances it. The engine's clock ticks in 1 ms subframes. At each
+period start the world advances, then the protocol starts its period (in
+the metric phase its neighbour pairs, the oldest sensing-memory slot
 recycled, trace churn).
 Within a subframe the tick is two-phase: first propagation (reception
 outcomes, sensing samples and metric credits for all of the subframe's
@@ -114,18 +115,20 @@ class SimulationEngine:
         # Presence changes give the pair infinite legs: a fresh sample.
         return np.hypot(*pair_legs(disp))
 
-    def advance(self, t: int):
-        """Positions, presence, distances, LOS and channel of the period at t."""
+    def advance(self, t: int, neighbours: bool = False):
+        """Positions, presence, LOS and channel of the period at t. With
+        `neighbours`, the channel also lists the period's neighbour pairs
+        (`channel.neighbours`); without, that is None."""
         period = t // self.t_b
         self.positions = self.frames[period]
         self.present = ~np.isnan(self.positions[:, 0])
         los = self._los_matrix()
         if self.channel is None:
             self.channel = ChannelRealization.initial(
-                self.cfg, self.positions, self.wrap, los, self.shadow_rng, self.speeds)
+                self.cfg, self.positions, self.wrap, los, self.shadow_rng, self.speeds,
+                neighbours)
         else:
-            self.channel.advance(self.positions, los, self._moved(period))
-        self.dist = self.channel.dist
+            self.channel.advance(self.positions, los, self._moved(period), neighbours)
         # The next period's normals depend on the shadow stream alone: draw
         # them while this period runs, and none that no period uses.
         if period + 1 < self.n_periods:
@@ -135,10 +138,28 @@ class SimulationEngine:
         protocol = Protocol(self)
         for t in range(self.total_tti):
             if t % self.t_b == 0:
-                self.advance(t)
+                self.advance(t, t >= self.cfg.warmup_tti)
                 protocol.begin_period(t)
             protocol.tick(t)
         return protocol.result()
+
+    def hidden_node(self, sample_every_periods: int = 1) -> HiddenNodeAccumulator:
+        """Mobility + channel only: hidden-node statistics over sampled instants."""
+        cfg = self.cfg
+        awareness_m = cfg.resolved_awareness_m()
+        acc = HiddenNodeAccumulator(bin_width_m=cfg.prr_bin_width_m,
+                                    max_range_m=awareness_m)
+        for period in range(self.n_periods):
+            sampled = period % sample_every_periods == 0
+            self.advance(period * self.t_b, sampled)
+            if not sampled or np.count_nonzero(self.present) < 2:
+                continue
+            # An absent vehicle receives and sends zero power, so it is never a
+            # link, an interferer or heard, and adds nothing to the ratio sums.
+            acc.add(hidden_node_probability(
+                self.channel.rx_power_lin(), self.channel.neighbours, self.noise_lin,
+                self.gamma_lin, cfg.prr_bin_width_m, awareness_m))
+        return acc
 
 
 class Protocol:
@@ -197,15 +218,12 @@ class Protocol:
         self.next_tx[fresh] = t + self.phase[fresh]
 
     def _neighbour_pairs(self):
-        """This period's neighbour pairs, as sorted keys src * n + dst."""
-        n, dist = self.n, self.world.dist
-        # Absent vehicles sit at an infinite distance from every other one.
-        near = dist <= self.awareness_m
-        np.fill_diagonal(near, False)
-        keys = np.flatnonzero(near)
-        self.pair_ptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        self.pair_dst = keys % n
-        self.pair_bin = self.prr.bin_of(dist.ravel()[keys])
+        """This period's neighbour pairs, as the world listed them: sorted
+        keys src * n + dst and their distances."""
+        keys, dist = self.world.channel.neighbours
+        self.pair_ptr = np.searchsorted(keys, np.arange(self.n + 1) * self.n)
+        self.pair_dst = keys % self.n
+        self.pair_bin = self.prr.bin_of(dist)
         self.ud.reset_pairs(keys)
 
     # -- selection and transmission ----------------------------------------
@@ -318,20 +336,4 @@ def run_scenario(cfg: RunConfig) -> SimulationResult:
 
 
 def run_hidden_node(cfg: RunConfig, sample_every_periods: int = 1):
-    """Mobility + channel only: hidden-node statistics over sampled instants."""
-    world = SimulationEngine(cfg)
-    awareness_m = cfg.resolved_awareness_m()
-    acc = HiddenNodeAccumulator(bin_width_m=cfg.prr_bin_width_m,
-                                max_range_m=awareness_m)
-    for period in range(world.n_periods):
-        world.advance(period * world.t_b)
-        if period % sample_every_periods:
-            continue
-        if np.count_nonzero(world.present) < 2:
-            continue
-        # An absent vehicle receives and sends zero power, so it is never a
-        # link, an interferer or heard, and adds nothing to the ratio sums.
-        acc.add(hidden_node_probability(
-            world.channel.rx_power_lin(), world.dist, world.noise_lin,
-            world.gamma_lin, cfg.prr_bin_width_m, awareness_m))
-    return acc
+    return SimulationEngine(cfg).hidden_node(sample_every_periods)

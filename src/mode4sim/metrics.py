@@ -17,8 +17,9 @@ def _n_bins(bin_width_m: float, max_range_m: float) -> int:
 
 
 def _bin_index(distance_m, bin_width_m: float, n_bins: int):
-    """Each finite, non-negative distance's bin; the last bin also holds
-    every distance past the range."""
+    """Each finite, non-negative distance's bin. Callers bin distances
+    within the range only; the last bin also holds the range's end when the
+    range is a whole number of bins."""
     idx = np.asarray(distance_m / bin_width_m, dtype=np.int64)
     return np.clip(idx, 0, n_bins - 1)
 
@@ -183,18 +184,20 @@ def _count_heard_above(power_lin: np.ndarray, snr_floor: float, src: np.ndarray,
     return counts
 
 
-def hidden_node_probability(power_lin: np.ndarray, dist_m: np.ndarray,
-                            noise_lin: float, gamma_lin: float, bin_width_m: float,
+def hidden_node_probability(power_lin: np.ndarray, neighbours, noise_lin: float,
+                            gamma_lin: float, bin_width_m: float,
                             max_range_m: float) -> HiddenNodeResult:
     """Fraction of link-breaking interferers the source cannot hear.
 
     `power_lin` is the (n, n) linear received power, rows = transmitter,
-    with a zero diagonal; `dist_m` the (n, n) pair distances; `noise_lin`
-    and `gamma_lin` the noise floor in mW and the decoding threshold as a
+    with a zero diagonal; `neighbours` the pairs within `max_range_m`, as
+    the ascending keys src * n + dst and their distances; `noise_lin` and
+    `gamma_lin` the noise floor in mW and the decoding threshold as a
     linear ratio. Destinations are nodes with interference-free SNR above
     the threshold; an interferer is any third node whose power alone pushes
     the pair's SINR below it; it is hidden when the source receives it below
-    the same threshold over noise.
+    the same threshold over noise. `probability` averages over every link
+    with interferers; the distance bins hold only the links in `neighbours`.
 
     Both counts are exact integers. The interferers of link (a, b) are the
     entries of column b above `P[a,b]/gamma - N`, found by binary search in
@@ -223,9 +226,15 @@ def hidden_node_probability(power_lin: np.ndarray, dist_m: np.ndarray,
     has_i = i_cnt > 0
     src, dst = src[has_i], dst[has_i]
     ratios = h_cnt[has_i] / i_cnt[has_i]
-    bin_idx = _bin_index(dist_m[src, dst], bin_width_m, n_bins)
+    # Only the links in the neighbour list are binned.
+    keys, dist_m = neighbours
+    link = src * n + dst
+    at = np.searchsorted(keys, link)
+    binned = at < len(keys)
+    binned[binned] = keys[at[binned]] == link[binned]
+    bin_idx = _bin_index(dist_m[at[binned]], bin_width_m, n_bins)
     # Row a holds source a's partial sums; cumsum adds the rows in order.
-    per_source = np.bincount(src * n_bins + bin_idx, weights=ratios,
+    per_source = np.bincount(src[binned] * n_bins + bin_idx, weights=ratios[binned],
                              minlength=n * n_bins).reshape(n, n_bins)
     ratio_sum = np.cumsum(per_source, axis=0)[-1]
     pair_count = np.bincount(bin_idx, minlength=n_bins)

@@ -13,8 +13,11 @@ shadow state as a whole matrix. `DenseUdTracker` keeps the update-delay
 state of every ordered pair in an (n, n) matrix, where the simulator keeps
 it per neighbour pair; `MonitoredFlagRing` keeps a monitored flag per
 vehicle, period slot and subframe, where the simulator keeps each
-vehicle's latest transmission period per subframe. No module
-of the simulator imports this one; `test_reference.py` enforces that.
+vehicle's latest transmission period per subframe. `pair_distances` and
+`neighbour_list` rebuild the (n, n) pair distances and the neighbour list
+from them, where the simulator keeps distances only for the pairs within
+range. No module of the simulator imports this one; `test_reference.py`
+enforces that.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mode4sim.analysis import AnalysisError
-from mode4sim.channel import dbm_to_mw, pathloss_los_db, pathloss_nlos_db
+from mode4sim.channel import dbm_to_mw, pair_legs, pathloss_los_db, pathloss_nlos_db
 from mode4sim.config import RunConfig
 from mode4sim.metrics import HiddenNodeResult, MetricsError
 from mode4sim.phy import ibe_factor
@@ -91,6 +94,22 @@ def neighbors(snapshot: ScenarioSnapshot, vehicle: int, awareness_m: float) -> s
     mask = dist <= awareness_m
     mask[i] = False
     return set(int(v) for v in snapshot.ids[mask])
+
+
+def pair_distances(positions, wrap_length_m: float | None = None) -> np.ndarray:
+    """All (n, n) pair distances from `channel.pair_legs`, infinite where a
+    vehicle is absent (NaN position)."""
+    return np.hypot(*pair_legs(np.asarray(positions, dtype=float), wrap_length_m))
+
+
+def neighbour_list(dist_m: np.ndarray, range_m: float):
+    """The off-diagonal pairs of an (n, n) distance matrix within `range_m`
+    (inclusive), as `ChannelRealization.neighbours` lists them: the
+    ascending keys src * n + dst and the pairs' distances."""
+    near = dist_m <= range_m
+    np.fill_diagonal(near, False)
+    keys = np.flatnonzero(near)
+    return keys, dist_m.ravel()[keys]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +236,7 @@ def full_shadow(real) -> np.ndarray:
     """A `ChannelRealization`'s shadow state as the symmetric (n, n) matrix
     with a zero diagonal, rebuilt from the upper triangle of its store of
     upper-block rectangles (block b holds rows r0:r1, columns r0:)."""
-    n = len(real.dist)
+    n = len(real.rx_power_lin())
     full = np.zeros((n, n))
     for (r0, r1), block in zip(real._blocks, real._shadow):
         full[r0:r1, r0:] = block
@@ -514,7 +533,9 @@ def hidden_node_loop(power_lin: np.ndarray, dist_m: np.ndarray, noise_lin: float
                      max_range_m: float) -> HiddenNodeResult:
     """`metrics.hidden_node_probability` one source at a time: for each
     source, the whole (n, destinations) slice of the power matrix is
-    compared with the destinations' breaking thresholds."""
+    compared with the destinations' breaking thresholds. `dist_m` holds the
+    (n, n) pair distances; a link adds to the bins only when its distance is
+    within `max_range_m`, and to the probability whatever its distance."""
     n = len(power_lin)
     if n < 2:
         raise MetricsError("need at least two vehicles")
@@ -540,8 +561,10 @@ def hidden_node_loop(power_lin: np.ndarray, dist_m: np.ndarray, noise_lin: float
         if not has_i.any():
             continue
         ratios = h_cnt[has_i] / i_cnt[has_i]
-        bin_idx = np.clip((dist_m[a, dests[has_i]] / bin_width_m).astype(int), 0, n_bins - 1)
-        ratio_sum += np.bincount(bin_idx, weights=ratios, minlength=n_bins)
+        d = dist_m[a, dests[has_i]]
+        near = d <= max_range_m
+        bin_idx = np.clip((d[near] / bin_width_m).astype(int), 0, n_bins - 1)
+        ratio_sum += np.bincount(bin_idx, weights=ratios[near], minlength=n_bins)
         pair_count += np.bincount(bin_idx, minlength=n_bins)
         total_ratio += float(ratios.sum())
         total_pairs += int(has_i.sum())

@@ -18,7 +18,7 @@ from mode4sim.channel import (BLOCK_ROWS, ChannelRealization, ObstacleMap,
                               pair_legs, pathloss_los_db, pathloss_nlos_db)
 from mode4sim.config import RunConfig
 from oracles import (FullMatrixChannel, _point_in_polygon, blocks, full_shadow,
-                     highway_rho, pathloss_db, rx_power_dbm, shadow_step)
+                     highway_rho, neighbour_list, pathloss_db, rx_power_dbm, shadow_step)
 
 PARAMS = RunConfig()
 
@@ -421,31 +421,40 @@ def _symmetric(values):
     return m + m.T
 
 
+# Ranges within which a refresh lists its pairs; the last catches none.
+RANGES = [200.0, 30.0, 1e-9]
+
+
 @given(n=st.integers(1, 3 * BLOCK_ROWS + 5), seed=st.integers(0, 2**32 - 1),
        wrap=st.sampled_from([None, 700.0]), absent=st.sampled_from([0.0, 0.2]),
        nlos=st.sampled_from([0.0, 0.4, 1.0]), scalar_moved=st.booleans(),
-       workers=st.sampled_from([1, 2, 3]), ahead=st.booleans())
+       workers=st.sampled_from([1, 2, 3]), ahead=st.booleans(),
+       range_m=st.sampled_from(RANGES))
 @example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, scalar_moved=False, workers=2,
-         ahead=False)
+         ahead=False, range_m=200.0)
 @example(n=BLOCK_ROWS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, scalar_moved=False,
-         workers=2, ahead=False)
+         workers=2, ahead=False, range_m=200.0)
 @example(n=2 * BLOCK_ROWS + 1, seed=2, wrap=700.0, absent=0.0, nlos=0.0, scalar_moved=True,
-         workers=2, ahead=False)
+         workers=2, ahead=False, range_m=30.0)
 @example(n=2 * BLOCK_ROWS + 1, seed=3, wrap=None, absent=0.2, nlos=0.4, scalar_moved=False,
-         workers=3, ahead=False)
+         workers=3, ahead=False, range_m=200.0)
 @example(n=2 * BLOCK_ROWS + 1, seed=4, wrap=None, absent=0.2, nlos=0.4, scalar_moved=False,
-         workers=2, ahead=True)
+         workers=2, ahead=True, range_m=1e-9)
+@example(n=2 * BLOCK_ROWS + 1, seed=5, wrap=700.0, absent=0.2, nlos=0.0, scalar_moved=False,
+         workers=1, ahead=False, range_m=200.0)
 @settings(max_examples=30, deadline=None)
 def test_blocked_refresh_equals_the_full_matrix_oracle(n, seed, wrap, absent, nlos,
-                                                       scalar_moved, workers, ahead):
+                                                       scalar_moved, workers, ahead, range_m):
     # Over an initial draw and three advances with vehicles arriving and
     # leaving, mixed LOS/NLOS and displacements holding infinities (rho = 0)
     # and zeros (rho = 1), the blocked pass must give the whole-matrix
-    # refresh's distances, shadow state and power bit for bit and leave the
+    # refresh's shadow state and power bit for bit, list the pairs within
+    # `range_m` of the oracle's distances bit for bit, and leave the
     # generator in the same state, on any number of refresh threads, with
     # or without each period's normals drawn ahead.
     with mock.patch.object(channel, "WORKERS", workers):
-        _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead)
+        _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead,
+                                    range_m=range_m)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -468,11 +477,13 @@ def test_constant_speed_refresh_equals_the_full_matrix_oracle(workers, ahead):
 
 
 def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead,
-                                speeds=None):
+                                speeds=None, range_m=200.0):
     """The channel over four periods checked against `FullMatrixChannel`,
     stepped by random displacements, or with `speeds` by `highway_rho`.
-    Returns the shadow state of each period, through `full_shadow`."""
-    params = RunConfig()
+    Every refresh but the second lists its pairs within `range_m`, checked
+    against `neighbour_list` of the `pair_legs` distances. Returns the
+    shadow state of each period, through `full_shadow`."""
+    params = RunConfig(awareness_m=range_m)
     data = np.random.default_rng(seed)
     ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     real = oracle = None
@@ -491,13 +502,18 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead
         legs = pair_legs(pos, wrap)
         dist = np.hypot(*legs)
         los_arg = None if nlos == 0.0 else los
+        listed = period != 1
         if period == 0:
-            real = ChannelRealization.initial(params, pos, wrap, los_arg, ours, speeds)
+            real = ChannelRealization.initial(params, pos, wrap, los_arg, ours, speeds, listed)
             oracle = FullMatrixChannel.initial(params, dist, los, legs, theirs)
         else:
-            real.advance(pos, los_arg, moved)
+            real.advance(pos, los_arg, moved, listed)
             oracle.advance(dist, los, legs, theirs, rho)
-        assert real.dist.tobytes() == dist.tobytes(), period
+        if listed:
+            want = neighbour_list(dist, range_m)
+            assert [a.tobytes() for a in real.neighbours] == [a.tobytes() for a in want], period
+        else:
+            assert real.neighbours is None
         shadows.append(full_shadow(real))
         assert shadows[-1].tobytes() == oracle.shadow_db.tobytes(), period
         assert real.rx_power_lin().tobytes() == oracle.rx_power_lin().tobytes(), period
@@ -552,8 +568,10 @@ def test_a_refresh_is_one_pass_of_one_task_per_block(monkeypatch):
 
 
 def _state_bytes(real):
-    """The distances, shadow state and power of a realization, as bytes."""
-    return [real.dist.tobytes(), full_shadow(real).tobytes(), real.rx_power_lin().tobytes()]
+    """The shadow state and power of a realization, as bytes. A refresh
+    block writes its distances into its power rows first, so the power
+    covers them."""
+    return [full_shadow(real).tobytes(), real.rx_power_lin().tobytes()]
 
 
 def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):

@@ -166,7 +166,8 @@ def _no_runs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a simulation ran")
     monkeypatch.setattr(cli, "run_scenario", refuse)
-    monkeypatch.setattr(cli, "run_hidden_node", refuse)
+    monkeypatch.setattr(cli.SimulationEngine, "run", refuse)
+    monkeypatch.setattr(cli.SimulationEngine, "hidden_node", refuse)
 
 
 def test_sweep_rejects_bad_point_before_running(tmp_path, capsys, monkeypatch):
@@ -255,17 +256,36 @@ def test_missing_trace_exits_3(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
-def test_malformed_trace_exits_3(tmp_path, capsys):
-    # Fractional vehicle ids would otherwise merge 0 with 0.5 and 1 with 1.5.
-    fractional = "".join(f"{t / 10},{vid},{5 * k},0\n" for t in range(30)
+# Fractional vehicle ids would otherwise merge 0 with 0.5 and 1 with 1.5.
+FRACTIONAL_IDS = "".join(f"{t / 10},{vid},{5 * k},0\n" for t in range(30)
                          for k, vid in enumerate(("0", "0.5", "1", "1.5")))
-    for text in ("0.0,1,0,0\nbroken line\n", fractional):
+
+
+def test_malformed_trace_exits_3(tmp_path, capsys):
+    for text in ("0.0,1,0,0\nbroken line\n", FRACTIONAL_IDS):
         trace = tmp_path / "bad.csv"
         trace.write_text(text)
         cfg = write_cfg(tmp_path, {"scenario": "trace", "trace": str(trace),
                                    "duration_s": 2.6, "t_sense_ms": 500, "n_max": 8})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith(f"trace error: {trace}:2:")
+
+
+def test_a_trace_error_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    # Both commands build the world before they make `--out`, so a trace
+    # that is missing or malformed exits 3 and leaves no directory behind.
+    _no_runs(monkeypatch)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(FRACTIONAL_IDS)
+    out = tmp_path / "o"
+    for trace in (tmp_path / "no.csv", bad):
+        cfg = write_cfg(tmp_path, {"scenario": "trace", "trace": str(trace),
+                                   "duration_s": 2.6, "t_sense_ms": 500, "n_max": 8})
+        for command in (["simulate"], ["hidden-node"]):
+            assert main(command + ["--config", cfg, "--out", str(out)]) == 3, (trace, command)
+            err = capsys.readouterr().err
+            assert err.startswith("trace error:") and str(trace) in err, (trace, command)
+            assert not out.exists(), (trace, command)
 
 
 def test_unreadable_obstacle_map_exits_2(tmp_path, capsys):

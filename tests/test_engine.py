@@ -9,7 +9,7 @@ from mode4sim.metrics import PrrAccumulator
 from mode4sim.mobility import spawn_highway, step_highway
 from mode4sim.seeding import substream
 from oracles import (DenseUdTracker, RxOutcome, ScenarioSnapshot, blocks, hidden_node_loop,
-                     record_beacon)
+                     neighbour_list, pair_distances, record_beacon)
 
 SMALL = dict(highway_length_m=1000.0, highway_vehicles=124, seed=5)
 
@@ -17,7 +17,7 @@ SMALL = dict(highway_length_m=1000.0, highway_vehicles=124, seed=5)
 def _step(world, protocol, t):
     """Tick t by hand, in the order `SimulationEngine.run` uses."""
     if t % world.t_b == 0:
-        world.advance(t)
+        world.advance(t, t >= world.cfg.warmup_tti)
         protocol.begin_period(t)
     protocol.tick(t)
 
@@ -125,9 +125,9 @@ def _check_batched_credit(monkeypatch, cfg):
     replayed = left = 0
     for t in range(world.total_tti):
         if t % world.t_b == 0:
-            world.advance(t)
+            world.advance(t, t >= cfg.warmup_tti)
             proto.begin_period(t)  # departures drop their transmission
-            neigh = world.dist <= proto.awareness_m
+            neigh = pair_distances(world.positions, world.wrap) <= proto.awareness_m
             np.fill_diagonal(neigh, False)
             left += np.count_nonzero(ud.last[~neigh] >= 0)
             ud.reset_pairs(~neigh)
@@ -340,20 +340,29 @@ def test_simulate_and_hidden_node_advance_the_same_periods(monkeypatch):
     # so hidden-node samples it too.
     cfg = RunConfig(duration_s=1.05, t_sense_ms=200, n_max=6, highway_length_m=800.0,
                     highway_vehicles=40, seed=2)
+    # Simulate asks for the neighbour list in the metric phase only,
+    # hidden-node in every sampled period.
     advanced = []
     real = SimulationEngine.advance
 
-    def record(self, t):
-        advanced.append(t)
-        real(self, t)
+    def record(self, t, neighbours=False):
+        advanced.append((t, neighbours))
+        real(self, t, neighbours)
+        assert (self.channel.neighbours is not None) == neighbours
 
     monkeypatch.setattr(SimulationEngine, "advance", record)
     run_scenario(cfg)
     simulated = advanced[:]
     advanced.clear()
     acc = run_hidden_node(cfg)
-    assert simulated == advanced == list(range(0, 1100, 100))
+    periods = list(range(0, 1100, 100))
+    assert simulated == [(t, t >= cfg.warmup_tti) for t in periods]
+    assert advanced == [(t, True) for t in periods]
     assert len(acc.snapshot_probs) == 11
+    advanced.clear()
+    acc = run_hidden_node(cfg, 3)
+    assert advanced == [(t, t % 300 == 0) for t in periods]
+    assert len(acc.snapshot_probs) == 4
 
 
 @pytest.mark.parametrize("runner", [run_scenario, run_hidden_node])
@@ -429,19 +438,22 @@ def test_hidden_node_under_churn_counts_the_present_rows(tmp_path, monkeypatch):
     engines = []
     real_advance = SimulationEngine.advance
 
-    def remember(self, t):
+    def remember(self, t, *args):
         engines.append(self)
-        real_advance(self, t)
+        real_advance(self, t, *args)
 
     real_metric = engine_module.hidden_node_probability
     sizes = []
 
-    def checked(power, dist, *rest):
-        got = real_metric(power, dist, *rest)
+    def checked(power, neighbours, *rest):
+        got = real_metric(power, neighbours, *rest)
         eng = engines[-1]
+        dist = pair_distances(eng.positions, eng.wrap)
+        for listed, want in zip(neighbours, neighbour_list(dist, cfg.resolved_awareness_m())):
+            assert listed.tobytes() == want.tobytes()
         idx = np.flatnonzero(eng.present)
         rows = np.ix_(idx, idx)
-        want = hidden_node_loop(eng.channel.rx_power_lin()[rows], eng.dist[rows], *rest)
+        want = hidden_node_loop(eng.channel.rx_power_lin()[rows], dist[rows], *rest)
         assert got.probability == want.probability
         assert got.bin_ratio_sum.tobytes() == want.bin_ratio_sum.tobytes()
         assert np.array_equal(got.bin_pair_count, want.bin_pair_count)
@@ -456,14 +468,14 @@ def test_hidden_node_under_churn_counts_the_present_rows(tmp_path, monkeypatch):
     assert acc.pair_count.sum() > 0
 
 
-def test_the_world_holds_no_square_matrix_but_distances_and_power():
-    # Only the protocol's reads by row and column need whole (n, n)
-    # matrices: distances and received power. The shadow state and the
-    # highway's per-pair correlation live in the channel's upper-block
-    # stores, which hold about n^2/2 values each.
+def test_the_world_holds_no_square_matrix_but_power():
+    # Only the protocol's reads of received power by row and column need a
+    # whole (n, n) matrix. The shadow state and the period's normals live in
+    # the channel's upper-block stores, which hold about n^2/2 values each,
+    # and distances only in the neighbour list.
     cfg = RunConfig(duration_s=3.0, highway_length_m=3000.0, highway_vehicles=600, seed=1)
     world = SimulationEngine(cfg)
-    world.advance(0)
+    world.advance(0, True)
     n = world.n
     found = {}
     for value in [*vars(world).values(), *vars(world.channel).values()]:
@@ -471,8 +483,8 @@ def test_the_world_holds_no_square_matrix_but_distances_and_power():
             for array in item if isinstance(item, tuple) else [item]:
                 if isinstance(array, np.ndarray) and array.shape == (n, n):
                     found[id(array)] = array
-    want = (world.dist, world.channel.rx_power_lin())
-    assert sorted(found) == sorted(id(m) for m in want)
+    assert list(found) == [id(world.channel.rx_power_lin())]
+    assert len(world.channel.neighbours[0]) > 0
 
 
 def test_the_protocol_holds_no_square_matrix():
@@ -484,7 +496,7 @@ def test_the_protocol_holds_no_square_matrix():
     proto = Protocol(world)
     n = world.n
     for t in (cfg.warmup_tti, cfg.warmup_tti + world.t_b):
-        world.advance(t)
+        world.advance(t, True)
         proto.begin_period(t)
         for owner in (proto, proto.ud, proto.memory):
             for value in vars(owner).values():

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mode4sim.channel import dbm_to_mw, pair_legs
+from mode4sim.channel import dbm_to_mw
 from mode4sim.metrics import (HiddenNodeAccumulator, MetricsError,
                               PrrAccumulator, UdTracker,
                               hidden_node_probability, ud_percentile)
 from oracles import (NOISE_DBM, DenseUdTracker, RxOutcome, ScenarioSnapshot,
-                     hidden_node_loop, make_channel, rebinned, record_beacon)
+                     hidden_node_loop, make_channel, neighbour_list, pair_distances,
+                     rebinned, record_beacon)
 
 GAMMA_DB = 7.30
 
@@ -216,10 +217,10 @@ def test_pair_tracker_equals_the_dense_oracle(history):
 # -- hidden node ----------------------------------------------------------------
 
 def hidden_node(snap, chan, gamma_db, bin_width_m=10.0, max_range_m=500.0):
-    """hidden_node_probability on a snapshot's distances and a realization."""
-    dist = np.hypot(*pair_legs(snap.positions, snap.wrap_length_m))
+    """hidden_node_probability on a snapshot's neighbour list and a realization."""
+    dist = pair_distances(snap.positions, snap.wrap_length_m)
     return hidden_node_probability(
-        chan.rx_power_lin(), dist, float(dbm_to_mw(NOISE_DBM)),
+        chan.rx_power_lin(), neighbour_list(dist, max_range_m), float(dbm_to_mw(NOISE_DBM)),
         float(dbm_to_mw(gamma_db)), bin_width_m, max_range_m)
 
 
@@ -248,6 +249,29 @@ def test_constructed_hidden_node_gives_one():
     assert res.probability == 1.0
     assert res.bin_ratio_sum[10] == 1.0  # the 100 m source-destination pair
     assert res.bin_ratio_sum[3] == 1.0   # the 30 m reverse pair
+
+
+def test_a_link_past_the_range_counts_in_the_probability_but_no_bin():
+    # The constructed hidden node with the destination 250 m from the
+    # source, past the 200 m range: link 0 -> 1 still adds its ratio to the
+    # probability, but only the 30 m link 2 -> 1 adds to a distance bin.
+    rx = np.full((3, 3), -150.0)
+    rx[0, 1] = -85.0
+    rx[2, 1] = -80.0
+    rx[2, 0] = -130.0
+    rx[0, 2] = -130.0
+    chan = make_channel(rx)
+    snap = snapshot_line([0.0, 250.0, 280.0])
+    res = hidden_node(snap, chan, GAMMA_DB, max_range_m=200.0)
+    assert res.probability == 1.0
+    assert res.bin_pair_count.sum() == 1 and res.bin_pair_count[3] == 1
+    assert res.bin_ratio_sum.sum() == res.bin_ratio_sum[3] == 1.0
+    dist = pair_distances(snap.positions)
+    assert_same_as_loop(chan.rx_power_lin(), dist, float(dbm_to_mw(NOISE_DBM)),
+                        float(dbm_to_mw(GAMMA_DB)))
+    acc = HiddenNodeAccumulator(bin_width_m=10.0, max_range_m=200.0)
+    acc.add(res)
+    assert acc.overall() == 1.0 and acc.pair_count.sum() == 1
 
 
 def test_audible_interferer_is_not_hidden():
@@ -290,8 +314,9 @@ def test_membership_matches_set_oracle():
 
 
 def assert_same_as_loop(power, dist, noise, gamma, bin_width_m=10.0, max_range_m=200.0):
-    args = (power, dist, noise, gamma, bin_width_m, max_range_m)
-    got, want = hidden_node_probability(*args), hidden_node_loop(*args)
+    got = hidden_node_probability(power, neighbour_list(dist, max_range_m), noise, gamma,
+                                  bin_width_m, max_range_m)
+    want = hidden_node_loop(power, dist, noise, gamma, bin_width_m, max_range_m)
     assert got.probability == want.probability
     assert got.bin_ratio_sum.tobytes() == want.bin_ratio_sum.tobytes()
     assert np.array_equal(got.bin_pair_count, want.bin_pair_count)
@@ -305,7 +330,8 @@ def assert_same_as_loop(power, dist, noise, gamma, bin_width_m=10.0, max_range_m
        gamma_db=st.floats(-5.0, 15.0), zero_share=st.floats(0.0, 0.5))
 def test_counts_equal_the_loop_on_random_matrices(n, seed, gamma_db, zero_share):
     # Asymmetric powers over six decades, some entries and diagonals zero,
-    # distances past the last bin; the threshold below and above 0 dB.
+    # distances past the range, which add to no bin; the threshold below
+    # and above 0 dB.
     rng = np.random.default_rng(seed)
     power = 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
     power[rng.random((n, n)) < zero_share] = 0.0

@@ -31,7 +31,7 @@ ORACLE_NAMES = {"ScenarioSnapshot", "TxEvent", "RxOutcome", "SenseSample",
                 "_symmetric_normal", "pathloss_db", "rx_power_dbm",
                 "shadow_sigma_db", "subframe_reception_expression",
                 "highway_rho", "full_shadow", "DenseUdTracker",
-                "MonitoredFlagRing"}
+                "MonitoredFlagRing", "pair_distances", "neighbour_list"}
 # Modules the simulator must not import: the oracles and the test suite.
 TEST_MODULES = {"oracles", "tests"}
 
@@ -91,8 +91,15 @@ def unreferenced_definitions(package):
     return sorted(node.name for module, node in defs if not used_outside(module, node))
 
 
+# The benchmark's entry point to the hidden-node pass (bench/child.py calls
+# it), a one-line wrapper of `SimulationEngine.hidden_node` that no package
+# code calls: the command builds its world before it makes `--out`.
+BENCHMARK_ENTRY_POINTS = ["run_hidden_node"]
+
+
 def test_package_ships_only_code_the_package_uses():
-    assert unreferenced_definitions(os.path.dirname(mode4sim.__file__)) == []
+    found = unreferenced_definitions(os.path.dirname(mode4sim.__file__))
+    assert found == BENCHMARK_ENTRY_POINTS
 
 
 def private_attribute_uses(package):
