@@ -49,33 +49,23 @@ class HoldTimeDistribution:
         return float(np.arange(len(self.pmf)) @ self.pmf)
 
 
-def tbe_distribution(n_min: int, n_max: int, form: str = "uniform") -> HoldTimeDistribution:
-    """Distribution of a single counter draw.
-
-    `uniform` puts 1/(n_max-n_min+1) on each value; `one_over_n` weights each
-    value by 1/n (normalized), kept for sensitivity checks.
-    """
+def tbe_distribution(n_min: int, n_max: int) -> HoldTimeDistribution:
+    """Distribution of a single counter draw: 1/(n_max-n_min+1) on each value."""
     if not (1 <= n_min <= n_max):
         raise AnalysisError("need 1 <= n_min <= n_max")
     pmf = np.zeros(n_max + 1)
-    if form == "uniform":
-        pmf[n_min:n_max + 1] = 1.0 / (n_max - n_min + 1)
-    elif form == "one_over_n":
-        weights = 1.0 / np.arange(n_min, n_max + 1, dtype=float)
-        pmf[n_min:n_max + 1] = weights / weights.sum()
-    else:
-        raise AnalysisError("form must be 'uniform' or 'one_over_n'")
+    pmf[n_min:n_max + 1] = 1.0 / (n_max - n_min + 1)
     return HoldTimeDistribution(pmf)
 
 
-def tbc_distribution(n_min: int, n_max: int, p_keep: float, eps: float = 1e-6,
-                     tbe_form: str = "uniform") -> HoldTimeDistribution:
+def tbc_distribution(n_min: int, n_max: int, p_keep: float,
+                     eps: float = 1e-6) -> HoldTimeDistribution:
     """Geometric compound of counter draws via frequency-domain products."""
     if not (0.0 <= p_keep < 1.0):
         raise AnalysisError("p_keep must lie in [0, 1); p_keep = 1 never changes")
     if not 0.0 < eps < 1.0:
         raise AnalysisError("eps must lie in (0, 1)")
-    tbe = tbe_distribution(n_min, n_max, tbe_form)
+    tbe = tbe_distribution(n_min, n_max)
     if p_keep == 0.0:
         terms = 1
     else:

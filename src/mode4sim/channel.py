@@ -209,31 +209,25 @@ def _by_chunks(fn, obstacles: ObstacleMap, *arrays):
     return out
 
 
-def los_state(obstacles: ObstacleMap | None, pos_i, pos_j):
-    """True when the segment between the endpoints touches no polygon.
+def los_state(obstacles: ObstacleMap | None, points, a, b):
+    """Per pair k, True when the segment from points[a[k]] to points[b[k]]
+    touches no polygon.
 
-    The segment is blocked when it crosses or touches any polygon edge, or
-    when either endpoint lies inside a polygon. Takes two points and returns
-    a bool, or two (m, 2) arrays of endpoints and returns an (m,) bool array
-    with one entry per row pair.
+    `points` is an (m, 2) array, each vehicle once; `a` and `b` are index
+    arrays of one length. A segment is blocked when it crosses or touches
+    any polygon edge, or when either endpoint lies inside a polygon. The
+    inside test runs once per point, the edge test once per pair.
     """
-    p = np.asarray(pos_i, dtype=float)
-    q = np.asarray(pos_j, dtype=float)
-    if p.shape != q.shape or p.shape[-1:] != (2,) or p.ndim > 2:
-        raise ValueError("endpoints must be two points or two (m, 2) arrays")
-    if not np.all(np.isfinite(p)) or not np.all(np.isfinite(q)):
+    points = np.asarray(points, dtype=float)
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    if points.ndim != 2 or points.shape[1] != 2 or a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("need an (m, 2) array of points and two index arrays of one length")
+    if not np.isfinite(points).all():
         raise ValueError("positions must be finite")
-    single = p.ndim == 1
-    p, q = p.reshape(-1, 2), q.reshape(-1, 2)
     if obstacles is None or not obstacles.polygons:
-        los = np.ones(len(p), dtype=bool)
-    else:
-        # Pairs share endpoints (vehicles): test each distinct point once.
-        pts, inv = np.unique(np.concatenate([p, q]), axis=0, return_inverse=True)
-        inside = _by_chunks(_inside_any, obstacles, pts)[inv.reshape(-1)]
-        los = ~(inside[:len(p)] | inside[len(p):]
-                | _by_chunks(_touches_edge, obstacles, p, q))
-    return bool(los[0]) if single else los
+        return np.ones(len(a), dtype=bool)
+    inside = _by_chunks(_inside_any, obstacles, points)
+    return ~(inside[a] | inside[b] | _by_chunks(_touches_edge, obstacles, points[a], points[b]))
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +312,14 @@ class ChannelRealization:
     never stored. Distances are kept only for the pairs within the
     awareness range, in `neighbours`, and only when a refresh asks. Vehicles
     with a non-finite position are absent: they sit at an infinite distance
-    from every other vehicle and receive and send zero power.
+    from every other vehicle and receive and send zero power. The pairs an
+    obstacle blocks come as the ascending keys i * n + j (i < j) in
+    `blocked`, or None when no pair is; only they take the NLOS pathloss
+    and shadowing sigma.
     """
 
     def __init__(self, cfg: RunConfig, positions, wrap_length_m: float | None,
-                 los, rng: np.random.Generator, speeds=None, neighbours=False):
+                 blocked, rng: np.random.Generator, speeds=None, neighbours=False):
         """The first period's channel; it keeps `rng` as its shadow stream."""
         n = len(positions)
         self.cfg = cfg
@@ -335,20 +332,20 @@ class ChannelRealization:
         self._draw = np.empty((min(BLOCK_ROWS, n), n))
         self._ahead = None  # the pending draw_ahead, a Future
         self._speeds = speeds  # m/s on a highway, None on a trace
-        self._refresh(positions, los, np.inf, neighbours)  # forget the zero state
+        self._refresh(positions, blocked, np.inf, neighbours)  # forget the zero state
 
     @classmethod
-    def initial(cls, cfg: RunConfig, positions, wrap_length_m, los,
+    def initial(cls, cfg: RunConfig, positions, wrap_length_m, blocked,
                 rng: np.random.Generator, speeds=None,
                 neighbours=False) -> "ChannelRealization":
         """The engine's entry point for the first period; see the constructor."""
-        return cls(cfg, positions, wrap_length_m, los, rng, speeds, neighbours)
+        return cls(cfg, positions, wrap_length_m, blocked, rng, speeds, neighbours)
 
-    def advance(self, positions, los, moved=None, neighbours=False):
+    def advance(self, positions, blocked, moved=None, neighbours=False):
         """Refresh the channel for new positions and step the shadow AR(1).
 
-        `los` holds each pair's LOS flag, or is None when every link is
-        LOS. `moved` is each pair's displacement in m since the last refresh,
+        `blocked` holds the keys of the NLOS pairs, as in the constructor.
+        `moved` is each pair's displacement in m since the last refresh,
         a symmetric matrix or a scalar, with rho = exp(-moved/decorr); an
         infinite one resamples the pair, and None steps by the constructor's
         `speeds` (m/s, a highway's). `neighbours` asks the refresh to list
@@ -357,7 +354,7 @@ class ChannelRealization:
         if moved is None and self._speeds is None:
             raise ValueError("advance needs `moved` or a realization built with "
                              "`speeds`: it has no displacement to step by")
-        self._refresh(positions, los, moved, neighbours)
+        self._refresh(positions, blocked, moved, neighbours)
 
     def draw_ahead(self):
         """Start drawing the next refresh's normals now, on a refresh
@@ -396,7 +393,7 @@ class ChannelRealization:
             self._rng.standard_normal(out=drawn)
             np.copyto(normals, drawn[:, r0:])
 
-    def _refresh(self, positions, los, moved, neighbours):
+    def _refresh(self, positions, blocked, moved, neighbours):
         """One pass over row blocks of the upper triangle, mirrored below.
 
         The period's normals are those of a pending `draw_ahead`, or are
@@ -429,7 +426,7 @@ class ChannelRealization:
         def block(r0, r1):
             bufs = scratch.get()
             try:
-                near[r0 // BLOCK_ROWS] = self._upper_block(r0, r1, x, y, gone, los, moved,
+                near[r0 // BLOCK_ROWS] = self._upper_block(r0, r1, x, y, gone, blocked, moved,
                                                            neighbours, *bufs)
             finally:
                 scratch.put(bufs)
@@ -439,7 +436,7 @@ class ChannelRealization:
         np.fill_diagonal(self._rx_lin, 0.0)
         self.neighbours = _both_ways(near, n) if neighbours else None
 
-    def _upper_block(self, r0, r1, x, y, gone, los, moved, neighbours, adx, ady):
+    def _upper_block(self, r0, r1, x, y, gone, blocked, moved, neighbours, adx, ady):
         """Columns r0: of rows r0:r1, in place, in the per-element operation
         order of a whole-matrix refresh. With `neighbours`, returns the
         block's pairs i < j within the awareness range as (i, j, distance)."""
@@ -471,15 +468,17 @@ class ChannelRealization:
             k, c = k[c > k], c[c > k]
             near = (r0 + k, r0 + c, dist[k, c])
 
-        sigma = cfg.shadow_sigma_los_db
-        nlos_pl = None
-        if los is not None and not los[r0:r1, r0:].all():
-            clear = los[r0:r1, r0:]
-            nlos_pl = pathloss_nlos_db(dx, dy, cfg.carrier_ghz)
-            sigma = np.where(clear, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
+        # The block's blocked pairs, as (rows, columns), take the NLOS
+        # pathloss of their legs and, below, the NLOS sigma.
+        nlos = None
+        if blocked is not None:
+            lo, hi = np.searchsorted(blocked, (r0 * n, r1 * n))
+            i, j = np.divmod(blocked[lo:hi], n)
+            nlos = (i - r0, j - r0)
+            nlos_pl = pathloss_nlos_db(dx[nlos], dy[nlos], cfg.carrier_ghz)
         pl = pathloss_los_db(dist, cfg.carrier_ghz, out=dx)
-        if nlos_pl is not None:
-            np.copyto(pl, nlos_pl, where=~clear)
+        if nlos is not None:
+            pl[nlos] = nlos_pl
 
         # s' = rho * s + sqrt(1 - rho^2) * sigma * normal, with
         # rho = exp(-moved/decorr); dy is free now. A highway pair moves
@@ -494,7 +493,10 @@ class ChannelRealization:
         np.exp(rho, out=rho)
         weight = np.sqrt(np.subtract(1.0, np.multiply(rho, rho, out=g), out=g), out=g)
         shadow = np.multiply(rho, self._shadow[b], out=self._shadow[b])
-        step = np.multiply(self._normals[b], sigma, out=dy)
+        normals = self._normals[b]
+        step = np.multiply(normals, cfg.shadow_sigma_los_db, out=dy)
+        if nlos is not None:
+            step[nlos] = normals[nlos] * cfg.shadow_sigma_nlos_db
         step *= weight
         shadow += step
 

@@ -131,6 +131,10 @@ def cmd_sweep(args) -> int:
         if value in values[:k]:
             raise ConfigError(f"sweep {args.param} value {value} is repeated")
     points = [with_overrides(cfg, **{args.param: value}) for value in values]
+    # Building a point's world loads its trace and checks its span, so a
+    # bad point fails here, before `--out` exists.
+    for point in points:
+        SimulationEngine(point)
     _make_outdir(args.out)
     # Points are independent seeded runs, so any worker count gives the
     # same results in the same order. The pool starts all its workers at
@@ -159,8 +163,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError("beacon_period_ms and t_sense_ms must be positive")
     if args.t_sense_ms % args.beacon_period_ms != 0:
         raise ConfigError("t_sense_ms must be a multiple of the beacon period")
-    dist = tbc_distribution(args.n_min, args.n_max, args.p_keep,
-                            eps=args.eps, tbe_form=args.tbe_form)
+    dist = tbc_distribution(args.n_min, args.n_max, args.p_keep, eps=args.eps)
     ccdf = tbc_ccdf(dist)
     rows = ["hold_periods,hold_seconds,ccdf"]
     step = args.beacon_period_ms / 1000.0
@@ -233,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--t-sense-ms", type=int, default=defaults.t_sense_ms)
     p_an.add_argument("--eps", type=float, default=1e-6)
     p_an.add_argument("--beacon-period-ms", type=int, default=defaults.beacon_period_ms)
-    p_an.add_argument("--tbe-form", choices=("uniform", "one_over_n"), default="uniform")
     p_an.add_argument("--out", default="out")
     p_an.set_defaults(func=cmd_analyze)
 

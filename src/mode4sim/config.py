@@ -213,7 +213,8 @@ SWEEPABLE_KEYS = {
     key: _KINDS[key][0]
     for key in ("t_sense_ms", "p_th_dbm", "r_sel", "t1", "t2", "n_min", "n_max",
                 "p_keep", "mcs", "ibe_attenuation_db", "awareness_m", "seed",
-                "allocation", "highway_vehicles", "duration_s")
+                "allocation", "highway_vehicles", "duration_s", "nr_basis",
+                "tx_power_dbm")
 }
 
 

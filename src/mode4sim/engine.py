@@ -2,12 +2,13 @@
 
 `SimulationEngine` is the world: set-up decides the scenario once, and
 `advance(t, neighbours)` brings presence, geometry, LOS and channel to the
-period at t, and lists the period's neighbour pairs when asked. `Protocol`
-holds the allocation, sensing, MAC and metric state; it reads the world and
-never advances it. The engine's clock ticks in 1 ms subframes. At each
-period start the world advances, then the protocol starts its period (in
-the metric phase its neighbour pairs, the oldest sensing-memory slot
-recycled, trace churn).
+period at t, and lists the period's neighbour pairs when asked. LOS is one
+`los_state` call over the present pairs, and the channel takes the pairs it
+finds blocked as keys. `Protocol` holds the allocation, sensing, MAC and
+metric state; it reads the world and never advances it. The engine's clock
+ticks in 1 ms subframes. At each period start the world advances, then the
+protocol starts its period (in the metric phase its neighbour pairs, the
+oldest sensing-memory slot recycled, trace churn).
 Within a subframe the tick is two-phase: first propagation (reception
 outcomes, sensing samples and metric credits for all of the subframe's
 transmitters at once), then per-vehicle MAC updates, so state updates never
@@ -94,18 +95,15 @@ class SimulationEngine:
 
     # -- per-period geometry ----------------------------------------------
 
-    def _los_matrix(self):
-        """Per-pair LOS flags, or None when no map can block a link."""
+    def _blocked_pairs(self):
+        """The ascending keys i * n + j (i < j) of the present pairs an
+        obstacle blocks, or None when no map can block a link."""
         if self.obstacles is None:
             return None
-        los = np.ones((self.n, self.n), dtype=bool)
         idx = np.flatnonzero(self.present)
         a, b = np.triu_indices(len(idx), 1)
-        a, b = idx[a], idx[b]
-        ok = los_state(self.obstacles, self.positions[a], self.positions[b])
-        los[a, b] = ok
-        los[b, a] = ok
-        return los
+        clear = los_state(self.obstacles, self.positions[idx], a, b)
+        return idx[a[~clear]] * self.n + idx[b[~clear]]
 
     def _moved(self, period: int):
         """Per-pair displacement since the previous period; None on a highway."""
@@ -122,13 +120,13 @@ class SimulationEngine:
         period = t // self.t_b
         self.positions = self.frames[period]
         self.present = ~np.isnan(self.positions[:, 0])
-        los = self._los_matrix()
+        blocked = self._blocked_pairs()
         if self.channel is None:
             self.channel = ChannelRealization.initial(
-                self.cfg, self.positions, self.wrap, los, self.shadow_rng, self.speeds,
+                self.cfg, self.positions, self.wrap, blocked, self.shadow_rng, self.speeds,
                 neighbours)
         else:
-            self.channel.advance(self.positions, los, self._moved(period), neighbours)
+            self.channel.advance(self.positions, blocked, self._moved(period), neighbours)
         # The next period's normals depend on the shadow stream alone: draw
         # them while this period runs, and none that no period uses.
         if period + 1 < self.n_periods:

@@ -22,19 +22,11 @@ def test_tbe_point_mass():
     assert dist.pmf.sum() == 1.0
 
 
-def test_tbe_one_over_n_normalized():
-    dist = tbe_distribution(5, 15, form="one_over_n")
-    assert dist.pmf.sum() == pytest.approx(1.0)
-    assert dist.pmf[5] / dist.pmf[15] == pytest.approx(3.0)
-
-
 def test_tbe_validation():
     with pytest.raises(AnalysisError):
         tbe_distribution(0, 5)
     with pytest.raises(AnalysisError):
         tbe_distribution(7, 5)
-    with pytest.raises(AnalysisError):
-        tbe_distribution(5, 15, form="bogus")
 
 
 # -- geometric compound ----------------------------------------------------------

@@ -28,18 +28,25 @@ PARAMS = RunConfig()
 SQUARE = ObstacleMap(polygons=[[(40, -10), (60, -10), (60, 10), (40, 10)]])
 
 
+def _clear(obstacles, p, q):
+    """`los_state` of the one segment p-q."""
+    got = los_state(obstacles, np.array([p, q], dtype=float), [0], [1])
+    assert got.dtype == bool and got.shape == (1,)
+    return bool(got[0])
+
+
 def test_empty_map_is_always_los():
-    assert los_state(None, (0, 0), (1234, -99))
-    assert los_state(ObstacleMap(polygons=[]), (0, 0), (5, 5))
+    assert _clear(None, (0, 0), (1234, -99))
+    assert _clear(ObstacleMap(polygons=[]), (0, 0), (5, 5))
 
 
 def test_building_between_blocks():
-    assert not los_state(SQUARE, (0, 0), (100, 0))
+    assert not _clear(SQUARE, (0, 0), (100, 0))
 
 
 def test_same_side_of_building_is_los():
-    assert los_state(SQUARE, (0, 0), (30, 0))
-    assert los_state(SQUARE, (0, 20), (100, 20))
+    assert _clear(SQUARE, (0, 0), (30, 0))
+    assert _clear(SQUARE, (0, 20), (100, 20))
 
 
 def _los_oracle(obstacles, p, q, steps=2000):
@@ -57,7 +64,7 @@ def _los_oracle(obstacles, p, q, steps=2000):
        st.tuples(st.floats(-30, 120), st.floats(-40, 40)))
 @settings(max_examples=60, deadline=None)
 def test_los_matches_sampling_oracle(p, q):
-    got = los_state(SQUARE, p, q)
+    got = _clear(SQUARE, p, q)
     want = _los_oracle(SQUARE, p, q)
     # The sampling oracle can miss grazing contacts; only compare clear cases.
     if got != want:
@@ -68,7 +75,7 @@ def test_los_matches_sampling_oracle(p, q):
        st.tuples(st.floats(-200, 200), st.floats(-200, 200)))
 @settings(max_examples=50, deadline=None)
 def test_los_symmetry(p, q):
-    assert los_state(SQUARE, p, q) == los_state(SQUARE, q, p)
+    assert _clear(SQUARE, p, q) == _clear(SQUARE, q, p)
 
 
 # Convex and concave polygons on an integer lattice, so lattice segments run
@@ -84,15 +91,16 @@ lattice_points = st.tuples(st.integers(-2, 14), st.integers(-2, 17))
 float_points = st.tuples(st.floats(-2, 14), st.floats(-2, 17))
 
 
-@given(st.lists(st.tuples(lattice_points, lattice_points)
-                | st.tuples(float_points, float_points), max_size=40))
+@given(st.lists(lattice_points | float_points, max_size=12))
 @settings(max_examples=80, deadline=None)
-def test_array_los_matches_scalar_blocks(segments):
-    p = np.array([a for a, _ in segments], dtype=float).reshape(-1, 2)
-    q = np.array([b for _, b in segments], dtype=float).reshape(-1, 2)
-    got = los_state(LATTICE_MAP, p, q)
-    assert got.dtype == bool and got.shape == (len(segments),)
-    want = [not blocks(LATTICE_MAP, a, b) for a, b in zip(p, q)]
+def test_array_los_matches_scalar_blocks(points):
+    # Every pair i < j of the points, as the engine asks for its present
+    # vehicles; lattice points repeat, so some pairs have length 0.
+    points = np.array(points, dtype=float).reshape(-1, 2)
+    a, b = np.triu_indices(len(points), 1)
+    got = los_state(LATTICE_MAP, points, a, b)
+    assert got.dtype == bool and got.shape == (len(a),)
+    want = [not blocks(LATTICE_MAP, points[i], points[j]) for i, j in zip(a, b)]
     assert got.tolist() == want
 
 
@@ -110,39 +118,37 @@ def test_array_los_matches_scalar_blocks(segments):
 ])
 def test_array_los_contact_cases(p, q, los):
     assert blocks(LATTICE_MAP, p, q) == (not los)
-    assert los_state(LATTICE_MAP, p, q) is los
-    got = los_state(LATTICE_MAP, np.array([p, q], float), np.array([q, p], float))
+    got = los_state(LATTICE_MAP, np.array([p, q], float), [0, 1], [1, 0])
     assert got.tolist() == [los, los]
 
 
 def test_array_los_matches_scalar_on_a_lattice(monkeypatch):
     # Enough lattice segments that every contact rule decides some of them.
     rng = np.random.default_rng(11)
-    p = rng.integers(-2, 15, size=(2000, 2)).astype(float)
-    q = rng.integers(-2, 18, size=(2000, 2)).astype(float)
-    want = [not blocks(LATTICE_MAP, a, b) for a, b in zip(p, q)]
-    assert los_state(LATTICE_MAP, p, q).tolist() == want
-    monkeypatch.setattr(channel, "LOS_CHUNK_ELEMENTS", 50)  # chunks of 2 pairs
-    assert los_state(LATTICE_MAP, p, q).tolist() == want
+    points = np.column_stack([rng.integers(-2, 15, 200), rng.integers(-2, 18, 200)]).astype(float)
+    a, b = rng.integers(0, len(points), size=(2, 2000))
+    want = [not blocks(LATTICE_MAP, points[i], points[j]) for i, j in zip(a, b)]
+    assert los_state(LATTICE_MAP, points, a, b).tolist() == want
+    monkeypatch.setattr(channel, "LOS_CHUNK_ELEMENTS", 50)  # chunks of 2 pairs or points
+    assert los_state(LATTICE_MAP, points, a, b).tolist() == want
     assert 0 < sum(want) < len(want)
 
 
 def test_los_state_forms_and_errors():
-    assert type(los_state(SQUARE, (0, 0), (100, 0))) is bool
-    assert type(los_state(None, (0, 0), (100, 0))) is bool
-    empty = np.empty((0, 2))
+    none = np.empty(0, dtype=int)
     for obstacles in (None, SQUARE):
-        got = los_state(obstacles, empty, empty)
-        assert got.shape == (0,) and got.dtype == bool
-    assert los_state(None, np.zeros((3, 2)), np.ones((3, 2))).tolist() == [True] * 3
-    p = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        for points in (np.empty((0, 2)), np.zeros((3, 2))):
+            got = los_state(obstacles, points, none, none)
+            assert got.shape == (0,) and got.dtype == bool
+    assert los_state(None, np.zeros((3, 2)), [0, 1, 0], [1, 2, 2]).tolist() == [True] * 3
     for obstacles in (None, SQUARE):
-        with pytest.raises(ValueError, match="finite"):
-            los_state(obstacles, (0, 0), (np.inf, 0))
-        with pytest.raises(ValueError, match="finite"):
-            los_state(obstacles, p, np.ones((2, 2)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                los_state(obstacles, [(0.0, 0.0), (bad, 0.0)], [0], [1])
         with pytest.raises(ValueError):
-            los_state(obstacles, np.zeros((2, 2)), np.zeros((3, 2)))
+            los_state(obstacles, np.zeros((3, 2)), [0, 1], [1, 2, 0])
+        with pytest.raises(ValueError):
+            los_state(obstacles, np.zeros((3, 3)), [0], [1])
 
 
 def test_obstacle_file_roundtrip(tmp_path):
@@ -150,7 +156,7 @@ def test_obstacle_file_roundtrip(tmp_path):
     path.write_text("40,-10,60,-10,60,10,40,10\n# comment\n\n")
     loaded = ObstacleMap.from_file(path)
     assert len(loaded.polygons) == 1
-    assert not los_state(loaded, (0, 0), (100, 0))
+    assert not _clear(loaded, (0, 0), (100, 0))
 
 
 def test_malformed_obstacle_map_is_rejected(tmp_path, capsys):
@@ -313,11 +319,12 @@ def test_shadow_process_matches_ar1_statistics():
     pairs = {"los": los[i, j], "nlos": ~los[i, j]}
     sigma = {"los": params.shadow_sigma_los_db, "nlos": params.shadow_sigma_nlos_db}
     rng = np.random.default_rng(7)
-    real = ChannelRealization.initial(params, _line(n), None, los, rng)
+    blocked = np.flatnonzero(np.triu(~los, 1))
+    real = ChannelRealization.initial(params, _line(n), None, blocked, rng)
     sums = {k: np.zeros(3) for k in pairs}  # sum s_t^2, sum s_{t-1}^2, sum s_t s_{t-1}
     prev = full_shadow(real)[i, j]
     for _ in range(steps):
-        real.advance(_line(n), los, moved)
+        real.advance(_line(n), blocked, moved)
         power = real.rx_power_lin()
         assert np.array_equal(power, power.T)
         assert not power.diagonal().any()
@@ -338,7 +345,7 @@ def test_shadow_process_matches_ar1_statistics():
     for block in real._shadow:
         block += 100.0
     assert full_shadow(real)[i, j] == pytest.approx(old + 100.0)
-    real.advance(_line(n), los, np.inf)
+    real.advance(_line(n), blocked, np.inf)
     new = full_shadow(real)[i, j]
     for k, mask in pairs.items():
         assert abs(new[mask].mean()) < 0.1, k
@@ -429,32 +436,37 @@ RANGES = [200.0, 30.0, 1e-9]
        wrap=st.sampled_from([None, 700.0]), absent=st.sampled_from([0.0, 0.2]),
        nlos=st.sampled_from([0.0, 0.4, 1.0]), scalar_moved=st.booleans(),
        workers=st.sampled_from([1, 2, 3]), ahead=st.booleans(),
-       range_m=st.sampled_from(RANGES))
+       range_m=st.sampled_from(RANGES), late=st.booleans())
 @example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, scalar_moved=False, workers=2,
-         ahead=False, range_m=200.0)
+         ahead=False, range_m=200.0, late=False)
 @example(n=BLOCK_ROWS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, scalar_moved=False,
-         workers=2, ahead=False, range_m=200.0)
+         workers=2, ahead=False, range_m=200.0, late=False)
 @example(n=2 * BLOCK_ROWS + 1, seed=2, wrap=700.0, absent=0.0, nlos=0.0, scalar_moved=True,
-         workers=2, ahead=False, range_m=30.0)
+         workers=2, ahead=False, range_m=30.0, late=False)
 @example(n=2 * BLOCK_ROWS + 1, seed=3, wrap=None, absent=0.2, nlos=0.4, scalar_moved=False,
-         workers=3, ahead=False, range_m=200.0)
+         workers=3, ahead=False, range_m=200.0, late=False)
 @example(n=2 * BLOCK_ROWS + 1, seed=4, wrap=None, absent=0.2, nlos=0.4, scalar_moved=False,
-         workers=2, ahead=True, range_m=1e-9)
+         workers=2, ahead=True, range_m=1e-9, late=False)
 @example(n=2 * BLOCK_ROWS + 1, seed=5, wrap=700.0, absent=0.2, nlos=0.0, scalar_moved=False,
-         workers=1, ahead=False, range_m=200.0)
+         workers=1, ahead=False, range_m=200.0, late=False)
+@example(n=2 * BLOCK_ROWS + 1, seed=6, wrap=None, absent=0.2, nlos=0.4, scalar_moved=False,
+         workers=2, ahead=False, range_m=200.0, late=True)
 @settings(max_examples=30, deadline=None)
 def test_blocked_refresh_equals_the_full_matrix_oracle(n, seed, wrap, absent, nlos,
-                                                       scalar_moved, workers, ahead, range_m):
+                                                       scalar_moved, workers, ahead, range_m,
+                                                       late):
     # Over an initial draw and three advances with vehicles arriving and
     # leaving, mixed LOS/NLOS and displacements holding infinities (rho = 0)
     # and zeros (rho = 1), the blocked pass must give the whole-matrix
     # refresh's shadow state and power bit for bit, list the pairs within
     # `range_m` of the oracle's distances bit for bit, and leave the
     # generator in the same state, on any number of refresh threads, with
-    # or without each period's normals drawn ahead.
+    # or without each period's normals drawn ahead. With `late`, only pairs
+    # of two vehicles past the first block are blocked, so the first block
+    # finds none of the keys and a later one finds them all.
     with mock.patch.object(channel, "WORKERS", workers):
         _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead,
-                                    range_m=range_m)
+                                    range_m=range_m, late=late)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -477,12 +489,14 @@ def test_constant_speed_refresh_equals_the_full_matrix_oracle(workers, ahead):
 
 
 def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead,
-                                speeds=None, range_m=200.0):
+                                speeds=None, range_m=200.0, late=False):
     """The channel over four periods checked against `FullMatrixChannel`,
     stepped by random displacements, or with `speeds` by `highway_rho`.
-    Every refresh but the second lists its pairs within `range_m`, checked
-    against `neighbour_list` of the `pair_legs` distances. Returns the
-    shadow state of each period, through `full_shadow`."""
+    The channel gets the keys of the oracle's NLOS pairs; with `late`, no
+    pair of a vehicle in the first block is NLOS. Every refresh but the
+    second lists its pairs within `range_m`, checked against
+    `neighbour_list` of the `pair_legs` distances. Returns the shadow state
+    of each period, through `full_shadow`."""
     params = RunConfig(awareness_m=range_m)
     data = np.random.default_rng(seed)
     ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
@@ -493,6 +507,8 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead
         pos[data.random(n) < absent] = np.nan
         los = _symmetric(data.random((n, n)) >= nlos)
         np.fill_diagonal(los, True)
+        if late:
+            los[:BLOCK_ROWS] = los[:, :BLOCK_ROWS] = True
         moved = _symmetric(data.choice([np.inf, 0.0, 3.0, 40.0], size=(n, n)))
         if scalar_moved:
             moved = float(data.choice([np.inf, 0.0, 8.0]))
@@ -501,13 +517,13 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead
             moved, rho = None, highway_rho(params, speeds)
         legs = pair_legs(pos, wrap)
         dist = np.hypot(*legs)
-        los_arg = None if nlos == 0.0 else los
+        blocked = None if nlos == 0.0 else np.flatnonzero(np.triu(~los, 1))
         listed = period != 1
         if period == 0:
-            real = ChannelRealization.initial(params, pos, wrap, los_arg, ours, speeds, listed)
+            real = ChannelRealization.initial(params, pos, wrap, blocked, ours, speeds, listed)
             oracle = FullMatrixChannel.initial(params, dist, los, legs, theirs)
         else:
-            real.advance(pos, los_arg, moved, listed)
+            real.advance(pos, blocked, moved, listed)
             oracle.advance(dist, los, legs, theirs, rho)
         if listed:
             want = neighbour_list(dist, range_m)

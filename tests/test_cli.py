@@ -288,6 +288,40 @@ def test_a_trace_error_leaves_no_output_directory(tmp_path, capsys, monkeypatch)
             assert not out.exists(), (trace, command)
 
 
+def test_sweep_builds_every_world_before_its_output_directory(tmp_path, capsys, monkeypatch):
+    # A missing trace, and a swept duration past the end of a good one,
+    # fail while the points' worlds are built: exit 3, nothing run, no
+    # `--out` left behind.
+    _no_runs(monkeypatch)
+    good = tmp_path / "good.csv"
+    good.write_text("".join(f"{t / 10},{vid},{5 * vid},0\n" for t in range(30) for vid in range(4)))
+    out = tmp_path / "o"
+    for trace, param, values in ((tmp_path / "no.csv", "seed", "1,2"),
+                                 (good, "duration_s", "2.6,4.0")):
+        cfg = write_cfg(tmp_path, {"scenario": "trace", "trace": str(trace),
+                                   "duration_s": 2.6, "t_sense_ms": 500, "n_max": 8})
+        assert main(["sweep", "--config", cfg, "--param", param, "--values", values,
+                     "--out", str(out)]) == 3, param
+        err = capsys.readouterr().err
+        assert err.startswith("trace error:"), param
+        assert not out.exists(), param
+
+
+def test_sweep_takes_nr_basis_and_tx_power(tmp_path):
+    assert cli.SWEEPABLE_KEYS["nr_basis"] is str
+    assert cli.SWEEPABLE_KEYS["tx_power_dbm"] is float
+    cfg = write_cfg(tmp_path, dict(SMALL_CFG, highway_vehicles=40, duration_s=3.0))
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--config", cfg, "--param", "nr_basis",
+                 "--values", "total,window", "--out", out]) == 0
+    for value in ("total", "window"):
+        summary = read_bytes(os.path.join(out, f"nr_basis={value}"), "summary.txt").decode()
+        assert f"config.nr_basis: {value}" in summary.splitlines()
+    rows = read_bytes(out, "sweep_results.csv").decode().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["nr_basis", "total"],
+                                                         ["nr_basis", "window"]]
+
+
 def test_unreadable_obstacle_map_exits_2(tmp_path, capsys):
     # A map that cannot be read is a configuration error, like a config
     # file that cannot be read; only trace input errors exit 3. The map is
@@ -309,6 +343,16 @@ def test_analyze_writes_ccdf_and_reports(tmp_path, capsys):
     lines = read_bytes(out, "tbc_ccdf.csv").decode().splitlines()
     assert lines[0] == "hold_periods,hold_seconds,ccdf"
     assert lines[1].startswith("0,0.0000,1.000000000")
+
+
+def test_analyze_draws_counters_uniformly_only(tmp_path, capsys):
+    # The simulator draws counters uniformly on [n_min, n_max], so the
+    # analysis has no other hold-draw form to choose.
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--tbe-form", "uniform", "--out", str(tmp_path / "an")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tbe-form" in capsys.readouterr().err
+    assert not (tmp_path / "an").exists()
 
 
 def test_analyze_rejects_bad_periods_before_writing(tmp_path, capsys):

@@ -300,7 +300,9 @@ def test_current_slot_holds_no_sample_ahead_of_the_clock(tmp_path):
 
 def test_los_matrix_matches_scalar_blocks(tmp_path):
     # Four vehicles pass a building; vehicle 3 joins half-way. Pairs on
-    # opposite sides of the building are blocked, the others are not.
+    # opposite sides of the building are blocked, the others are not. The
+    # engine hands the channel the blocked pairs as ascending keys
+    # i * n + j with i < j, of present vehicles only.
     rows = []
     for k in range(16):
         t = k * 0.1
@@ -316,23 +318,63 @@ def test_los_matrix_matches_scalar_blocks(tmp_path):
     cfg = RunConfig(scenario="trace", trace=str(trace), obstacle_map=str(obstacles),
                     duration_s=1.0, t_sense_ms=200, n_min=2, n_max=4, seed=1)
     engine = SimulationEngine(cfg)
+    n = engine.n
     blocked_seen = clear_seen = 0
     for t in range(0, 1000, 100):
         engine.advance(t)
-        los = engine._los_matrix()
-        assert np.array_equal(los, los.T)
-        want = np.ones_like(los)
+        keys = engine._blocked_pairs()
+        assert (np.diff(keys) > 0).all()
+        i, j = np.divmod(keys, n)
+        assert (i < j).all() and engine.present[i].all() and engine.present[j].all()
         present = np.flatnonzero(engine.present)
-        for a in present:
-            for b in present:
-                if a != b:
-                    want[a, b] = not blocks(engine.obstacles, engine.positions[a],
-                                            engine.positions[b])
-        assert np.array_equal(los, want), t
+        pairs = [(a, b) for k, a in enumerate(present) for b in present[k + 1:]]
+        want = [a * n + b for a, b in pairs
+                if blocks(engine.obstacles, engine.positions[a], engine.positions[b])]
+        assert keys.tolist() == want, t
         assert engine.present[3] == (t >= 500)
-        blocked_seen += int((~los).sum())
-        clear_seen += int(los[np.ix_(present, present)].sum()) - len(present)
+        blocked_seen += len(keys)
+        clear_seen += len(pairs) - len(keys)
     assert blocked_seen > 0 and clear_seen > 0
+
+
+def test_a_highway_with_obstacles_hands_the_channel_no_square_array(tmp_path, monkeypatch):
+    # A wall in the median blocks pairs on opposite carriageways. The
+    # channel gets them as keys, so no argument of its constructor,
+    # `initial` or `advance` is an (n, n) array.
+    wall = tmp_path / "map.txt"
+    wall.write_text("100,-0.5,600,-0.5,600,0.5,100,0.5\n")
+    cfg = RunConfig(obstacle_map=str(wall), duration_s=0.5, highway_length_m=800.0,
+                    highway_vehicles=40, t_sense_ms=100, n_min=1, n_max=2, seed=3)
+    Realization = channel.ChannelRealization
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args + tuple(kwargs.values())))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Realization, "__init__", spy("__init__", Realization.__init__))
+    monkeypatch.setattr(Realization, "initial",
+                        classmethod(spy("initial", Realization.initial.__func__)))
+    monkeypatch.setattr(Realization, "advance", spy("advance", Realization.advance))
+    los_state, blocked = engine_module.los_state, []
+
+    def counted(*args):
+        clear = los_state(*args)
+        blocked.append(np.count_nonzero(~clear))
+        return clear
+
+    monkeypatch.setattr(engine_module, "los_state", counted)
+    world = SimulationEngine(cfg)
+    n = world.n
+    for period in range(world.n_periods):
+        world.advance(period * world.t_b)
+    assert len(blocked) == world.n_periods and sum(blocked) > 0
+    assert [name for name, _ in calls] == ["initial", "__init__"] + ["advance"] * 4
+    for name, args in calls:
+        assert not any(np.shape(arg)[:2] == (n, n) for arg in args
+                       if isinstance(arg, np.ndarray)), name
 
 
 def test_simulate_and_hidden_node_advance_the_same_periods(monkeypatch):
