@@ -255,11 +255,23 @@ def pair_legs(positions: np.ndarray, wrap_length_m: float | None = None):
 # Pairwise channel realization
 # ---------------------------------------------------------------------------
 
-# The refresh works on this many rows of the upper triangle at a time, so its
-# temporaries are a few (BLOCK_ROWS, n) arrays instead of (n, n) ones.
-BLOCK_ROWS = 128
+# The shadow step and the refresh work on blocks of rows of the upper
+# triangle, of about BLOCK_ELEMENTS values, so their temporaries are a few
+# (rows, n) arrays instead of (n, n) ones. Each of the step's dozen numpy
+# calls per block hands the interpreter lock to and from the protocol's
+# thread, so blocks never have fewer than MIN_BLOCK_ROWS rows: past 1024
+# vehicles the step's calls per period then grow with n, as the protocol's
+# work does, not with n^2.
+BLOCK_ELEMENTS = 1 << 16
+MIN_BLOCK_ROWS = 64
 
-# Refresh threads per process. Each period's normal draw runs on one of them
+
+def block_rows(n: int) -> int:
+    """Rows per block of an n-vehicle realization; the last block may have fewer."""
+    return max(MIN_BLOCK_ROWS, BLOCK_ELEMENTS // max(n, 1))
+
+
+# Refresh threads per process. Each period's shadow step runs on one of them
 # while the protocol runs, and the block computations on all of them.
 WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
@@ -307,15 +319,21 @@ class ChannelRealization:
 
     The linear received power is the one (n, n) matrix, exactly symmetric
     and overwritten in place at every refresh. Shadowing is an AR(1) process
-    per unordered pair, kept only for the upper triangle, beside the
-    period's normals; its weights are computed in each refresh block and
-    never stored. Distances are kept only for the pairs within the
-    awareness range, in `neighbours`, and only when a refresh asks. Vehicles
-    with a non-finite position are absent: they sit at an infinite distance
-    from every other vehicle and receive and send zero power. The pairs an
-    obstacle blocks come as the ascending keys i * n + j (i < j) in
-    `blocked`, or None when no pair is; only they take the NLOS pathloss
-    and shadowing sigma.
+    per unordered pair, kept only for the upper triangle. Its weights and
+    the period's normals live only in the block of the step that uses them,
+    so the realization keeps no other per-pair array. Distances are kept
+    only for the pairs within the awareness range, in `neighbours`, and only
+    when a refresh asks. Vehicles with a non-finite position are absent:
+    they sit at an infinite distance from every other vehicle and receive
+    and send zero power. The pairs an obstacle blocks come as the ascending
+    keys i * n + j (i < j) in `blocked`, or None when no pair is; only they
+    take the NLOS pathloss and shadowing sigma.
+
+    Each period is a shadow step, then a refresh of the power. The
+    constructor takes both for the first period. After that the step needs
+    only the shadow stream and the next period's blocked keys and
+    displacements, so `step_ahead` hands it over one period early, to run
+    while the caller goes on, and `advance` takes it and refreshes.
     """
 
     def __init__(self, cfg: RunConfig, positions, wrap_length_m: float | None,
@@ -326,13 +344,13 @@ class ChannelRealization:
         self.wrap_length_m = wrap_length_m
         self._rng = rng
         self._rx_lin = np.empty((n, n))
-        self._blocks = [(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
-        # Normals and shadow samples by block, and the buffer normals are drawn into.
-        self._normals, self._shadow = self._upper_store(), self._upper_store()
-        self._draw = np.empty((min(BLOCK_ROWS, n), n))
-        self._ahead = None  # the pending draw_ahead, a Future
+        self._rows = block_rows(n)
+        self._blocks = [(r0, min(r0 + self._rows, n)) for r0 in range(0, n, self._rows)]
+        self._shadow = self._upper_store()  # shadow samples by block
+        self._pending = None  # takes the step `step_ahead` handed over
         self._speeds = speeds  # m/s on a highway, None on a trace
-        self._refresh(positions, blocked, np.inf, neighbours)  # forget the zero state
+        self._step(blocked, np.inf)  # forget the zero state
+        self._refresh(positions, blocked, neighbours)
 
     @classmethod
     def initial(cls, cfg: RunConfig, positions, wrap_length_m, blocked,
@@ -341,33 +359,44 @@ class ChannelRealization:
         """The engine's entry point for the first period; see the constructor."""
         return cls(cfg, positions, wrap_length_m, blocked, rng, speeds, neighbours)
 
-    def advance(self, positions, blocked, moved=None, neighbours=False):
-        """Refresh the channel for new positions and step the shadow AR(1).
+    def step_ahead(self, blocked, moved=None):
+        """Hand over the next period's shadow step.
 
-        `blocked` holds the keys of the NLOS pairs, as in the constructor.
-        `moved` is each pair's displacement in m since the last refresh,
-        a symmetric matrix or a scalar, with rho = exp(-moved/decorr); an
+        `blocked` holds the next period's NLOS keys, as in the constructor.
+        `moved` is each pair's displacement in m over the period, a
+        symmetric matrix or a scalar, with rho = exp(-moved/decorr); an
         infinite one resamples the pair, and None steps by the constructor's
-        `speeds` (m/s, a highway's). `neighbours` asks the refresh to list
-        the pairs within the awareness range in `neighbours` (else None).
+        `speeds` (m/s, a highway's). The arguments are checked here. The
+        step then runs on a refresh thread while the caller goes on; the
+        next `advance` waits for it and re-raises its failure before it
+        writes the power. Where the refresh runs in this thread (one block,
+        one CPU) there is nothing to overlap, and the next `advance` takes
+        the step itself. Call it once between two refreshes.
         """
+        if self._pending is not None:
+            raise RuntimeError("a step is pending already: advance takes it first")
+        n = len(self._rx_lin)
         if moved is None and self._speeds is None:
-            raise ValueError("advance needs `moved` or a realization built with "
+            raise ValueError("step_ahead needs `moved` or a realization built with "
                              "`speeds`: it has no displacement to step by")
-        self._refresh(positions, blocked, moved, neighbours)
-
-    def draw_ahead(self):
-        """Start drawing the next refresh's normals now, on a refresh
-        thread, while the caller goes on. Nothing but the shadow stream goes
-        into them, so the next `advance` gives the same bits as without it;
-        it waits for the draw and re-raises its failure. Call it at most once
-        between two refreshes. Where the refresh runs in this thread (one
-        block, one CPU) there is nothing to overlap, and the next `advance`
-        draws as it would without this call.
-        """
+        if moved is not None and np.ndim(moved) and np.shape(moved) != (n, n):
+            raise ValueError(f"`moved` must be a scalar or an ({n}, {n}) matrix")
         pool = _executor(self._threads())
-        if pool is not None:
-            self._ahead = pool.submit(self._fill)
+        if pool is None:
+            self._pending = lambda: self._step(blocked, moved)
+        else:
+            self._pending = pool.submit(self._step, blocked, moved).result
+
+    def advance(self, positions, blocked, neighbours=False):
+        """Take the step `step_ahead` handed over and refresh the channel
+        for new positions. `blocked` holds the keys of the NLOS pairs, those
+        the step got. `neighbours` asks the refresh to list the pairs within
+        the awareness range in `neighbours` (else None)."""
+        take, self._pending = self._pending, None
+        if take is None:
+            raise RuntimeError("advance needs the period's shadow step: call step_ahead first")
+        take()
+        self._refresh(positions, blocked, neighbours)
 
     def rx_power_lin(self):
         """Linear received power in mW, diagonal zeroed. rows = transmitter."""
@@ -384,29 +413,50 @@ class ChannelRealization:
         parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
         return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
-    def _fill(self):
-        """Draw the period's (n, n) standard normals row block by row block,
-        so the stream is that of one (n, n) call, and keep each block's
-        columns r0:."""
-        for (r0, r1), normals in zip(self._blocks, self._normals):
-            drawn = self._draw[:r1 - r0]
+    def _step(self, blocked, moved):
+        """Step the shadow AR(1) of every pair, block by block and in place:
+        s' = rho * s + sqrt(1 - rho^2) * sigma * normal, with
+        rho = exp(-moved/decorr), in the per-element operation order of a
+        whole-matrix step. Each block draws its full rows of the period's
+        (n, n) standard normals into one draw buffer, so the stream is that
+        of one (n, n) call, and uses their columns r0:. A highway pair moves
+        |v_i - v_j| * period apart in a period."""
+        cfg, n = self.cfg, len(self._rx_lin)
+        size = min(self._rows, n) * n
+        draw, scratch = np.empty(size), np.empty(size)
+        for (r0, r1), shadow in zip(self._blocks, self._shadow):
+            drawn = _view(draw, (r1 - r0, n))
             self._rng.standard_normal(out=drawn)
-            np.copyto(normals, drawn[:, r0:])
+            rho = _view(scratch, shadow.shape)
+            if moved is None:
+                np.subtract(self._speeds[r0:r1, None], self._speeds[None, r0:], out=rho)
+                np.abs(rho, out=rho)
+                rho *= cfg.beacon_period_ms / 1000.0
+                np.divide(rho, -cfg.resolved_decorr_dist_m(), out=rho)
+            else:
+                block_moved = moved[r0:r1, r0:] if np.ndim(moved) else moved
+                np.divide(block_moved, -cfg.resolved_decorr_dist_m(), out=rho)
+            np.exp(rho, out=rho)
+            np.multiply(rho, shadow, out=shadow)
+            weight = np.sqrt(np.subtract(1.0, np.multiply(rho, rho, out=rho), out=rho), out=rho)
+            normals = drawn[:, r0:]
+            nlos = _block_pairs(blocked, r0, r1, n)
+            if nlos is not None:
+                nlos_step = normals[nlos] * cfg.shadow_sigma_nlos_db
+            step = np.multiply(normals, cfg.shadow_sigma_los_db, out=normals)
+            if nlos is not None:
+                step[nlos] = nlos_step
+            step *= weight
+            shadow += step
 
-    def _refresh(self, positions, blocked, moved, neighbours):
+    def _refresh(self, positions, blocked, neighbours):
         """One pass over row blocks of the upper triangle, mirrored below.
 
-        The period's normals are those of a pending `draw_ahead`, or are
-        drawn here. Each block is then computed and mirrored by one task on
-        the refresh threads, or here when there is one block or one CPU.
-        With `neighbours`, each block also lists its pairs within the
-        awareness range, and the lists are joined in block order, so the
-        result does not depend on thread timing."""
-        ahead, self._ahead = self._ahead, None
-        if ahead is None:
-            self._fill()
-        else:
-            ahead.result()
+        Each block is computed and mirrored by one task on the refresh
+        threads, or here when there is one block or one CPU. With
+        `neighbours`, each block also lists its pairs within the awareness
+        range, and the lists are joined in block order, so the result does
+        not depend on thread timing."""
         n = len(self._rx_lin)
         positions = np.asarray(positions, dtype=float)
         absent = ~np.isfinite(positions).all(axis=1)
@@ -416,8 +466,8 @@ class ChannelRealization:
         y = np.where(absent, 0.0, positions[:, 1])
         gone = np.flatnonzero(absent)
         workers = self._threads()
-        # Two (BLOCK_ROWS, n) scratch buffers per thread at work.
-        size = min(BLOCK_ROWS, n) * n
+        # Two block-sized scratch buffers per thread at work.
+        size = min(self._rows, n) * n
         scratch = queue.SimpleQueue()
         for _ in range(workers):
             scratch.put((np.empty(size), np.empty(size)))
@@ -426,7 +476,7 @@ class ChannelRealization:
         def block(r0, r1):
             bufs = scratch.get()
             try:
-                near[r0 // BLOCK_ROWS] = self._upper_block(r0, r1, x, y, gone, blocked, moved,
+                near[r0 // self._rows] = self._upper_block(r0, r1, x, y, gone, blocked,
                                                            neighbours, *bufs)
             finally:
                 scratch.put(bufs)
@@ -436,13 +486,13 @@ class ChannelRealization:
         np.fill_diagonal(self._rx_lin, 0.0)
         self.neighbours = _both_ways(near, n) if neighbours else None
 
-    def _upper_block(self, r0, r1, x, y, gone, blocked, moved, neighbours, adx, ady):
+    def _upper_block(self, r0, r1, x, y, gone, blocked, neighbours, adx, ady):
         """Columns r0: of rows r0:r1, in place, in the per-element operation
         order of a whole-matrix refresh. With `neighbours`, returns the
         block's pairs i < j within the awareness range as (i, j, distance)."""
-        cfg, n, b = self.cfg, len(self._rx_lin), r0 // BLOCK_ROWS
+        cfg, n = self.cfg, len(self._rx_lin)
         shape = (r1 - r0, n - r0)
-        # The block's power rows hold its distances until the AR(1) weight.
+        # The block's power rows hold its distances until the power.
         g = self._rx_lin[r0:r1, r0:]
 
         # Street legs |dx| (minimum image on a ring) and |dy|.
@@ -468,41 +518,17 @@ class ChannelRealization:
             k, c = k[c > k], c[c > k]
             near = (r0 + k, r0 + c, dist[k, c])
 
-        # The block's blocked pairs, as (rows, columns), take the NLOS
-        # pathloss of their legs and, below, the NLOS sigma.
-        nlos = None
-        if blocked is not None:
-            lo, hi = np.searchsorted(blocked, (r0 * n, r1 * n))
-            i, j = np.divmod(blocked[lo:hi], n)
-            nlos = (i - r0, j - r0)
+        # The block's blocked pairs take the NLOS pathloss of their legs.
+        nlos = _block_pairs(blocked, r0, r1, n)
+        if nlos is not None:
             nlos_pl = pathloss_nlos_db(dx[nlos], dy[nlos], cfg.carrier_ghz)
         pl = pathloss_los_db(dist, cfg.carrier_ghz, out=dx)
         if nlos is not None:
             pl[nlos] = nlos_pl
 
-        # s' = rho * s + sqrt(1 - rho^2) * sigma * normal, with
-        # rho = exp(-moved/decorr); dy is free now. A highway pair moves
-        # |v_i - v_j| * period apart in a period.
-        if moved is None:
-            moved = np.subtract(self._speeds[r0:r1, None], self._speeds[None, r0:], out=dy)
-            np.abs(moved, out=moved)
-            moved *= cfg.beacon_period_ms / 1000.0
-        elif np.ndim(moved):
-            moved = moved[r0:r1, r0:]
-        rho = np.divide(moved, -cfg.resolved_decorr_dist_m(), out=dy)
-        np.exp(rho, out=rho)
-        weight = np.sqrt(np.subtract(1.0, np.multiply(rho, rho, out=g), out=g), out=g)
-        shadow = np.multiply(rho, self._shadow[b], out=self._shadow[b])
-        normals = self._normals[b]
-        step = np.multiply(normals, cfg.shadow_sigma_los_db, out=dy)
-        if nlos is not None:
-            step[nlos] = normals[nlos] * cfg.shadow_sigma_nlos_db
-        step *= weight
-        shadow += step
-
-        # Received power in dBm, then in mW.
+        # Received power in dBm, then in mW, with the period's shadow sample.
         np.subtract(cfg.tx_power_dbm + 2.0 * cfg.antenna_gain_db, pl, out=pl)
-        pl -= shadow
+        pl -= self._shadow[r0 // self._rows]
         pl /= 10.0
         np.power(10.0, pl, out=g)
         return near
@@ -515,6 +541,16 @@ class ChannelRealization:
         g[r1:, r0:r1] = g[r0:r1, r1:].T
         square = g[r0:r1, r0:r1]
         np.copyto(square, square.T, where=np.tri(r1 - r0, k=-1, dtype=bool))
+
+
+def _block_pairs(blocked, r0, r1, n):
+    """The keys in `blocked` of pairs in rows r0:r1, as (rows, columns) of
+    the block's columns r0:, or None when `blocked` is None."""
+    if blocked is None:
+        return None
+    lo, hi = np.searchsorted(blocked, (r0 * n, r1 * n))
+    i, j = np.divmod(blocked[lo:hi], n)
+    return i - r0, j - r0
 
 
 def _both_ways(near, n):

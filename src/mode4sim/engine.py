@@ -3,13 +3,16 @@
 `SimulationEngine` is the world: set-up decides the scenario once, and
 `advance(t, neighbours)` brings presence, geometry, LOS and channel to the
 period at t, and lists the period's neighbour pairs when asked. LOS is one
-`los_state` call over the present pairs, and the channel takes the pairs it
-finds blocked as keys. `Protocol` holds the allocation, sensing, MAC and
-metric state; it reads the world and never advances it. The engine's clock
-ticks in 1 ms subframes. At each period start the world advances, then the
-protocol starts its period (in the metric phase its neighbour pairs, the
-oldest sensing-memory slot recycled, trace churn).
-Within a subframe the tick is two-phase: first propagation (reception
+`los_state` call over each period's present pairs, and the channel takes
+the pairs it finds blocked as keys. A period's shadow step needs only its
+blocked keys and displacements, so `advance` finds the next period's one
+period early and hands its step to the channel, which takes it while the
+protocol runs; the next period's refresh reuses the keys. `Protocol` holds
+the allocation, sensing, MAC and metric state; it reads the world and
+never advances it. The engine's clock ticks in 1 ms subframes. At each
+period start the world advances, then the protocol starts its period (in
+the metric phase its neighbour pairs, the oldest sensing-memory slot
+recycled, trace churn). Within a subframe the tick is two-phase: first propagation (reception
 outcomes, sensing samples and metric credits for all of the subframe's
 transmitters at once), then per-vehicle MAC updates, so state updates never
 see partial data.
@@ -59,6 +62,7 @@ class SimulationEngine:
         self.present = np.zeros(self.n, dtype=bool)  # every vehicle starts absent
         self.shadow_rng = substream(cfg.seed, "shadow")
         self.channel: ChannelRealization | None = None
+        self._blocked = None  # blocked keys of the period the channel steps to
 
     # -- construction -----------------------------------------------------
 
@@ -95,14 +99,15 @@ class SimulationEngine:
 
     # -- per-period geometry ----------------------------------------------
 
-    def _blocked_pairs(self):
-        """The ascending keys i * n + j (i < j) of the present pairs an
-        obstacle blocks, or None when no map can block a link."""
+    def _blocked_pairs(self, positions):
+        """The ascending keys i * n + j (i < j) of the pairs of vehicles
+        present at `positions` (NaN while absent) that an obstacle blocks,
+        or None when no map can block a link."""
         if self.obstacles is None:
             return None
-        idx = np.flatnonzero(self.present)
+        idx = np.flatnonzero(~np.isnan(positions[:, 0]))
         a, b = np.triu_indices(len(idx), 1)
-        clear = los_state(self.obstacles, self.positions[idx], a, b)
+        clear = los_state(self.obstacles, positions[idx], a, b)
         return idx[a[~clear]] * self.n + idx[b[~clear]]
 
     def _moved(self, period: int):
@@ -114,23 +119,26 @@ class SimulationEngine:
         return np.hypot(*pair_legs(disp))
 
     def advance(self, t: int, neighbours: bool = False):
-        """Positions, presence, LOS and channel of the period at t. With
-        `neighbours`, the channel also lists the period's neighbour pairs
+        """Positions, presence, LOS and channel of the period at t, which
+        follows the period of the previous call. With `neighbours`, the
+        channel also lists the period's neighbour pairs
         (`channel.neighbours`); without, that is None."""
         period = t // self.t_b
         self.positions = self.frames[period]
         self.present = ~np.isnan(self.positions[:, 0])
-        blocked = self._blocked_pairs()
         if self.channel is None:
+            self._blocked = self._blocked_pairs(self.positions)
             self.channel = ChannelRealization.initial(
-                self.cfg, self.positions, self.wrap, blocked, self.shadow_rng, self.speeds,
-                neighbours)
+                self.cfg, self.positions, self.wrap, self._blocked, self.shadow_rng,
+                self.speeds, neighbours)
         else:
-            self.channel.advance(self.positions, blocked, self._moved(period), neighbours)
-        # The next period's normals depend on the shadow stream alone: draw
-        # them while this period runs, and none that no period uses.
+            self.channel.advance(self.positions, self._blocked, neighbours)
+        # The next period's shadow step depends on the shadow stream and the
+        # next period's blocked keys and displacements alone: hand it over
+        # to run while this period runs, and none that no period uses.
         if period + 1 < self.n_periods:
-            self.channel.draw_ahead()
+            self._blocked = self._blocked_pairs(self.frames[period + 1])
+            self.channel.step_ahead(self._blocked, self._moved(period + 1))
 
     def run(self) -> SimulationResult:
         protocol = Protocol(self)

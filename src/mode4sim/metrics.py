@@ -226,13 +226,16 @@ def hidden_node_probability(power_lin: np.ndarray, neighbours, noise_lin: float,
     has_i = i_cnt > 0
     src, dst = src[has_i], dst[has_i]
     ratios = h_cnt[has_i] / i_cnt[has_i]
-    # Only the links in the neighbour list are binned.
+    # Only the links in the neighbour list are binned. Both key lists are
+    # ascending, so each neighbour key is searched in the links, and the
+    # links it finds stay in link order.
     keys, dist_m = neighbours
     link = src * n + dst
-    at = np.searchsorted(keys, link)
-    binned = at < len(keys)
-    binned[binned] = keys[at[binned]] == link[binned]
-    bin_idx = _bin_index(dist_m[at[binned]], bin_width_m, n_bins)
+    at = np.searchsorted(link, keys)
+    found = at < len(link)
+    found[found] = link[at[found]] == keys[found]
+    binned = at[found]
+    bin_idx = _bin_index(dist_m[found], bin_width_m, n_bins)
     # Row a holds source a's partial sums; cumsum adds the rows in order.
     per_source = np.bincount(src[binned] * n_bins + bin_idx, weights=ratios[binned],
                              minlength=n * n_bins).reshape(n, n_bins)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mode4sim import channel
-from mode4sim.channel import (BLOCK_ROWS, ChannelRealization, ObstacleMap,
-                              ObstacleMapError, breakpoint_distance_m, los_state,
-                              pair_legs, pathloss_los_db, pathloss_nlos_db)
+from mode4sim.channel import (ChannelRealization, ObstacleMap, ObstacleMapError,
+                              block_rows, breakpoint_distance_m, los_state, pair_legs,
+                              pathloss_los_db, pathloss_nlos_db)
 from mode4sim.config import RunConfig
 from oracles import (FullMatrixChannel, _point_in_polygon, blocks, full_shadow,
                      highway_rho, neighbour_list, pathloss_db, rx_power_dbm, shadow_step)
@@ -304,6 +304,11 @@ def _line(n, spacing_m=7.0):
     return np.column_stack([spacing_m * np.arange(n), np.zeros(n)])
 
 
+def _pair_line(n):
+    """n vehicles on two lanes of a 3 km line."""
+    return np.column_stack([np.linspace(0.0, 3000.0, n), np.tile([2.0, 6.0], n // 2)])
+
+
 def test_shadow_process_matches_ar1_statistics():
     # 300 vehicles, every other pair NLOS, stepped 200 times by a
     # displacement of rho = 0.8 from a fresh draw. Each step must keep the
@@ -324,7 +329,8 @@ def test_shadow_process_matches_ar1_statistics():
     sums = {k: np.zeros(3) for k in pairs}  # sum s_t^2, sum s_{t-1}^2, sum s_t s_{t-1}
     prev = full_shadow(real)[i, j]
     for _ in range(steps):
-        real.advance(_line(n), blocked, moved)
+        real.step_ahead(blocked, moved)
+        real.advance(_line(n), blocked)
         power = real.rx_power_lin()
         assert np.array_equal(power, power.T)
         assert not power.diagonal().any()
@@ -345,7 +351,8 @@ def test_shadow_process_matches_ar1_statistics():
     for block in real._shadow:
         block += 100.0
     assert full_shadow(real)[i, j] == pytest.approx(old + 100.0)
-    real.advance(_line(n), blocked, np.inf)
+    real.step_ahead(blocked, np.inf)
+    real.advance(_line(n), blocked)
     new = full_shadow(real)[i, j]
     for k, mask in pairs.items():
         assert abs(new[mask].mean()) < 0.1, k
@@ -363,24 +370,26 @@ def test_advance_frees_the_old_power_matrix_first():
     real = ChannelRealization.initial(params, _line(3), None, None, rng)
     old = real.rx_power_lin()
     before = old.copy()
-    real.advance(_line(3, spacing_m=9.0), None, 10.0)
+    real.step_ahead(None, 10.0)
+    real.advance(_line(3, spacing_m=9.0), None)
     assert real.rx_power_lin() is old
     assert not np.array_equal(old, before)
 
 
 def test_refresh_allocates_less_than_one_power_matrix():
-    # The blocked pass keeps its temporaries to a few (BLOCK_ROWS, n)
-    # arrays: one advance and the power read allocate less than one n x n
-    # matrix at 600 vehicles (measured: 0.93 of one). The whole-matrix
-    # refresh peaked at six.
+    # The blocked step and refresh keep their temporaries to a few
+    # block-sized arrays: one step, one advance and the power read allocate
+    # less than one n x n matrix at 600 vehicles. The whole-matrix refresh
+    # peaked at six.
     params = RunConfig()
     n = 600
-    pos = np.column_stack([np.linspace(0.0, 3000.0, n), np.tile([2.0, 6.0], n // 2)])
+    pos = _pair_line(n)
     moved = np.full((n, n), 2.0)
     real = ChannelRealization.initial(params, pos, 4000.0, None, np.random.default_rng(8))
     tracemalloc.start()
     try:
-        real.advance(pos + 1.0, None, moved)
+        real.step_ahead(None, moved)
+        real.advance(pos + 1.0, None)
         real.rx_power_lin()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -401,20 +410,41 @@ def _retained_bytes(build):
     return retained
 
 
+def test_a_realization_keeps_the_power_and_the_shadow_store_only():
+    # Between two periods a realization keeps the power matrix and the
+    # shadow store of about n^2/2 values: each period's normals and AR(1)
+    # weights live only in the step's block buffers. At 600 vehicles that is
+    # 1.59 power matrices; a store of the next period's normals beside the
+    # shadow store, and a kept draw buffer, made it 2.4.
+    n = 600
+    pos = _pair_line(n)
+
+    def build():
+        real = ChannelRealization.initial(RunConfig(), pos, 4000.0, None,
+                                          np.random.default_rng(8))
+        real.step_ahead(None, 2.0)
+        real.advance(pos + 1.0, None)
+        return real
+
+    with mock.patch.object(channel, "WORKERS", 1):
+        assert _retained_bytes(build) < 1.6 * n * n * 8
+
+
 def test_highway_realization_retains_no_more_than_a_trace_one():
     # A highway steps its shadow by the constant speeds, computed in each
-    # refresh block: a realization built with `speeds` keeps only the speeds
+    # step block: a realization built with `speeds` keeps only the speeds
     # beside what one built without them keeps, not a per-pair store of
     # rho (two upper-block stores, 3.5 MB at 600 vehicles).
     params = RunConfig()
     n = 600
-    pos = np.column_stack([np.linspace(0.0, 3000.0, n), np.tile([2.0, 6.0], n // 2)])
+    pos = _pair_line(n)
     speeds = np.random.default_rng(9).uniform(19.0, 31.0, n)
 
     def build(speeds, moved):
         real = ChannelRealization.initial(params, pos, 4000.0, None,
                                           np.random.default_rng(8), speeds)
-        real.advance(pos + 1.0, None, moved)
+        real.step_ahead(None, moved)
+        real.advance(pos + 1.0, None)
         return real
 
     with mock.patch.object(channel, "WORKERS", 1):
@@ -432,109 +462,152 @@ def _symmetric(values):
 RANGES = [200.0, 30.0, 1e-9]
 
 
-@given(n=st.integers(1, 3 * BLOCK_ROWS + 5), seed=st.integers(0, 2**32 - 1),
+def _n_with_blocks(k):
+    """The fewest vehicles whose realization has at least k blocks."""
+    return next(n for n in itertools.count(1) if -(-n // block_rows(n)) >= k)
+
+
+# Vehicles whose realizations have two and three blocks under the default
+# sizes, and sizes under which every block past 64 vehicles has 16 rows, so
+# small worlds have many blocks.
+TWO_BLOCKS, THREE_BLOCKS = _n_with_blocks(2), _n_with_blocks(3)
+SIZES = {"default": {"BLOCK_ELEMENTS": channel.BLOCK_ELEMENTS,
+                     "MIN_BLOCK_ROWS": channel.MIN_BLOCK_ROWS},
+         "small": {"BLOCK_ELEMENTS": 1024, "MIN_BLOCK_ROWS": 16}}
+
+
+def test_blocks_hold_about_the_budget_and_never_fewer_than_the_minimum_rows():
+    assert [block_rows(n) for n in (495, 1024, 2015, 10075)] == [132, 64, 64, 64]
+    with mock.patch.multiple(channel, **SIZES["small"]):
+        assert block_rows(40) == 25 and block_rows(200) == 16
+    for n, k in ((TWO_BLOCKS - 1, 1), (TWO_BLOCKS, 2), (THREE_BLOCKS, 3)):
+        real = ChannelRealization.initial(PARAMS, _line(n), None, None,
+                                          np.random.default_rng(0))
+        assert len(real._blocks) == k, n
+
+
+@given(n=st.integers(1, THREE_BLOCKS + 150), seed=st.integers(0, 2**32 - 1),
        wrap=st.sampled_from([None, 700.0]), absent=st.sampled_from([0.0, 0.2]),
-       nlos=st.sampled_from([0.0, 0.4, 1.0]), scalar_moved=st.booleans(),
+       nlos=st.sampled_from([0.0, 0.4, 1.0]),
+       moves=st.sampled_from(["matrix", "scalar", "speeds"]),
        workers=st.sampled_from([1, 2, 3]), ahead=st.booleans(),
-       range_m=st.sampled_from(RANGES), late=st.booleans())
-@example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, scalar_moved=False, workers=2,
-         ahead=False, range_m=200.0, late=False)
-@example(n=BLOCK_ROWS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, scalar_moved=False,
-         workers=2, ahead=False, range_m=200.0, late=False)
-@example(n=2 * BLOCK_ROWS + 1, seed=2, wrap=700.0, absent=0.0, nlos=0.0, scalar_moved=True,
-         workers=2, ahead=False, range_m=30.0, late=False)
-@example(n=2 * BLOCK_ROWS + 1, seed=3, wrap=None, absent=0.2, nlos=0.4, scalar_moved=False,
-         workers=3, ahead=False, range_m=200.0, late=False)
-@example(n=2 * BLOCK_ROWS + 1, seed=4, wrap=None, absent=0.2, nlos=0.4, scalar_moved=False,
-         workers=2, ahead=True, range_m=1e-9, late=False)
-@example(n=2 * BLOCK_ROWS + 1, seed=5, wrap=700.0, absent=0.2, nlos=0.0, scalar_moved=False,
-         workers=1, ahead=False, range_m=200.0, late=False)
-@example(n=2 * BLOCK_ROWS + 1, seed=6, wrap=None, absent=0.2, nlos=0.4, scalar_moved=False,
-         workers=2, ahead=False, range_m=200.0, late=True)
+       range_m=st.sampled_from(RANGES), late=st.booleans(),
+       sizes=st.sampled_from(list(SIZES)))
+@example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, moves="matrix", workers=2,
+         ahead=True, range_m=200.0, late=False, sizes="default")
+@example(n=2, seed=7, wrap=700.0, absent=0.0, nlos=1.0, moves="speeds", workers=2,
+         ahead=True, range_m=200.0, late=False, sizes="default")
+@example(n=TWO_BLOCKS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, moves="matrix",
+         workers=2, ahead=True, range_m=200.0, late=False, sizes="default")
+@example(n=THREE_BLOCKS, seed=2, wrap=700.0, absent=0.0, nlos=0.0, moves="scalar",
+         workers=2, ahead=False, range_m=30.0, late=False, sizes="default")
+@example(n=THREE_BLOCKS, seed=3, wrap=None, absent=0.2, nlos=0.4, moves="speeds",
+         workers=3, ahead=True, range_m=200.0, late=False, sizes="default")
+@example(n=200, seed=4, wrap=None, absent=0.2, nlos=0.4, moves="matrix", workers=2,
+         ahead=True, range_m=1e-9, late=False, sizes="small")
+@example(n=200, seed=5, wrap=700.0, absent=0.2, nlos=0.0, moves="speeds", workers=1,
+         ahead=True, range_m=200.0, late=False, sizes="small")
+@example(n=THREE_BLOCKS, seed=6, wrap=None, absent=0.2, nlos=0.4, moves="matrix",
+         workers=2, ahead=False, range_m=200.0, late=True, sizes="default")
 @settings(max_examples=30, deadline=None)
-def test_blocked_refresh_equals_the_full_matrix_oracle(n, seed, wrap, absent, nlos,
-                                                       scalar_moved, workers, ahead, range_m,
-                                                       late):
-    # Over an initial draw and three advances with vehicles arriving and
-    # leaving, mixed LOS/NLOS and displacements holding infinities (rho = 0)
-    # and zeros (rho = 1), the blocked pass must give the whole-matrix
-    # refresh's shadow state and power bit for bit, list the pairs within
-    # `range_m` of the oracle's distances bit for bit, and leave the
-    # generator in the same state, on any number of refresh threads, with
-    # or without each period's normals drawn ahead. With `late`, only pairs
-    # of two vehicles past the first block are blocked, so the first block
-    # finds none of the keys and a later one finds them all.
-    with mock.patch.object(channel, "WORKERS", workers):
-        _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead,
+def test_blocked_refresh_equals_the_full_matrix_oracle(n, seed, wrap, absent, nlos, moves,
+                                                       workers, ahead, range_m, late,
+                                                       sizes):
+    # Over an initial draw and three steps and advances with vehicles
+    # arriving and leaving, mixed LOS/NLOS, displacements holding
+    # infinities (rho = 0) and zeros (rho = 1) or highway speeds, and one
+    # to many blocks, the blocked step and refresh must give the
+    # whole-matrix refresh's shadow state and power bit for bit, list the
+    # pairs within `range_m` of the oracle's distances bit for bit, and
+    # leave the generator in the same state, on any number of refresh
+    # threads, with each step taken ahead on a thread or inline. With
+    # `late`, only pairs of two vehicles past the first block are blocked,
+    # so the first block finds none of the keys and a later one finds them
+    # all.
+    with mock.patch.object(channel, "WORKERS", workers), \
+            mock.patch.multiple(channel, **SIZES[sizes]):
+        _refresh_against_the_oracle(n, seed, wrap, absent, nlos, moves, ahead,
                                     range_m=range_m, late=late)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("ahead", [False, True])
 def test_constant_speed_refresh_equals_the_full_matrix_oracle(workers, ahead):
-    # On a highway each refresh block computes its pairs' rho and
+    # On a highway each step block computes its pairs' rho and
     # sqrt(1 - rho^2) from the speeds; the refreshes must equal the
     # whole-matrix refresh fed `highway_rho` bit for bit. Vehicles 0 and
     # n - 1 share a speed, so their rho is exactly 1 and the weight of the
     # fresh sample exactly 0: their shadow sample never changes, while that
     # of vehicles 0 and 1 does.
-    n = 2 * BLOCK_ROWS + 1
+    n = THREE_BLOCKS
     speeds = np.random.default_rng(5).uniform(19.0, 31.0, n)
     speeds[-1] = speeds[0]
     with mock.patch.object(channel, "WORKERS", workers):
-        shadows = _refresh_against_the_oracle(n, 6, 700.0, 0.0, 0.4, False, ahead, speeds)
+        shadows = _refresh_against_the_oracle(n, 6, 700.0, 0.0, 0.4, "speeds", ahead, speeds)
     same_speed = {s[0, n - 1].tobytes() for s in shadows}
     assert len(same_speed) == 1 and shadows[0][0, n - 1] != 0.0
     assert len({s[0, 1].tobytes() for s in shadows}) == len(shadows)
 
 
-def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, scalar_moved, ahead,
-                                speeds=None, range_m=200.0, late=False):
+def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, moves, ahead, speeds=None,
+                                range_m=200.0, late=False):
     """The channel over four periods checked against `FullMatrixChannel`,
-    stepped by random displacements, or with `speeds` by `highway_rho`.
-    The channel gets the keys of the oracle's NLOS pairs; with `late`, no
-    pair of a vehicle in the first block is NLOS. Every refresh but the
-    second lists its pairs within `range_m`, checked against
-    `neighbour_list` of the `pair_legs` distances. Returns the shadow state
-    of each period, through `full_shadow`."""
+    stepped by random displacement matrices or scalars (`moves`), or by
+    `speeds` (drawn when None) and `highway_rho`. The channel gets the keys
+    of the oracle's NLOS pairs; with `late`, no pair of a vehicle in the
+    first block is NLOS. With `ahead`, each step goes to `step_ahead` as
+    soon as the refresh before it returns, so it runs while that refresh's
+    power and neighbour list are checked; without, just before the next
+    `advance`. Every refresh but the second lists its pairs within
+    `range_m`, checked against `neighbour_list` of the `pair_legs`
+    distances. Returns the shadow state of each period, through
+    `full_shadow`."""
     params = RunConfig(awareness_m=range_m)
     data = np.random.default_rng(seed)
-    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    real = oracle = None
-    shadows = []
-    for period in range(4):
+    if moves == "speeds" and speeds is None:
+        speeds = data.uniform(19.0, 31.0, n)
+    periods = []
+    for _ in range(4):
         pos = data.uniform(0.0, 600.0, size=(n, 2))
         pos[data.random(n) < absent] = np.nan
         los = _symmetric(data.random((n, n)) >= nlos)
         np.fill_diagonal(los, True)
         if late:
-            los[:BLOCK_ROWS] = los[:, :BLOCK_ROWS] = True
-        moved = _symmetric(data.choice([np.inf, 0.0, 3.0, 40.0], size=(n, n)))
-        if scalar_moved:
+            los[:block_rows(n)] = los[:, :block_rows(n)] = True
+        moved = None
+        if moves == "matrix":
+            moved = _symmetric(data.choice([np.inf, 0.0, 3.0, 40.0], size=(n, n)))
+        elif moves == "scalar":
             moved = float(data.choice([np.inf, 0.0, 8.0]))
-        rho = np.exp(-moved / params.resolved_decorr_dist_m())
-        if speeds is not None:
-            moved, rho = None, highway_rho(params, speeds)
+        rho = (highway_rho(params, speeds) if moved is None
+               else np.exp(-moved / params.resolved_decorr_dist_m()))
+        blocked = None if nlos == 0.0 else np.flatnonzero(np.triu(~los, 1))
+        periods.append((pos, los, blocked, moved, rho))
+    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    shadows = []
+    for period, (pos, los, blocked, moved, rho) in enumerate(periods):
         legs = pair_legs(pos, wrap)
         dist = np.hypot(*legs)
-        blocked = None if nlos == 0.0 else np.flatnonzero(np.triu(~los, 1))
         listed = period != 1
         if period == 0:
             real = ChannelRealization.initial(params, pos, wrap, blocked, ours, speeds, listed)
             oracle = FullMatrixChannel.initial(params, dist, los, legs, theirs)
         else:
-            real.advance(pos, blocked, moved, listed)
+            if not ahead:
+                real.step_ahead(blocked, moved)
+            real.advance(pos, blocked, listed)
             oracle.advance(dist, los, legs, theirs, rho)
+        shadows.append(full_shadow(real))
+        if ahead and period < 3:
+            _, _, next_blocked, next_moved, _ = periods[period + 1]
+            real.step_ahead(next_blocked, next_moved)
+        assert shadows[-1].tobytes() == oracle.shadow_db.tobytes(), period
+        assert real.rx_power_lin().tobytes() == oracle.rx_power_lin().tobytes(), period
         if listed:
             want = neighbour_list(dist, range_m)
             assert [a.tobytes() for a in real.neighbours] == [a.tobytes() for a in want], period
         else:
             assert real.neighbours is None
-        shadows.append(full_shadow(real))
-        assert shadows[-1].tobytes() == oracle.shadow_db.tobytes(), period
-        assert real.rx_power_lin().tobytes() == oracle.rx_power_lin().tobytes(), period
-        if ahead and period < 3:
-            real.draw_ahead()
     assert ours.bit_generator.state == theirs.bit_generator.state
     return shadows
 
@@ -559,7 +632,7 @@ def test_a_forked_child_refreshes_on_its_own_threads(monkeypatch):
     # none of its threads. Its multi-block refresh must run on threads of
     # its own and give the parent's bytes, not wait for ever.
     monkeypatch.setattr(channel, "WORKERS", 2)
-    n = 2 * BLOCK_ROWS + 1
+    n = THREE_BLOCKS
     here = _power_bytes(n, 11)
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
         there = pool.submit(_power_bytes_in_child, n, 11).result(timeout=120)
@@ -577,9 +650,10 @@ def test_a_refresh_is_one_pass_of_one_task_per_block(monkeypatch):
         each(pool, fn, blocks)
 
     monkeypatch.setattr(channel, "_each", counted)
-    n = 2 * BLOCK_ROWS + 1
+    n = THREE_BLOCKS
     real = ChannelRealization.initial(PARAMS, _line(n), None, None, np.random.default_rng(14))
-    real.advance(_line(n, spacing_m=9.0), None, 10.0)
+    real.step_ahead(None, 10.0)
+    real.advance(_line(n, spacing_m=9.0), None)
     assert passes == [3, 3]
 
 
@@ -596,7 +670,7 @@ def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
     # returned, so no block writes to the matrices after advance ends, and
     # the threads must still serve the next realization.
     monkeypatch.setattr(channel, "WORKERS", 2)
-    params, n = RunConfig(), 4 * BLOCK_ROWS + 1
+    params, n = RunConfig(), _n_with_blocks(5)
     pos = _line(n)
     real = ChannelRealization.initial(params, pos, None, None, np.random.default_rng(9))
     calls = itertools.count()
@@ -609,8 +683,9 @@ def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
         return pathloss(*args, **kwargs)
 
     monkeypatch.setattr(channel, "pathloss_los_db", flaky)
+    real.step_ahead(None, 10.0)
     with pytest.raises(RuntimeError, match="block failed"):
-        real.advance(pos + 1.0, None, 10.0)
+        real.advance(pos + 1.0, None)
     after = _state_bytes(real)
     time.sleep(0.5)
     assert _state_bytes(real) == after
@@ -634,20 +709,21 @@ class _FailingDraws:
         return self.rng.standard_normal(out=out)
 
 
-def test_a_failing_draw_ahead_fails_the_next_advance(monkeypatch):
-    # A pooled draw that raises must make the next advance raise before it
-    # writes anything, and leave the threads to serve the next realization.
-    # The realization's own stream fails from the second period's draws on.
+def test_a_failing_step_ahead_fails_the_next_advance(monkeypatch):
+    # A step that raises on its refresh thread must make the next advance
+    # raise before it writes the power, and leave the threads to serve the
+    # next realization. The realization's own stream fails from the second
+    # period's draws on, so the step fails before it touches the shadow.
     monkeypatch.setattr(channel, "WORKERS", 2)
-    params, n = RunConfig(), 2 * BLOCK_ROWS + 1
+    params, n = RunConfig(), THREE_BLOCKS
     pos = _line(n)
     draws = _FailingDraws(9)
     real = ChannelRealization.initial(params, pos, None, None, draws)
     before = _state_bytes(real)
     draws.failing = True
-    real.draw_ahead()
+    real.step_ahead(None, 10.0)
     with pytest.raises(RuntimeError, match="draw failed"):
-        real.advance(pos + 1.0, None, 10.0)
+        real.advance(pos + 1.0, None)
     assert _state_bytes(real) == before
 
     legs = pair_legs(pos)
@@ -656,26 +732,32 @@ def test_a_failing_draw_ahead_fails_the_next_advance(monkeypatch):
     assert _power_bytes(n, 12) == oracle.rx_power_lin().tobytes()
 
 
-def test_advance_without_moved_fails_before_any_draw(monkeypatch):
-    # A realization built without `speeds` has no stored correlation, so
-    # `advance` needs each pair's displacement. Without one it must fail at
-    # once: no normal drawn, no matrix written, and a pending `draw_ahead`
-    # left for the next advance.
+def test_step_ahead_checks_its_arguments_before_any_draw(monkeypatch):
+    # A realization built without `speeds` has no displacement of its own,
+    # so its step needs each pair's. Without one, or with one of the wrong
+    # shape, `step_ahead` must fail on the calling thread: no normal drawn,
+    # nothing pending, no matrix written. `advance` with no step pending
+    # fails too, and so does a second `step_ahead` before the `advance`.
     monkeypatch.setattr(channel, "WORKERS", 2)
-    n = 2 * BLOCK_ROWS + 1
+    n = THREE_BLOCKS
     pos = _line(n)
     rng = np.random.default_rng(13)
     real = ChannelRealization.initial(PARAMS, pos, None, None, rng)
     before, state = _state_bytes(real), rng.bit_generator.state
     with pytest.raises(ValueError, match="moved"):
+        real.step_ahead(None)
+    with pytest.raises(ValueError, match="moved"):
+        real.step_ahead(None, np.zeros((n, n - 1)))
+    with pytest.raises(RuntimeError, match="step_ahead"):
         real.advance(pos + 1.0, None)
     assert _state_bytes(real) == before and rng.bit_generator.state == state
-    real.draw_ahead()
-    with pytest.raises(ValueError, match="moved"):
-        real.advance(pos + 1.0, None)
-    real.advance(pos + 1.0, None, 10.0)
+    real.step_ahead(None, 10.0)
+    with pytest.raises(RuntimeError, match="pending"):
+        real.step_ahead(None, 10.0)
+    real.advance(pos + 1.0, None)
     twin_rng = np.random.default_rng(13)
     twin = ChannelRealization.initial(PARAMS, pos, None, None, twin_rng)
-    twin.advance(pos + 1.0, None, 10.0)
+    twin.step_ahead(None, 10.0)
+    twin.advance(pos + 1.0, None)
     assert _state_bytes(real) == _state_bytes(twin)
     assert rng.bit_generator.state == twin_rng.bit_generator.state

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mode4sim import channel, engine as engine_module, mode4, phy
-from mode4sim.channel import BLOCK_ROWS
+from mode4sim.channel import block_rows
 from mode4sim.config import RunConfig
 from mode4sim.engine import Protocol, SimulationEngine, run_hidden_node, run_scenario
 from mode4sim.metrics import PrrAccumulator
@@ -322,7 +322,7 @@ def test_los_matrix_matches_scalar_blocks(tmp_path):
     blocked_seen = clear_seen = 0
     for t in range(0, 1000, 100):
         engine.advance(t)
-        keys = engine._blocked_pairs()
+        keys = engine._blocked_pairs(engine.positions)
         assert (np.diff(keys) > 0).all()
         i, j = np.divmod(keys, n)
         assert (i < j).all() and engine.present[i].all() and engine.present[j].all()
@@ -377,6 +377,55 @@ def test_a_highway_with_obstacles_hands_the_channel_no_square_array(tmp_path, mo
                        if isinstance(arg, np.ndarray)), name
 
 
+def test_each_period_steps_and_refreshes_on_the_keys_of_one_los_pass(tmp_path, monkeypatch):
+    # Vehicles pass a building, so the blocked pairs change from period to
+    # period. The world finds each period's keys with one `los_state` call,
+    # one period ahead, and hands the same keys to that period's shadow step
+    # and to its refresh: the constructor gets period 0's, then
+    # `step_ahead` and `advance` each get the keys of period p in turn.
+    rows = []
+    for k in range(11):
+        t = k * 0.1
+        rows.append(f"{t:.1f},0,{10 * t:.2f},0.0")
+        rows.append(f"{t:.1f},1,{100 - 40 * t:.2f},0.0")
+        rows.append(f"{t:.1f},2,{30 + 30 * t:.2f},15.0")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(rows) + "\n")
+    obstacles = tmp_path / "map.txt"
+    obstacles.write_text("40,-10,60,-10,60,10,40,10\n")
+    cfg = RunConfig(scenario="trace", trace=str(trace), obstacle_map=str(obstacles),
+                    duration_s=1.0, t_sense_ms=200, n_min=2, n_max=4, seed=1)
+    Realization = channel.ChannelRealization
+    los_calls, handed = [], []
+    los_state = engine_module.los_state
+
+    def counted(*args):
+        los_calls.append(args)
+        return los_state(*args)
+
+    def spy(name, fn, at):
+        def wrapped(*args):
+            handed.append((name, args[at]))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(engine_module, "los_state", counted)
+    monkeypatch.setattr(Realization, "__init__", spy("initial", Realization.__init__, 4))
+    monkeypatch.setattr(Realization, "step_ahead", spy("step", Realization.step_ahead, 1))
+    monkeypatch.setattr(Realization, "advance", spy("advance", Realization.advance, 2))
+    world = SimulationEngine(cfg)
+    for period in range(world.n_periods):
+        world.advance(period * world.t_b)
+    assert len(los_calls) == world.n_periods == 10
+    assert [name for name, _ in handed] == ["initial"] + ["step", "advance"] * 9
+    keys = [handed[0][1]] + [step for _, step in handed[1::2]]
+    assert all(step is refresh for (_, step), (_, refresh) in zip(handed[1::2], handed[2::2]))
+    for period, got in enumerate(keys):
+        want = world._blocked_pairs(world.frames[period])
+        assert got.tolist() == want.tolist(), period
+    assert len({tuple(k.tolist()) for k in keys}) > 1
+
+
 def test_simulate_and_hidden_node_advance_the_same_periods(monkeypatch):
     # 1.05 s ends half-way through period 10. The simulate clock enters it,
     # so hidden-node samples it too.
@@ -409,12 +458,14 @@ def test_simulate_and_hidden_node_advance_the_same_periods(monkeypatch):
 
 @pytest.mark.parametrize("runner", [run_scenario, run_hidden_node])
 def test_a_run_draws_one_normal_matrix_per_period(runner, monkeypatch):
-    # The world draws each period's normals one period ahead, on a refresh
-    # thread: after the run the shadow stream must have drawn exactly one
-    # (n, n) matrix per period, no more and no fewer.
+    # The world takes each period's shadow step one period ahead, on a
+    # refresh thread: after the run the shadow stream must have drawn
+    # exactly one (n, n) matrix per period, no more and no fewer.
     monkeypatch.setattr(channel, "WORKERS", 2)
+    n = 300
+    assert block_rows(n) < n  # two blocks, so the steps run on the thread
     cfg = RunConfig(duration_s=1.05, t_sense_ms=200, n_max=6, highway_length_m=2000.0,
-                    highway_vehicles=2 * BLOCK_ROWS + 1, seed=3)
+                    highway_vehicles=n, seed=3)
     shadow = []
     real_substream = engine_module.substream
 
@@ -427,7 +478,7 @@ def test_a_run_draws_one_normal_matrix_per_period(runner, monkeypatch):
     monkeypatch.setattr(engine_module, "substream", recording_substream)
     runner(cfg)
     fresh = substream(cfg.seed, "shadow")
-    n, periods = cfg.highway_vehicles, 11
+    periods = 11
     for _ in range(periods):
         fresh.standard_normal((n, n))
     assert [rng.bit_generator.state for rng in shadow] == [fresh.bit_generator.state]
@@ -512,9 +563,9 @@ def test_hidden_node_under_churn_counts_the_present_rows(tmp_path, monkeypatch):
 
 def test_the_world_holds_no_square_matrix_but_power():
     # Only the protocol's reads of received power by row and column need a
-    # whole (n, n) matrix. The shadow state and the period's normals live in
-    # the channel's upper-block stores, which hold about n^2/2 values each,
-    # and distances only in the neighbour list.
+    # whole (n, n) matrix. The shadow state lives in the channel's
+    # upper-block store, which holds about n^2/2 values, and distances only
+    # in the neighbour list.
     cfg = RunConfig(duration_s=3.0, highway_length_m=3000.0, highway_vehicles=600, seed=1)
     world = SimulationEngine(cfg)
     world.advance(0, True)
