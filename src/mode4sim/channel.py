@@ -234,21 +234,26 @@ def los_state(obstacles: ObstacleMap | None, points, a, b):
 # Pairwise geometry
 # ---------------------------------------------------------------------------
 
-def pair_legs(positions: np.ndarray, wrap_length_m: float | None = None):
-    """Pairwise |dx|, |dy| matrices, minimum-image on x for ring roads.
-
-    Non-finite coordinates (absent vehicles) yield infinite legs.
-    """
-    x = positions[:, 0]
-    y = positions[:, 1]
+def pair_legs(points, r0: int, r1: int, wrap_length_m: float | None, dx_buf, dy_buf):
+    """|dx| and |dy| of the pairs in rows r0:r1 and columns r0: of the upper
+    triangle of the (m, 2) `points`, as (r1 - r0, m - r0) views of the flat
+    buffers: |dx| takes the minimum image on a ring of `wrap_length_m`, and
+    both are infinite in the rows and columns of a point with a non-finite
+    coordinate (an absent vehicle)."""
+    shape = (r1 - r0, len(points) - r0)
+    dx, dy = _view(dx_buf, shape), _view(dy_buf, shape)
+    x, y = np.ascontiguousarray(points.T)
     with np.errstate(invalid="ignore"):
-        adx = np.abs(x[:, None] - x[None, :])
+        np.abs(np.subtract(x[r0:r1, None], x[None, r0:], out=dx), out=dx)
         if wrap_length_m is not None:
-            adx = np.minimum(adx, wrap_length_m - adx)
-        ady = np.abs(y[:, None] - y[None, :])
-    adx = np.where(np.isnan(adx), np.inf, adx)
-    ady = np.where(np.isnan(ady), np.inf, ady)
-    return adx, ady
+            np.minimum(dx, np.subtract(wrap_length_m, dx, out=dy), out=dx)
+        np.abs(np.subtract(y[r0:r1, None], y[None, r0:], out=dy), out=dy)
+    gone = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(gone):  # even empty, the writes cost about 30 microseconds a block
+        rows, cols = gone[(gone >= r0) & (gone < r1)] - r0, gone[gone >= r0] - r0
+        for leg in (dx, dy):
+            leg[rows] = leg[:, cols] = np.inf
+    return dx, dy
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +324,16 @@ class ChannelRealization:
 
     The linear received power is the one (n, n) matrix, exactly symmetric
     and overwritten in place at every refresh. Shadowing is an AR(1) process
-    per unordered pair, kept only for the upper triangle. Its weights and
-    the period's normals live only in the block of the step that uses them,
-    so the realization keeps no other per-pair array. Distances are kept
-    only for the pairs within the awareness range, in `neighbours`, and only
-    when a refresh asks. Vehicles with a non-finite position are absent:
-    they sit at an infinite distance from every other vehicle and receive
-    and send zero power. The pairs an obstacle blocks come as the ascending
-    keys i * n + j (i < j) in `blocked`, or None when no pair is; only they
-    take the NLOS pathloss and shadowing sigma.
+    per unordered pair, kept only for the upper triangle. Its weights, the
+    period's normals and the pair legs (`pair_legs`) live only in the block
+    that uses them, so the realization keeps and takes no other per-pair
+    array. Distances are kept only for the pairs within the awareness
+    range, in `neighbours`, and only when a refresh asks. Vehicles with a
+    non-finite position are absent: they sit at an infinite distance from
+    every other vehicle and receive and send zero power. The pairs an
+    obstacle blocks come as the ascending keys i * n + j (i < j) in
+    `blocked`, or None when no pair is; only they take the NLOS pathloss
+    and shadowing sigma.
 
     Each period is a shadow step, then a refresh of the power. The
     constructor takes both for the first period. After that the step needs
@@ -363,15 +369,14 @@ class ChannelRealization:
         """Hand over the next period's shadow step.
 
         `blocked` holds the next period's NLOS keys, as in the constructor.
-        `moved` is each pair's displacement in m over the period, a
-        symmetric matrix or a scalar, with rho = exp(-moved/decorr); an
-        infinite one resamples the pair, and None steps by the constructor's
-        `speeds` (m/s, a highway's). The arguments are checked here. The
-        step then runs on a refresh thread while the caller goes on; the
-        next `advance` waits for it and re-raises its failure before it
-        writes the power. Where the refresh runs in this thread (one block,
-        one CPU) there is nothing to overlap, and the next `advance` takes
-        the step itself. Call it once between two refreshes.
+        `moved` is each vehicle's displacement in m over the period, an
+        (n, 2) array, NaN where the vehicle is absent in either period; a
+        pair's rho is exp(-|moved_i - moved_j|/decorr), 0 with an absent
+        vehicle. None steps by the constructor's `speeds` (m/s, a
+        highway's). The arguments are checked here. The step then runs on a
+        refresh thread while the caller goes on; the next `advance` waits
+        for it and re-raises its failure before it writes the power. Call it
+        once between two refreshes.
         """
         if self._pending is not None:
             raise RuntimeError("a step is pending already: advance takes it first")
@@ -379,9 +384,12 @@ class ChannelRealization:
         if moved is None and self._speeds is None:
             raise ValueError("step_ahead needs `moved` or a realization built with "
                              "`speeds`: it has no displacement to step by")
-        if moved is not None and np.ndim(moved) and np.shape(moved) != (n, n):
-            raise ValueError(f"`moved` must be a scalar or an ({n}, {n}) matrix")
+        if moved is not None and np.shape(moved) != (n, 2):
+            raise ValueError(f"`moved` must be an ({n}, 2) array of displacements")
         pool = _executor(self._threads())
+        # With one block or one CPU the next `advance` takes the step itself:
+        # one-block steps on the pool made a 66-vehicle urban trace slower
+        # (run_s 0.26-0.29 s to 0.29-0.42 s in 5 of 6 runs, RSS +0.65 MB).
         if pool is None:
             self._pending = lambda: self._step(blocked, moved)
         else:
@@ -416,26 +424,29 @@ class ChannelRealization:
     def _step(self, blocked, moved):
         """Step the shadow AR(1) of every pair, block by block and in place:
         s' = rho * s + sqrt(1 - rho^2) * sigma * normal, with
-        rho = exp(-moved/decorr), in the per-element operation order of a
+        rho = exp(-d/decorr), in the per-element operation order of a
         whole-matrix step. Each block draws its full rows of the period's
         (n, n) standard normals into one draw buffer, so the stream is that
-        of one (n, n) call, and uses their columns r0:. A highway pair moves
-        |v_i - v_j| * period apart in a period."""
+        of one (n, n) call, and uses their columns r0:. A pair moves d apart:
+        |moved_i - moved_j|, |v_i - v_j| * period for None (a highway), and
+        infinity for the constructor's fresh draw (`np.inf`)."""
         cfg, n = self.cfg, len(self._rx_lin)
         size = min(self._rows, n) * n
         draw, scratch = np.empty(size), np.empty(size)
+        legs = np.empty(size) if np.ndim(moved) else None
         for (r0, r1), shadow in zip(self._blocks, self._shadow):
             drawn = _view(draw, (r1 - r0, n))
             self._rng.standard_normal(out=drawn)
-            rho = _view(scratch, shadow.shape)
+            rho = _view(scratch, shadow.shape)  # d, then rho
             if moved is None:
                 np.subtract(self._speeds[r0:r1, None], self._speeds[None, r0:], out=rho)
                 np.abs(rho, out=rho)
                 rho *= cfg.beacon_period_ms / 1000.0
-                np.divide(rho, -cfg.resolved_decorr_dist_m(), out=rho)
+            elif legs is not None:
+                np.hypot(*pair_legs(moved, r0, r1, None, scratch, legs), out=rho)
             else:
-                block_moved = moved[r0:r1, r0:] if np.ndim(moved) else moved
-                np.divide(block_moved, -cfg.resolved_decorr_dist_m(), out=rho)
+                rho.fill(moved)
+            np.divide(rho, -cfg.resolved_decorr_dist_m(), out=rho)
             np.exp(rho, out=rho)
             np.multiply(rho, shadow, out=shadow)
             weight = np.sqrt(np.subtract(1.0, np.multiply(rho, rho, out=rho), out=rho), out=rho)
@@ -459,12 +470,6 @@ class ChannelRealization:
         not depend on thread timing."""
         n = len(self._rx_lin)
         positions = np.asarray(positions, dtype=float)
-        absent = ~np.isfinite(positions).all(axis=1)
-        # Absent vehicles' legs are set to infinity in each block; 0 keeps
-        # the arithmetic before that finite.
-        x = np.where(absent, 0.0, positions[:, 0])
-        y = np.where(absent, 0.0, positions[:, 1])
-        gone = np.flatnonzero(absent)
         workers = self._threads()
         # Two block-sized scratch buffers per thread at work.
         size = min(self._rows, n) * n
@@ -476,7 +481,7 @@ class ChannelRealization:
         def block(r0, r1):
             bufs = scratch.get()
             try:
-                near[r0 // self._rows] = self._upper_block(r0, r1, x, y, gone, blocked,
+                near[r0 // self._rows] = self._upper_block(r0, r1, positions, blocked,
                                                            neighbours, *bufs)
             finally:
                 scratch.put(bufs)
@@ -486,30 +491,14 @@ class ChannelRealization:
         np.fill_diagonal(self._rx_lin, 0.0)
         self.neighbours = _both_ways(near, n) if neighbours else None
 
-    def _upper_block(self, r0, r1, x, y, gone, blocked, neighbours, adx, ady):
+    def _upper_block(self, r0, r1, positions, blocked, neighbours, dx_buf, dy_buf):
         """Columns r0: of rows r0:r1, in place, in the per-element operation
         order of a whole-matrix refresh. With `neighbours`, returns the
         block's pairs i < j within the awareness range as (i, j, distance)."""
         cfg, n = self.cfg, len(self._rx_lin)
-        shape = (r1 - r0, n - r0)
         # The block's power rows hold its distances until the power.
         g = self._rx_lin[r0:r1, r0:]
-
-        # Street legs |dx| (minimum image on a ring) and |dy|.
-        dx = _view(adx, shape)
-        np.subtract(x[r0:r1, None], x[None, r0:], out=dx)
-        np.abs(dx, out=dx)
-        if self.wrap_length_m is not None:
-            np.minimum(dx, np.subtract(self.wrap_length_m, dx, out=g), out=dx)
-        dy = _view(ady, shape)
-        np.subtract(y[r0:r1, None], y[None, r0:], out=dy)
-        np.abs(dy, out=dy)
-        if len(gone):
-            rows = gone[(gone >= r0) & (gone < r1)] - r0
-            cols = gone[gone >= r0] - r0
-            for leg in (dx, dy):
-                leg[rows] = np.inf
-                leg[:, cols] = np.inf
+        dx, dy = pair_legs(positions, r0, r1, self.wrap_length_m, dx_buf, dy_buf)
         dist = np.hypot(dx, dy, out=g)
         near = None
         if neighbours:

@@ -3,11 +3,12 @@
 `SimulationEngine` is the world: set-up decides the scenario once, and
 `advance(t, neighbours)` brings presence, geometry, LOS and channel to the
 period at t, and lists the period's neighbour pairs when asked. LOS is one
-`los_state` call over each period's present pairs, and the channel takes
-the pairs it finds blocked as keys. A period's shadow step needs only its
-blocked keys and displacements, so `advance` finds the next period's one
-period early and hands its step to the channel, which takes it while the
-protocol runs; the next period's refresh reuses the keys. `Protocol` holds
+`los_state` call per block of rows of each period's present pairs, and the
+channel takes the pairs it finds blocked as keys. A period's shadow step
+needs only its blocked keys and each vehicle's (n, 2) displacement, so
+`advance` finds the next period's one period early and hands its step to
+the channel, which takes it while the protocol runs; the next period's
+refresh reuses the keys. `Protocol` holds
 the allocation, sensing, MAC and metric state; it reads the world and
 never advances it. The engine's clock ticks in 1 ms subframes. At each
 period start the world advances, then the protocol starts its period (in
@@ -24,7 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mode4, phy
-from .channel import ChannelRealization, ObstacleMap, dbm_to_mw, los_state, pair_legs
+# `pair_legs` is unused here: the benchmark's layer table wraps it in this
+# module until the engine reports its own phase times (ROADMAP item 2).
+from .channel import (ChannelRealization, ObstacleMap, block_rows, dbm_to_mw, los_state,
+                      pair_legs)
 from .config import RunConfig
 from .metrics import (HiddenNodeAccumulator, PrrAccumulator, UdTracker,
                       hidden_node_probability)
@@ -106,17 +110,22 @@ class SimulationEngine:
         if self.obstacles is None:
             return None
         idx = np.flatnonzero(~np.isnan(positions[:, 0]))
-        a, b = np.triu_indices(len(idx), 1)
-        clear = los_state(self.obstacles, positions[idx], a, b)
-        return idx[a[~clear]] * self.n + idx[b[~clear]]
+        m, keys = len(idx), []
+        rows = block_rows(m)  # blocks of rows, as the channel's: small temporaries
+        for r0 in range(0, max(m, 1), rows):
+            tail = idx[r0:]  # block pair (a, b) is vehicles tail[a] < tail[b]
+            a, b = np.triu_indices(min(rows, m - r0), 1, m - r0)
+            clear = los_state(self.obstacles, positions[tail], a, b)
+            keys.append(tail[a[~clear]] * self.n + tail[b[~clear]])
+        return np.concatenate(keys)
 
     def _moved(self, period: int):
-        """Per-pair displacement since the previous period; None on a highway."""
+        """Each vehicle's displacement since the previous period, NaN where
+        it is absent in either, so a presence change resamples its pairs;
+        None on a highway."""
         if self.speeds is not None:
             return None
-        disp = self.frames[period] - self.frames[period - 1]
-        # Presence changes give the pair infinite legs: a fresh sample.
-        return np.hypot(*pair_legs(disp))
+        return self.frames[period] - self.frames[period - 1]
 
     def advance(self, t: int, neighbours: bool = False):
         """Positions, presence, LOS and channel of the period at t, which

@@ -16,8 +16,9 @@ vehicle, period slot and subframe, where the simulator keeps each
 vehicle's latest transmission period per subframe. `pair_distances` and
 `neighbour_list` rebuild the (n, n) pair distances and the neighbour list
 from them, where the simulator keeps distances only for the pairs within
-range. No module of the simulator imports this one; `test_reference.py`
-enforces that.
+range; `full_pair_legs` gives the whole (n, n) street legs that
+`channel.pair_legs` computes block by block. No module of the simulator
+imports this one; `test_reference.py` enforces that.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mode4sim.analysis import AnalysisError
-from mode4sim.channel import dbm_to_mw, pair_legs, pathloss_los_db, pathloss_nlos_db
+from mode4sim.channel import dbm_to_mw, pathloss_los_db, pathloss_nlos_db
 from mode4sim.config import RunConfig
 from mode4sim.metrics import HiddenNodeResult, MetricsError
 from mode4sim.phy import ibe_factor
@@ -96,10 +97,27 @@ def neighbors(snapshot: ScenarioSnapshot, vehicle: int, awareness_m: float) -> s
     return set(int(v) for v in snapshot.ids[mask])
 
 
+def full_pair_legs(positions, wrap_length_m: float | None = None):
+    """Pairwise |dx|, |dy| matrices, minimum-image on x for ring roads, the
+    whole (n, n) matrices of what `channel.pair_legs` computes block by
+    block. Non-finite coordinates (absent vehicles) yield infinite legs."""
+    positions = np.asarray(positions, dtype=float)
+    x = positions[:, 0]
+    y = positions[:, 1]
+    with np.errstate(invalid="ignore"):
+        adx = np.abs(x[:, None] - x[None, :])
+        if wrap_length_m is not None:
+            adx = np.minimum(adx, wrap_length_m - adx)
+        ady = np.abs(y[:, None] - y[None, :])
+    adx = np.where(np.isnan(adx), np.inf, adx)
+    ady = np.where(np.isnan(ady), np.inf, ady)
+    return adx, ady
+
+
 def pair_distances(positions, wrap_length_m: float | None = None) -> np.ndarray:
-    """All (n, n) pair distances from `channel.pair_legs`, infinite where a
+    """All (n, n) pair distances from `full_pair_legs`, infinite where a
     vehicle is absent (NaN position)."""
-    return np.hypot(*pair_legs(np.asarray(positions, dtype=float), wrap_length_m))
+    return np.hypot(*full_pair_legs(positions, wrap_length_m))
 
 
 def neighbour_list(dist_m: np.ndarray, range_m: float):
@@ -171,7 +189,7 @@ def _symmetric_normal(rng, n):
 class FullMatrixChannel:
     """Per-link pathloss + correlated shadow state for all vehicle pairs,
     refreshed one whole (n, n) matrix at a time from distances and street
-    legs (`channel.pair_legs`).
+    legs (`full_pair_legs`).
 
     Matrices are (n, n) and symmetric; the diagonal is unused. Shadowing is
     an AR(1) process per unordered pair, stepped by the change in relative

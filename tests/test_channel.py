@@ -14,11 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from mode4sim import channel
 from mode4sim.channel import (ChannelRealization, ObstacleMap, ObstacleMapError,
-                              block_rows, breakpoint_distance_m, los_state, pair_legs,
+                              block_rows, breakpoint_distance_m, los_state,
                               pathloss_los_db, pathloss_nlos_db)
 from mode4sim.config import RunConfig
-from oracles import (FullMatrixChannel, _point_in_polygon, blocks, full_shadow,
-                     highway_rho, neighbour_list, pathloss_db, rx_power_dbm, shadow_step)
+from oracles import (FullMatrixChannel, _point_in_polygon, blocks, full_pair_legs,
+                     full_shadow, highway_rho, neighbour_list, pathloss_db, rx_power_dbm,
+                     shadow_step)
 
 PARAMS = RunConfig()
 
@@ -310,24 +311,29 @@ def _pair_line(n):
 
 
 def test_shadow_process_matches_ar1_statistics():
-    # 300 vehicles, every other pair NLOS, stepped 200 times by a
-    # displacement of rho = 0.8 from a fresh draw. Each step must keep the
-    # power matrix exactly symmetric with a zero diagonal; the pooled
-    # samples must show each class's sigma^2 and a lag-1 correlation of
-    # rho. The standard errors are below 0.5 % of sigma^2 and 0.005 in
-    # correlation.
+    # 300 vehicles, every other pair NLOS, stepped 200 times from a fresh
+    # draw. The first half of the vehicles stands still and the second half
+    # moves by a displacement of rho = 0.8, so pairs across the groups step
+    # by rho = 0.8 and pairs within a group by rho = 1 exactly. Each step
+    # must keep the power matrix exactly symmetric with a zero diagonal;
+    # the pooled cross-group samples must show each class's sigma^2 and a
+    # lag-1 correlation of rho (standard errors below 0.5 % of sigma^2 and
+    # 0.005 in correlation), and each within-group sample must stay the
+    # same bit for bit.
     params = RunConfig()
     n, steps, rho = 300, 200, 0.8
-    moved = np.full((n, n), -params.resolved_decorr_dist_m() * math.log(rho))
+    moved = np.zeros((n, 2))
+    moved[n // 2:, 0] = -params.resolved_decorr_dist_m() * math.log(rho)
     i, j = np.triu_indices(n, 1)
     los = np.add.outer(np.arange(n), np.arange(n)) % 2 == 0
-    pairs = {"los": los[i, j], "nlos": ~los[i, j]}
+    across = (i < n // 2) & (j >= n // 2)
+    pairs = {"los": los[i, j] & across, "nlos": ~los[i, j] & across}
     sigma = {"los": params.shadow_sigma_los_db, "nlos": params.shadow_sigma_nlos_db}
     rng = np.random.default_rng(7)
     blocked = np.flatnonzero(np.triu(~los, 1))
     real = ChannelRealization.initial(params, _line(n), None, blocked, rng)
     sums = {k: np.zeros(3) for k in pairs}  # sum s_t^2, sum s_{t-1}^2, sum s_t s_{t-1}
-    prev = full_shadow(real)[i, j]
+    first = prev = full_shadow(real)[i, j]
     for _ in range(steps):
         real.step_ahead(blocked, moved)
         real.advance(_line(n), blocked)
@@ -343,21 +349,30 @@ def test_shadow_process_matches_ar1_statistics():
         count = steps * np.count_nonzero(mask)
         assert sums[k][0] / count == pytest.approx(sigma[k] ** 2, rel=0.03), k
         assert sums[k][2] / sums[k][1] == pytest.approx(rho, abs=0.02), k
+    assert cur[~across].tobytes() == first[~across].tobytes()
+    assert (cur[~across] != 0.0).all()
 
-    # An infinite displacement (rho = 0) forgets the state: a fresh sample
-    # of each class's sigma, uncorrelated with an extreme old state, written
-    # into the channel's own store, and with the sample before.
+    # A displacement of NaN (every vehicle absent in one of the periods:
+    # rho = 0) forgets the state: a fresh sample of each class's sigma,
+    # uncorrelated with an extreme old state, written into the channel's
+    # own store, and with the sample before.
+    pairs = {"los": los[i, j], "nlos": ~los[i, j]}
     old = full_shadow(real)[i, j]
     for block in real._shadow:
         block += 100.0
     assert full_shadow(real)[i, j] == pytest.approx(old + 100.0)
-    real.step_ahead(blocked, np.inf)
+    real.step_ahead(blocked, np.full((n, 2), np.nan))
     real.advance(_line(n), blocked)
     new = full_shadow(real)[i, j]
     for k, mask in pairs.items():
         assert abs(new[mask].mean()) < 0.1, k
         assert new[mask].var() == pytest.approx(sigma[k] ** 2, rel=0.05), k
         assert abs(np.corrcoef(new[mask], old[mask])[0, 1]) < 0.03, k
+
+
+def _moves(n, seed=0):
+    """Displacements of n vehicles over one period, up to 10 m in x and y."""
+    return np.random.default_rng(seed).uniform(-10.0, 10.0, size=(n, 2))
 
 
 def test_advance_frees_the_old_power_matrix_first():
@@ -370,7 +385,7 @@ def test_advance_frees_the_old_power_matrix_first():
     real = ChannelRealization.initial(params, _line(3), None, None, rng)
     old = real.rx_power_lin()
     before = old.copy()
-    real.step_ahead(None, 10.0)
+    real.step_ahead(None, _moves(3))
     real.advance(_line(3, spacing_m=9.0), None)
     assert real.rx_power_lin() is old
     assert not np.array_equal(old, before)
@@ -384,7 +399,7 @@ def test_refresh_allocates_less_than_one_power_matrix():
     params = RunConfig()
     n = 600
     pos = _pair_line(n)
-    moved = np.full((n, n), 2.0)
+    moved = _moves(n)
     real = ChannelRealization.initial(params, pos, 4000.0, None, np.random.default_rng(8))
     tracemalloc.start()
     try:
@@ -417,12 +432,12 @@ def test_a_realization_keeps_the_power_and_the_shadow_store_only():
     # 1.59 power matrices; a store of the next period's normals beside the
     # shadow store, and a kept draw buffer, made it 2.4.
     n = 600
-    pos = _pair_line(n)
+    pos, moved = _pair_line(n), _moves(n)
 
     def build():
         real = ChannelRealization.initial(RunConfig(), pos, 4000.0, None,
                                           np.random.default_rng(8))
-        real.step_ahead(None, 2.0)
+        real.step_ahead(None, moved)
         real.advance(pos + 1.0, None)
         return real
 
@@ -437,7 +452,7 @@ def test_highway_realization_retains_no_more_than_a_trace_one():
     # rho (two upper-block stores, 3.5 MB at 600 vehicles).
     params = RunConfig()
     n = 600
-    pos = _pair_line(n)
+    pos, moved = _pair_line(n), _moves(n)
     speeds = np.random.default_rng(9).uniform(19.0, 31.0, n)
 
     def build(speeds, moved):
@@ -448,7 +463,7 @@ def test_highway_realization_retains_no_more_than_a_trace_one():
         return real
 
     with mock.patch.object(channel, "WORKERS", 1):
-        trace = _retained_bytes(lambda: build(None, 2.0))
+        trace = _retained_bytes(lambda: build(None, moved))
         highway = _retained_bytes(lambda: build(speeds, None))
     assert highway <= trace + 64 * 1024
 
@@ -489,33 +504,33 @@ def test_blocks_hold_about_the_budget_and_never_fewer_than_the_minimum_rows():
 @given(n=st.integers(1, THREE_BLOCKS + 150), seed=st.integers(0, 2**32 - 1),
        wrap=st.sampled_from([None, 700.0]), absent=st.sampled_from([0.0, 0.2]),
        nlos=st.sampled_from([0.0, 0.4, 1.0]),
-       moves=st.sampled_from(["matrix", "scalar", "speeds"]),
+       moves=st.sampled_from(["displacement", "speeds"]),
        workers=st.sampled_from([1, 2, 3]), ahead=st.booleans(),
        range_m=st.sampled_from(RANGES), late=st.booleans(),
        sizes=st.sampled_from(list(SIZES)))
-@example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, moves="matrix", workers=2,
+@example(n=1, seed=0, wrap=None, absent=0.0, nlos=0.0, moves="displacement", workers=2,
          ahead=True, range_m=200.0, late=False, sizes="default")
 @example(n=2, seed=7, wrap=700.0, absent=0.0, nlos=1.0, moves="speeds", workers=2,
          ahead=True, range_m=200.0, late=False, sizes="default")
-@example(n=TWO_BLOCKS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, moves="matrix",
+@example(n=TWO_BLOCKS, seed=1, wrap=700.0, absent=0.2, nlos=0.4, moves="displacement",
          workers=2, ahead=True, range_m=200.0, late=False, sizes="default")
-@example(n=THREE_BLOCKS, seed=2, wrap=700.0, absent=0.0, nlos=0.0, moves="scalar",
+@example(n=THREE_BLOCKS, seed=2, wrap=700.0, absent=0.0, nlos=0.0, moves="displacement",
          workers=2, ahead=False, range_m=30.0, late=False, sizes="default")
 @example(n=THREE_BLOCKS, seed=3, wrap=None, absent=0.2, nlos=0.4, moves="speeds",
          workers=3, ahead=True, range_m=200.0, late=False, sizes="default")
-@example(n=200, seed=4, wrap=None, absent=0.2, nlos=0.4, moves="matrix", workers=2,
+@example(n=200, seed=4, wrap=None, absent=0.2, nlos=0.4, moves="displacement", workers=2,
          ahead=True, range_m=1e-9, late=False, sizes="small")
 @example(n=200, seed=5, wrap=700.0, absent=0.2, nlos=0.0, moves="speeds", workers=1,
          ahead=True, range_m=200.0, late=False, sizes="small")
-@example(n=THREE_BLOCKS, seed=6, wrap=None, absent=0.2, nlos=0.4, moves="matrix",
+@example(n=THREE_BLOCKS, seed=6, wrap=None, absent=0.2, nlos=0.4, moves="displacement",
          workers=2, ahead=False, range_m=200.0, late=True, sizes="default")
 @settings(max_examples=30, deadline=None)
 def test_blocked_refresh_equals_the_full_matrix_oracle(n, seed, wrap, absent, nlos, moves,
                                                        workers, ahead, range_m, late,
                                                        sizes):
     # Over an initial draw and three steps and advances with vehicles
-    # arriving and leaving, mixed LOS/NLOS, displacements holding
-    # infinities (rho = 0) and zeros (rho = 1) or highway speeds, and one
+    # arriving and leaving, mixed LOS/NLOS, per-vehicle displacements with
+    # NaN rows (rho = 0) and repeated rows (rho = 1) or highway speeds, and one
     # to many blocks, the blocked step and refresh must give the
     # whole-matrix refresh's shadow state and power bit for bit, list the
     # pairs within `range_m` of the oracle's distances bit for bit, and
@@ -552,14 +567,15 @@ def test_constant_speed_refresh_equals_the_full_matrix_oracle(workers, ahead):
 def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, moves, ahead, speeds=None,
                                 range_m=200.0, late=False):
     """The channel over four periods checked against `FullMatrixChannel`,
-    stepped by random displacement matrices or scalars (`moves`), or by
-    `speeds` (drawn when None) and `highway_rho`. The channel gets the keys
+    stepped by random per-vehicle displacements (`moves`), or by `speeds`
+    (drawn when None) and `highway_rho`. The oracle's rho comes from the
+    displacements' whole-matrix legs. The channel gets the keys
     of the oracle's NLOS pairs; with `late`, no pair of a vehicle in the
     first block is NLOS. With `ahead`, each step goes to `step_ahead` as
     soon as the refresh before it returns, so it runs while that refresh's
     power and neighbour list are checked; without, just before the next
     `advance`. Every refresh but the second lists its pairs within
-    `range_m`, checked against `neighbour_list` of the `pair_legs`
+    `range_m`, checked against `neighbour_list` of the `full_pair_legs`
     distances. Returns the shadow state of each period, through
     `full_shadow`."""
     params = RunConfig(awareness_m=range_m)
@@ -575,18 +591,21 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, moves, ahead, speed
         if late:
             los[:block_rows(n)] = los[:, :block_rows(n)] = True
         moved = None
-        if moves == "matrix":
-            moved = _symmetric(data.choice([np.inf, 0.0, 3.0, 40.0], size=(n, n)))
-        elif moves == "scalar":
-            moved = float(data.choice([np.inf, 0.0, 8.0]))
+        if moves == "displacement":
+            # Random rows, NaN rows (absent in either period: rho = 0) and
+            # copies of one row (pairs that keep their distance: rho = 1).
+            moved = data.uniform(-30.0, 30.0, size=(n, 2))
+            moved[data.random(n) < 0.3] = moved[data.integers(n)]
+            moved[data.random(n) < 0.2] = np.nan
+        decorr = params.resolved_decorr_dist_m()
         rho = (highway_rho(params, speeds) if moved is None
-               else np.exp(-moved / params.resolved_decorr_dist_m()))
+               else np.exp(-np.hypot(*full_pair_legs(moved)) / decorr))
         blocked = None if nlos == 0.0 else np.flatnonzero(np.triu(~los, 1))
         periods.append((pos, los, blocked, moved, rho))
     ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     shadows = []
     for period, (pos, los, blocked, moved, rho) in enumerate(periods):
-        legs = pair_legs(pos, wrap)
+        legs = full_pair_legs(pos, wrap)
         dist = np.hypot(*legs)
         listed = period != 1
         if period == 0:
@@ -610,6 +629,48 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, moves, ahead, speed
             assert real.neighbours is None
     assert ours.bit_generator.state == theirs.bit_generator.state
     return shadows
+
+
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       wrap=st.sampled_from([None, 700.0]),
+       absent=st.sampled_from(["none", "rows", "x only"]), cut=st.data())
+@example(n=1, seed=0, wrap=None, absent="none", cut=None)
+@example(n=9, seed=1, wrap=700.0, absent="rows", cut=None)
+@settings(max_examples=60, deadline=None)
+def test_pair_legs_equal_the_whole_matrix_legs(n, seed, wrap, absent, cut):
+    # The legs kernel over a random block of rows r0:r1, columns r0:, on a
+    # ring or not, with absent vehicles, must give that block of the
+    # oracle's whole-matrix legs bit for bit, in views over the starts of
+    # the buffers it is given, and leave the rest of them alone. A vehicle
+    # with only x non-finite gets infinite legs both ways, where the oracle
+    # has an infinite |dx| only; the distances agree.
+    data = np.random.default_rng(seed)
+    points = data.uniform(-100.0, 800.0, size=(n, 2))
+    gone = data.random(n) < 0.3
+    if absent == "rows":
+        points[gone] = np.nan
+    elif absent == "x only":
+        points[gone, 0] = np.nan
+    r0, r1 = 0, n
+    if cut is not None:
+        r0 = cut.draw(st.integers(0, n - 1))
+        r1 = cut.draw(st.integers(r0 + 1, n))
+    size = (r1 - r0) * (n - r0)
+    bufs = np.full(size + 7, -1.0), np.full(size + 7, -2.0)
+    dx, dy = channel.pair_legs(points, r0, r1, wrap, *bufs)
+    assert dx.shape == dy.shape == (r1 - r0, n - r0)
+    assert np.shares_memory(dx, bufs[0]) and np.shares_memory(dy, bufs[1])
+    assert (bufs[0][size:] == -1.0).all() and (bufs[1][size:] == -2.0).all()
+    want = [leg[r0:r1, r0:] for leg in full_pair_legs(points, wrap)]
+    assert np.hypot(dx, dy).tobytes() == np.hypot(*want).tobytes()
+    if absent != "x only":
+        assert dx.tobytes() == want[0].tobytes() and dy.tobytes() == want[1].tobytes()
+    else:
+        rows, cols = gone[r0:r1], gone[r0:]
+        assert np.isinf(dy[rows]).all() and np.isinf(dy[:, cols]).all()
+        keep = np.ix_(~rows, ~cols)
+        assert dy[keep].tobytes() == want[1][keep].tobytes()
+        assert dx.tobytes() == want[0].tobytes()
 
 
 def _power_bytes(n, seed):
@@ -652,7 +713,7 @@ def test_a_refresh_is_one_pass_of_one_task_per_block(monkeypatch):
     monkeypatch.setattr(channel, "_each", counted)
     n = THREE_BLOCKS
     real = ChannelRealization.initial(PARAMS, _line(n), None, None, np.random.default_rng(14))
-    real.step_ahead(None, 10.0)
+    real.step_ahead(None, _moves(n))
     real.advance(_line(n, spacing_m=9.0), None)
     assert passes == [3, 3]
 
@@ -683,7 +744,7 @@ def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
         return pathloss(*args, **kwargs)
 
     monkeypatch.setattr(channel, "pathloss_los_db", flaky)
-    real.step_ahead(None, 10.0)
+    real.step_ahead(None, _moves(n))
     with pytest.raises(RuntimeError, match="block failed"):
         real.advance(pos + 1.0, None)
     after = _state_bytes(real)
@@ -691,7 +752,7 @@ def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
     assert _state_bytes(real) == after
 
     monkeypatch.setattr(channel, "pathloss_los_db", pathloss)
-    legs = pair_legs(pos)
+    legs = full_pair_legs(pos)
     oracle = FullMatrixChannel.initial(params, np.hypot(*legs), np.ones((n, n), dtype=bool),
                                        legs, np.random.default_rng(12))
     assert _power_bytes(n, 12) == oracle.rx_power_lin().tobytes()
@@ -721,12 +782,12 @@ def test_a_failing_step_ahead_fails_the_next_advance(monkeypatch):
     real = ChannelRealization.initial(params, pos, None, None, draws)
     before = _state_bytes(real)
     draws.failing = True
-    real.step_ahead(None, 10.0)
+    real.step_ahead(None, _moves(n))
     with pytest.raises(RuntimeError, match="draw failed"):
         real.advance(pos + 1.0, None)
     assert _state_bytes(real) == before
 
-    legs = pair_legs(pos)
+    legs = full_pair_legs(pos)
     oracle = FullMatrixChannel.initial(params, np.hypot(*legs), np.ones((n, n), dtype=bool),
                                        legs, np.random.default_rng(12))
     assert _power_bytes(n, 12) == oracle.rx_power_lin().tobytes()
@@ -734,30 +795,30 @@ def test_a_failing_step_ahead_fails_the_next_advance(monkeypatch):
 
 def test_step_ahead_checks_its_arguments_before_any_draw(monkeypatch):
     # A realization built without `speeds` has no displacement of its own,
-    # so its step needs each pair's. Without one, or with one of the wrong
-    # shape, `step_ahead` must fail on the calling thread: no normal drawn,
+    # so its step needs each vehicle's. Without one, or with one of another
+    # shape than (n, 2) (a scalar or a per-pair matrix included),
+    # `step_ahead` must fail on the calling thread: no normal drawn,
     # nothing pending, no matrix written. `advance` with no step pending
     # fails too, and so does a second `step_ahead` before the `advance`.
     monkeypatch.setattr(channel, "WORKERS", 2)
     n = THREE_BLOCKS
-    pos = _line(n)
+    pos, moved = _line(n), _moves(n)
     rng = np.random.default_rng(13)
     real = ChannelRealization.initial(PARAMS, pos, None, None, rng)
     before, state = _state_bytes(real), rng.bit_generator.state
-    with pytest.raises(ValueError, match="moved"):
-        real.step_ahead(None)
-    with pytest.raises(ValueError, match="moved"):
-        real.step_ahead(None, np.zeros((n, n - 1)))
+    for wrong in (None, np.zeros((n, 3)), moved[:-1], 10.0, np.inf, np.zeros((n, n))):
+        with pytest.raises(ValueError, match="moved"):
+            real.step_ahead(None, wrong)
     with pytest.raises(RuntimeError, match="step_ahead"):
         real.advance(pos + 1.0, None)
     assert _state_bytes(real) == before and rng.bit_generator.state == state
-    real.step_ahead(None, 10.0)
+    real.step_ahead(None, moved)
     with pytest.raises(RuntimeError, match="pending"):
-        real.step_ahead(None, 10.0)
+        real.step_ahead(None, moved)
     real.advance(pos + 1.0, None)
     twin_rng = np.random.default_rng(13)
     twin = ChannelRealization.initial(PARAMS, pos, None, None, twin_rng)
-    twin.step_ahead(None, 10.0)
+    twin.step_ahead(None, moved)
     twin.advance(pos + 1.0, None)
     assert _state_bytes(real) == _state_bytes(twin)
     assert rng.bit_generator.state == twin_rng.bit_generator.state

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -375,6 +377,123 @@ def test_a_highway_with_obstacles_hands_the_channel_no_square_array(tmp_path, mo
     for name, args in calls:
         assert not any(np.shape(arg)[:2] == (n, n) for arg in args
                        if isinstance(arg, np.ndarray)), name
+
+
+def test_a_trace_with_churn_hands_the_channel_no_square_array(tmp_path, monkeypatch):
+    # Five vehicles pass a building; vehicle 3 leaves for 0.3 s and vehicle
+    # 4 joins late. The shadow step takes each vehicle's displacement since
+    # the previous period, NaN where it is absent in either, so no argument
+    # of the channel's constructor, `initial`, `step_ahead` or `advance` is
+    # an (n, n) array.
+    rows = []
+    for k in range(11):
+        t = k * 0.1
+        for v in range(5):
+            if (v == 3 and 0.3 <= t <= 0.5) or (v == 4 and t < 0.4):
+                continue
+            rows.append(f"{t:.1f},{v},{20 * v + 10 * t:.2f},{15.0 * (v % 2):.1f}")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(rows) + "\n")
+    obstacles = tmp_path / "map.txt"
+    obstacles.write_text("40,2,60,2,60,10,40,10\n")
+    cfg = RunConfig(scenario="trace", trace=str(trace), obstacle_map=str(obstacles),
+                    duration_s=1.0, t_sense_ms=200, n_min=2, n_max=4, seed=1,
+                    max_trace_gap_s=0.15)
+    Realization = channel.ChannelRealization
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args + tuple(kwargs.values())))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Realization, "__init__", spy("__init__", Realization.__init__))
+    monkeypatch.setattr(Realization, "initial",
+                        classmethod(spy("initial", Realization.initial.__func__)))
+    monkeypatch.setattr(Realization, "step_ahead", spy("step_ahead", Realization.step_ahead))
+    monkeypatch.setattr(Realization, "advance", spy("advance", Realization.advance))
+    world = SimulationEngine(cfg)
+    n, frames = world.n, world.frames
+    for period in range(world.n_periods):
+        world.advance(period * world.t_b)
+    assert n == 5 and world.n_periods == 10
+    assert [name for name, _ in calls] == (["initial", "__init__", "step_ahead"]
+                                           + ["advance", "step_ahead"] * 8 + ["advance"])
+    for name, args in calls:
+        assert not any(np.shape(arg)[:2] == (n, n) for arg in args
+                       if isinstance(arg, np.ndarray)), name
+    steps = [args[2] for name, args in calls if name == "step_ahead"]
+    for period, moved in enumerate(steps, start=1):
+        assert np.array_equal(moved, frames[period] - frames[period - 1], equal_nan=True)
+    # NaN rows: vehicle 3 in the steps to periods 3-6, vehicle 4 in those to 1-4.
+    assert sum(np.isnan(moved).all(axis=1).sum() for moved in steps) == 8
+    assert any(len(args[2]) for name, args in calls if name == "advance")
+
+
+def _churning_trace(path, n, periods):
+    """A trace of n vehicles on four lanes over `periods` beacon periods,
+    every seventh vehicle absent at 0.1 s."""
+    rows = []
+    for k in range(periods + 1):
+        t = k * 0.1
+        for v in range(n):
+            if v % 7 == 0 and k == 1:
+                continue
+            rows.append(f"{t:.1f},{v},{5.0 * v + 25.0 * t:.2f},{4.0 * (v % 4):.1f}")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_a_trace_advance_allocates_less_than_one_power_matrix(tmp_path, monkeypatch):
+    # On a 600-vehicle trace with churn, one `advance` (the period's shadow
+    # step, taken inline with one refresh thread, the refresh, and the
+    # next period's displacements) allocates less than one n x n matrix:
+    # each step block computes its pairs' displacement legs from the
+    # (n, 2) displacements. A per-pair displacement matrix took several.
+    monkeypatch.setattr(channel, "WORKERS", 1)
+    n = 600
+    cfg = RunConfig(scenario="trace", trace=_churning_trace(tmp_path / "trace.csv", n, 4),
+                    duration_s=0.4, t_sense_ms=100, n_min=1, n_max=2, seed=1,
+                    max_trace_gap_s=0.15)
+    world = SimulationEngine(cfg)
+    world.advance(0)
+    assert world.n == n and block_rows(n) < n
+    tracemalloc.start()
+    try:
+        world.advance(world.t_b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isnan(world.positions).any()
+    assert peak < n * n * 8
+
+
+def test_blocked_pairs_are_enumerated_a_block_of_rows_at_a_time(tmp_path):
+    # A wall in the median of a 600-vehicle highway blocks the pairs across
+    # it. The world lists them by blocks of the channel's rows, so its
+    # temporaries are a block's index pairs and endpoints: the peak stays
+    # under 1.5 power matrices, where all 180K pairs at once peaked at 3.2.
+    # The keys are those of all pairs at once, ascending.
+    wall = tmp_path / "map.txt"
+    wall.write_text("100,-0.5,2900,-0.5,2900,0.5,100,0.5\n")
+    n = 600
+    cfg = RunConfig(obstacle_map=str(wall), duration_s=0.5, highway_length_m=3000.0,
+                    highway_vehicles=n, t_sense_ms=100, n_min=1, n_max=2, seed=3)
+    world = SimulationEngine(cfg)
+    positions = world.frames[0]
+    assert block_rows(n) < n
+    tracemalloc.start()
+    try:
+        keys = world._blocked_pairs(positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    a, b = np.triu_indices(n, 1)
+    clear = engine_module.los_state(world.obstacles, positions, a, b)
+    assert keys.tobytes() == (a[~clear] * n + b[~clear]).tobytes()
+    assert 0 < len(keys) < len(a)
+    assert peak < 1.5 * n * n * 8
 
 
 def test_each_period_steps_and_refreshes_on_the_keys_of_one_los_pass(tmp_path, monkeypatch):

@@ -31,7 +31,8 @@ ORACLE_NAMES = {"ScenarioSnapshot", "TxEvent", "RxOutcome", "SenseSample",
                 "_symmetric_normal", "pathloss_db", "rx_power_dbm",
                 "shadow_sigma_db", "subframe_reception_expression",
                 "highway_rho", "full_shadow", "DenseUdTracker",
-                "MonitoredFlagRing", "pair_distances", "neighbour_list"}
+                "MonitoredFlagRing", "pair_distances", "neighbour_list",
+                "full_pair_legs"}
 # Modules the simulator must not import: the oracles and the test suite.
 TEST_MODULES = {"oracles", "tests"}
 
