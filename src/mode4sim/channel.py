@@ -336,10 +336,11 @@ class ChannelRealization:
     and shadowing sigma.
 
     Each period is a shadow step, then a refresh of the power. The
-    constructor takes both for the first period. After that the step needs
-    only the shadow stream and the next period's blocked keys and
-    displacements, so `step_ahead` hands it over one period early, to run
-    while the caller goes on, and `advance` takes it and refreshes.
+    constructor takes both for the first period. After that `step_ahead`
+    takes the next period's positions and blocked keys one period early:
+    the step needs only them, the positions of the period before and the
+    shadow stream, so it runs while the caller goes on. `advance` then
+    takes it and refreshes to what `step_ahead` took.
     """
 
     def __init__(self, cfg: RunConfig, positions, wrap_length_m: float | None,
@@ -353,10 +354,11 @@ class ChannelRealization:
         self._rows = block_rows(n)
         self._blocks = [(r0, min(r0 + self._rows, n)) for r0 in range(0, n, self._rows)]
         self._shadow = self._upper_store()  # shadow samples by block
-        self._pending = None  # takes the step `step_ahead` handed over
+        self._pending = None  # (take the step, positions, blocked) from `step_ahead`
         self._speeds = speeds  # m/s on a highway, None on a trace
+        self._positions = np.array(positions, dtype=float)  # those of the last step
         self._step(blocked, np.inf)  # forget the zero state
-        self._refresh(positions, blocked, neighbours)
+        self._refresh(self._positions, blocked, neighbours)
 
     @classmethod
     def initial(cls, cfg: RunConfig, positions, wrap_length_m, blocked,
@@ -365,15 +367,16 @@ class ChannelRealization:
         """The engine's entry point for the first period; see the constructor."""
         return cls(cfg, positions, wrap_length_m, blocked, rng, speeds, neighbours)
 
-    def step_ahead(self, blocked, moved=None):
+    def step_ahead(self, positions, blocked):
         """Hand over the next period's shadow step.
 
-        `blocked` holds the next period's NLOS keys, as in the constructor.
-        `moved` is each vehicle's displacement in m over the period, an
-        (n, 2) array, NaN where the vehicle is absent in either period; a
-        pair's rho is exp(-|moved_i - moved_j|/decorr), 0 with an absent
-        vehicle. None steps by the constructor's `speeds` (m/s, a
-        highway's). The arguments are checked here. The step then runs on a
+        `positions` and `blocked` are the next period's, as in the
+        constructor; both are kept for the next `advance`, `positions` as a
+        copy. On a trace a pair's rho is exp(-|moved_i - moved_j|/decorr),
+        where `moved` is each vehicle's displacement since the last step,
+        NaN where it is absent in either period (rho = 0: a fresh sample);
+        a realization built with `speeds` (m/s, a highway's) steps by them.
+        The shape of `positions` is checked here. The step then runs on a
         refresh thread while the caller goes on; the next `advance` waits
         for it and re-raises its failure before it writes the power. Call it
         once between two refreshes.
@@ -381,29 +384,31 @@ class ChannelRealization:
         if self._pending is not None:
             raise RuntimeError("a step is pending already: advance takes it first")
         n = len(self._rx_lin)
-        if moved is None and self._speeds is None:
-            raise ValueError("step_ahead needs `moved` or a realization built with "
-                             "`speeds`: it has no displacement to step by")
-        if moved is not None and np.shape(moved) != (n, 2):
-            raise ValueError(f"`moved` must be an ({n}, 2) array of displacements")
+        positions = np.array(positions, dtype=float)
+        if positions.shape != (n, 2):
+            raise ValueError(f"`positions` must be an ({n}, 2) array")
+        moved = positions - self._positions if self._speeds is None else None
         pool = _executor(self._threads())
         # With one block or one CPU the next `advance` takes the step itself:
         # one-block steps on the pool made a 66-vehicle urban trace slower
         # (run_s 0.26-0.29 s to 0.29-0.42 s in 5 of 6 runs, RSS +0.65 MB).
         if pool is None:
-            self._pending = lambda: self._step(blocked, moved)
+            take = lambda: self._step(blocked, moved)
         else:
-            self._pending = pool.submit(self._step, blocked, moved).result
+            take = pool.submit(self._step, blocked, moved).result
+        self._pending = take, positions, blocked
 
-    def advance(self, positions, blocked, neighbours=False):
-        """Take the step `step_ahead` handed over and refresh the channel
-        for new positions. `blocked` holds the keys of the NLOS pairs, those
-        the step got. `neighbours` asks the refresh to list the pairs within
-        the awareness range in `neighbours` (else None)."""
-        take, self._pending = self._pending, None
-        if take is None:
+    def advance(self, neighbours=False):
+        """Take the step `step_ahead` handed over and refresh the channel to
+        the positions and blocked keys it took. `neighbours` asks the
+        refresh to list the pairs within the awareness range in
+        `neighbours` (else None)."""
+        pending, self._pending = self._pending, None
+        if pending is None:
             raise RuntimeError("advance needs the period's shadow step: call step_ahead first")
+        take, positions, blocked = pending
         take()
+        self._positions = positions
         self._refresh(positions, blocked, neighbours)
 
     def rx_power_lin(self):
@@ -469,7 +474,6 @@ class ChannelRealization:
         range, and the lists are joined in block order, so the result does
         not depend on thread timing."""
         n = len(self._rx_lin)
-        positions = np.asarray(positions, dtype=float)
         workers = self._threads()
         # Two block-sized scratch buffers per thread at work.
         size = min(self._rows, n) * n

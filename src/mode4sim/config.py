@@ -91,12 +91,13 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be {name}, got {value!r}")
             if isinstance(value, float) and math.isnan(value):
                 raise ConfigError(f"{f.name} must be a number, not NaN")
-        for key in ("duration_s", "awareness_m", "prr_bin_width_m", "carrier_ghz"):
+        for key in ("duration_s", "awareness_m", "prr_bin_width_m", "carrier_ghz",
+                    "decorr_dist_m"):
             value = getattr(self, key)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and positive, got {value}")
         for key in ("tx_power_dbm", "antenna_gain_db", "noise_figure_db", "sinr_min_db",
-                    "shadow_sigma_los_db", "shadow_sigma_nlos_db"):
+                    "shadow_sigma_los_db", "shadow_sigma_nlos_db", "p_th_dbm"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -113,7 +114,7 @@ class RunConfig:
             (self.beacon_period_ms >= 1, "beacon_period_ms must be >= 1"),
             (self.shadow_sigma_los_db >= 0 and self.shadow_sigma_nlos_db >= 0,
              "shadowing sigmas must be >= 0"),
-            (self.resolved_decorr_dist_m() > 0, "decorrelation distance must be > 0"),
+            (self.max_trace_gap_s >= 0, "max_trace_gap_s must be >= 0"),
             (self.t_sense_ms > 0, "t_sense_ms must be positive"),
             (1 <= self.t1 <= 4, "t1 must lie in [1, 4]"),
             (20 <= self.t2 <= 100, "t2 must lie in [20, 100]"),

@@ -4,11 +4,10 @@
 `advance(t, neighbours)` brings presence, geometry, LOS and channel to the
 period at t, and lists the period's neighbour pairs when asked. LOS is one
 `los_state` call per block of rows of each period's present pairs, and the
-channel takes the pairs it finds blocked as keys. A period's shadow step
-needs only its blocked keys and each vehicle's (n, 2) displacement, so
-`advance` finds the next period's one period early and hands its step to
-the channel, which takes it while the protocol runs; the next period's
-refresh reuses the keys. `Protocol` holds
+channel takes the pairs it finds blocked as keys. `advance` hands the
+channel the next period's positions and blocked keys one period early:
+the channel derives the shadow step from them and takes it while the
+protocol runs, and its next `advance` refreshes to them. `Protocol` holds
 the allocation, sensing, MAC and metric state; it reads the world and
 never advances it. The engine's clock ticks in 1 ms subframes. At each
 period start the world advances, then the protocol starts its period (in
@@ -66,7 +65,6 @@ class SimulationEngine:
         self.present = np.zeros(self.n, dtype=bool)  # every vehicle starts absent
         self.shadow_rng = substream(cfg.seed, "shadow")
         self.channel: ChannelRealization | None = None
-        self._blocked = None  # blocked keys of the period the channel steps to
 
     # -- construction -----------------------------------------------------
 
@@ -75,7 +73,8 @@ class SimulationEngine:
 
         `frames[p]` holds every vehicle's position in period p, NaN while it
         is absent. The channel derives each highway pair's shadowing
-        correlation from the constant `speeds`; traces report displacements.
+        correlation from the constant `speeds`, and a trace pair's from the
+        frames' displacements.
         """
         cfg = self.cfg
         self.obstacles = ObstacleMap.from_file(cfg.obstacle_map) if cfg.obstacle_map else None
@@ -119,14 +118,6 @@ class SimulationEngine:
             keys.append(tail[a[~clear]] * self.n + tail[b[~clear]])
         return np.concatenate(keys)
 
-    def _moved(self, period: int):
-        """Each vehicle's displacement since the previous period, NaN where
-        it is absent in either, so a presence change resamples its pairs;
-        None on a highway."""
-        if self.speeds is not None:
-            return None
-        return self.frames[period] - self.frames[period - 1]
-
     def advance(self, t: int, neighbours: bool = False):
         """Positions, presence, LOS and channel of the period at t, which
         follows the period of the previous call. With `neighbours`, the
@@ -136,18 +127,16 @@ class SimulationEngine:
         self.positions = self.frames[period]
         self.present = ~np.isnan(self.positions[:, 0])
         if self.channel is None:
-            self._blocked = self._blocked_pairs(self.positions)
             self.channel = ChannelRealization.initial(
-                self.cfg, self.positions, self.wrap, self._blocked, self.shadow_rng,
-                self.speeds, neighbours)
+                self.cfg, self.positions, self.wrap, self._blocked_pairs(self.positions),
+                self.shadow_rng, self.speeds, neighbours)
         else:
-            self.channel.advance(self.positions, self._blocked, neighbours)
-        # The next period's shadow step depends on the shadow stream and the
-        # next period's blocked keys and displacements alone: hand it over
-        # to run while this period runs, and none that no period uses.
+            self.channel.advance(neighbours)
+        # Hand the channel the next period's step to take while this period
+        # runs, and none that no period uses.
         if period + 1 < self.n_periods:
-            self._blocked = self._blocked_pairs(self.frames[period + 1])
-            self.channel.step_ahead(self._blocked, self._moved(period + 1))
+            ahead = self.frames[period + 1]
+            self.channel.step_ahead(ahead, self._blocked_pairs(ahead))
 
     def run(self) -> SimulationResult:
         protocol = Protocol(self)

@@ -313,17 +313,20 @@ def _pair_line(n):
 def test_shadow_process_matches_ar1_statistics():
     # 300 vehicles, every other pair NLOS, stepped 200 times from a fresh
     # draw. The first half of the vehicles stands still and the second half
-    # moves by a displacement of rho = 0.8, so pairs across the groups step
-    # by rho = 0.8 and pairs within a group by rho = 1 exactly. Each step
+    # moves on by a distance of rho = 0.8 each period, so pairs across the
+    # groups step by rho = 0.8 and pairs within a group by rho = 1 exactly. Each step
     # must keep the power matrix exactly symmetric with a zero diagonal;
     # the pooled cross-group samples must show each class's sigma^2 and a
     # lag-1 correlation of rho (standard errors below 0.5 % of sigma^2 and
     # 0.005 in correlation), and each within-group sample must stay the
     # same bit for bit.
     params = RunConfig()
-    n, steps, rho = 300, 200, 0.8
-    moved = np.zeros((n, 2))
-    moved[n // 2:, 0] = -params.resolved_decorr_dist_m() * math.log(rho)
+    n, steps, decorr = 300, 200, params.resolved_decorr_dist_m()
+    # A stride of whole 1/1024 m keeps every position exact, so each
+    # vehicle's displacement is the stride (or 0) bit for bit.
+    pos = _line(n)
+    stride = round(-decorr * math.log(0.8) * 1024) / 1024
+    rho = math.exp(-stride / decorr)
     i, j = np.triu_indices(n, 1)
     los = np.add.outer(np.arange(n), np.arange(n)) % 2 == 0
     across = (i < n // 2) & (j >= n // 2)
@@ -335,8 +338,9 @@ def test_shadow_process_matches_ar1_statistics():
     sums = {k: np.zeros(3) for k in pairs}  # sum s_t^2, sum s_{t-1}^2, sum s_t s_{t-1}
     first = prev = full_shadow(real)[i, j]
     for _ in range(steps):
-        real.step_ahead(blocked, moved)
-        real.advance(_line(n), blocked)
+        pos[n // 2:, 0] += stride
+        real.step_ahead(pos, blocked)
+        real.advance()
         power = real.rx_power_lin()
         assert np.array_equal(power, power.T)
         assert not power.diagonal().any()
@@ -352,22 +356,25 @@ def test_shadow_process_matches_ar1_statistics():
     assert cur[~across].tobytes() == first[~across].tobytes()
     assert (cur[~across] != 0.0).all()
 
-    # A displacement of NaN (every vehicle absent in one of the periods:
-    # rho = 0) forgets the state: a fresh sample of each class's sigma,
-    # uncorrelated with an extreme old state, written into the channel's
-    # own store, and with the sample before.
+    # Every vehicle leaves for a period and comes back. A vehicle absent in
+    # either period of a step (NaN position: rho = 0) forgets the state, so
+    # both steps draw a fresh sample of each class's sigma, uncorrelated
+    # with the sample before (at the first, an extreme old state written
+    # into the channel's own store).
     pairs = {"los": los[i, j], "nlos": ~los[i, j]}
     old = full_shadow(real)[i, j]
     for block in real._shadow:
         block += 100.0
     assert full_shadow(real)[i, j] == pytest.approx(old + 100.0)
-    real.step_ahead(blocked, np.full((n, 2), np.nan))
-    real.advance(_line(n), blocked)
-    new = full_shadow(real)[i, j]
-    for k, mask in pairs.items():
-        assert abs(new[mask].mean()) < 0.1, k
-        assert new[mask].var() == pytest.approx(sigma[k] ** 2, rel=0.05), k
-        assert abs(np.corrcoef(new[mask], old[mask])[0, 1]) < 0.03, k
+    for step in (np.full((n, 2), np.nan), pos):
+        real.step_ahead(step, blocked)
+        real.advance()
+        new = full_shadow(real)[i, j]
+        for k, mask in pairs.items():
+            assert abs(new[mask].mean()) < 0.1, k
+            assert new[mask].var() == pytest.approx(sigma[k] ** 2, rel=0.05), k
+            assert abs(np.corrcoef(new[mask], old[mask])[0, 1]) < 0.03, k
+        old = new
 
 
 def _moves(n, seed=0):
@@ -385,8 +392,8 @@ def test_advance_frees_the_old_power_matrix_first():
     real = ChannelRealization.initial(params, _line(3), None, None, rng)
     old = real.rx_power_lin()
     before = old.copy()
-    real.step_ahead(None, _moves(3))
-    real.advance(_line(3, spacing_m=9.0), None)
+    real.step_ahead(_line(3, spacing_m=9.0), None)
+    real.advance()
     assert real.rx_power_lin() is old
     assert not np.array_equal(old, before)
 
@@ -399,12 +406,12 @@ def test_refresh_allocates_less_than_one_power_matrix():
     params = RunConfig()
     n = 600
     pos = _pair_line(n)
-    moved = _moves(n)
     real = ChannelRealization.initial(params, pos, 4000.0, None, np.random.default_rng(8))
+    pos += _moves(n)
     tracemalloc.start()
     try:
-        real.step_ahead(None, moved)
-        real.advance(pos + 1.0, None)
+        real.step_ahead(pos, None)
+        real.advance()
         real.rx_power_lin()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -432,13 +439,13 @@ def test_a_realization_keeps_the_power_and_the_shadow_store_only():
     # 1.59 power matrices; a store of the next period's normals beside the
     # shadow store, and a kept draw buffer, made it 2.4.
     n = 600
-    pos, moved = _pair_line(n), _moves(n)
+    pos = _pair_line(n)
 
     def build():
         real = ChannelRealization.initial(RunConfig(), pos, 4000.0, None,
                                           np.random.default_rng(8))
-        real.step_ahead(None, moved)
-        real.advance(pos + 1.0, None)
+        real.step_ahead(pos + _moves(n), None)
+        real.advance()
         return real
 
     with mock.patch.object(channel, "WORKERS", 1):
@@ -452,19 +459,19 @@ def test_highway_realization_retains_no_more_than_a_trace_one():
     # rho (two upper-block stores, 3.5 MB at 600 vehicles).
     params = RunConfig()
     n = 600
-    pos, moved = _pair_line(n), _moves(n)
+    pos = _pair_line(n)
     speeds = np.random.default_rng(9).uniform(19.0, 31.0, n)
 
-    def build(speeds, moved):
+    def build(speeds):
         real = ChannelRealization.initial(params, pos, 4000.0, None,
                                           np.random.default_rng(8), speeds)
-        real.step_ahead(None, moved)
-        real.advance(pos + 1.0, None)
+        real.step_ahead(pos + _moves(n), None)
+        real.advance()
         return real
 
     with mock.patch.object(channel, "WORKERS", 1):
-        trace = _retained_bytes(lambda: build(None, moved))
-        highway = _retained_bytes(lambda: build(speeds, None))
+        trace = _retained_bytes(lambda: build(None))
+        highway = _retained_bytes(lambda: build(speeds))
     assert highway <= trace + 64 * 1024
 
 
@@ -566,10 +573,11 @@ def test_constant_speed_refresh_equals_the_full_matrix_oracle(workers, ahead):
 
 def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, moves, ahead, speeds=None,
                                 range_m=200.0, late=False):
-    """The channel over four periods checked against `FullMatrixChannel`,
-    stepped by random per-vehicle displacements (`moves`), or by `speeds`
-    (drawn when None) and `highway_rho`. The oracle's rho comes from the
-    displacements' whole-matrix legs. The channel gets the keys
+    """The channel over four periods checked against `FullMatrixChannel`.
+    Vehicles move by random steps between periods, and some are absent in
+    each. The channel gets each period's positions; the oracle's rho comes
+    from the whole-matrix legs of the positions' change, or from `speeds`
+    (drawn when None) and `highway_rho` with `moves` "speeds". The channel gets the keys
     of the oracle's NLOS pairs; with `late`, no pair of a vehicle in the
     first block is NLOS. With `ahead`, each step goes to `step_ahead` as
     soon as the refresh before it returns, so it runs while that refresh's
@@ -582,29 +590,36 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, moves, ahead, speed
     data = np.random.default_rng(seed)
     if moves == "speeds" and speeds is None:
         speeds = data.uniform(19.0, 31.0, n)
-    periods = []
-    for _ in range(4):
-        pos = data.uniform(0.0, 600.0, size=(n, 2))
+    # Positions and steps in whole 1/1024 m add up exactly, and stay within
+    # the ring.
+    periods, last = [], None
+    track = np.round(data.uniform(0.0, 500.0, size=(n, 2)) * 1024) / 1024
+    for period in range(4):
+        if period:
+            # Random steps, and copies of one step (pairs that keep their
+            # distance: rho = 1).
+            step = np.round(data.uniform(-30.0, 30.0, size=(n, 2)) * 1024) / 1024
+            step[data.random(n) < 0.3] = step[data.integers(n)]
+            track = track + step
+        pos = track.copy()
         pos[data.random(n) < absent] = np.nan
         los = _symmetric(data.random((n, n)) >= nlos)
         np.fill_diagonal(los, True)
         if late:
             los[:block_rows(n)] = los[:, :block_rows(n)] = True
-        moved = None
-        if moves == "displacement":
-            # Random rows, NaN rows (absent in either period: rho = 0) and
-            # copies of one row (pairs that keep their distance: rho = 1).
-            moved = data.uniform(-30.0, 30.0, size=(n, 2))
-            moved[data.random(n) < 0.3] = moved[data.integers(n)]
-            moved[data.random(n) < 0.2] = np.nan
-        decorr = params.resolved_decorr_dist_m()
-        rho = (highway_rho(params, speeds) if moved is None
-               else np.exp(-np.hypot(*full_pair_legs(moved)) / decorr))
+        rho = None
+        if period and moves == "speeds":
+            rho = highway_rho(params, speeds)
+        elif period:
+            # A vehicle absent in either period has a NaN displacement: rho = 0.
+            legs = full_pair_legs(pos - last)
+            rho = np.exp(-np.hypot(*legs) / params.resolved_decorr_dist_m())
         blocked = None if nlos == 0.0 else np.flatnonzero(np.triu(~los, 1))
-        periods.append((pos, los, blocked, moved, rho))
+        periods.append((pos, los, blocked, rho))
+        last = pos
     ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     shadows = []
-    for period, (pos, los, blocked, moved, rho) in enumerate(periods):
+    for period, (pos, los, blocked, rho) in enumerate(periods):
         legs = full_pair_legs(pos, wrap)
         dist = np.hypot(*legs)
         listed = period != 1
@@ -613,13 +628,13 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, moves, ahead, speed
             oracle = FullMatrixChannel.initial(params, dist, los, legs, theirs)
         else:
             if not ahead:
-                real.step_ahead(blocked, moved)
-            real.advance(pos, blocked, listed)
+                real.step_ahead(pos, blocked)
+            real.advance(listed)
             oracle.advance(dist, los, legs, theirs, rho)
         shadows.append(full_shadow(real))
         if ahead and period < 3:
-            _, _, next_blocked, next_moved, _ = periods[period + 1]
-            real.step_ahead(next_blocked, next_moved)
+            next_pos, _, next_blocked, _ = periods[period + 1]
+            real.step_ahead(next_pos, next_blocked)
         assert shadows[-1].tobytes() == oracle.shadow_db.tobytes(), period
         assert real.rx_power_lin().tobytes() == oracle.rx_power_lin().tobytes(), period
         if listed:
@@ -629,6 +644,44 @@ def _refresh_against_the_oracle(n, seed, wrap, absent, nlos, moves, ahead, speed
             assert real.neighbours is None
     assert ours.bit_generator.state == theirs.bit_generator.state
     return shadows
+
+
+def test_a_trace_step_takes_each_displacement_since_the_last_step(monkeypatch):
+    # A trace realization keeps a copy of the positions of its last step
+    # and steps its shadow by each vehicle's displacement since them. From
+    # P0 to P1, with vehicles arriving (NaN in P0), leaving (NaN in P1) and
+    # absent in both, the channel must equal the whole-matrix oracle fed
+    # the rho of P1 - P0 bit for bit, though the caller overwrites both
+    # arrays once it has handed them over.
+    monkeypatch.setattr(channel, "WORKERS", 2)
+    params, n = RunConfig(), THREE_BLOCKS
+    data = np.random.default_rng(21)
+    p0 = data.uniform(0.0, 600.0, size=(n, 2))
+    p1 = p0 + data.uniform(-20.0, 20.0, size=(n, 2))
+    p0[:10] = np.nan
+    p1[5:15] = np.nan
+    los = _symmetric(data.random((n, n)) >= 0.3)
+    np.fill_diagonal(los, True)
+    blocked = np.flatnonzero(np.triu(~los, 1))
+    want0, want1 = p0.copy(), p1.copy()
+    real = ChannelRealization.initial(params, p0, None, blocked, np.random.default_rng(5))
+    p0[:] = 0.0
+    real.step_ahead(p1, blocked)
+    p1[:] = 0.0
+    real.advance(True)
+
+    theirs = np.random.default_rng(5)
+    legs = full_pair_legs(want0)
+    oracle = FullMatrixChannel.initial(params, np.hypot(*legs), los, legs, theirs)
+    rho = np.exp(-np.hypot(*full_pair_legs(want1 - want0)) / params.resolved_decorr_dist_m())
+    assert (rho[:15] == 0.0).all() and (rho[15:, 15:] > 0.0).all()
+    legs = full_pair_legs(want1)
+    dist = np.hypot(*legs)
+    oracle.advance(dist, los, legs, theirs, rho)
+    assert full_shadow(real).tobytes() == oracle.shadow_db.tobytes()
+    assert real.rx_power_lin().tobytes() == oracle.rx_power_lin().tobytes()
+    want = neighbour_list(dist, params.resolved_awareness_m())
+    assert [a.tobytes() for a in real.neighbours] == [a.tobytes() for a in want]
 
 
 @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
@@ -713,8 +766,8 @@ def test_a_refresh_is_one_pass_of_one_task_per_block(monkeypatch):
     monkeypatch.setattr(channel, "_each", counted)
     n = THREE_BLOCKS
     real = ChannelRealization.initial(PARAMS, _line(n), None, None, np.random.default_rng(14))
-    real.step_ahead(None, _moves(n))
-    real.advance(_line(n, spacing_m=9.0), None)
+    real.step_ahead(_line(n, spacing_m=9.0), None)
+    real.advance()
     assert passes == [3, 3]
 
 
@@ -744,9 +797,9 @@ def test_a_failing_block_fails_advance_after_every_block_returned(monkeypatch):
         return pathloss(*args, **kwargs)
 
     monkeypatch.setattr(channel, "pathloss_los_db", flaky)
-    real.step_ahead(None, _moves(n))
+    real.step_ahead(pos + _moves(n), None)
     with pytest.raises(RuntimeError, match="block failed"):
-        real.advance(pos + 1.0, None)
+        real.advance()
     after = _state_bytes(real)
     time.sleep(0.5)
     assert _state_bytes(real) == after
@@ -782,9 +835,9 @@ def test_a_failing_step_ahead_fails_the_next_advance(monkeypatch):
     real = ChannelRealization.initial(params, pos, None, None, draws)
     before = _state_bytes(real)
     draws.failing = True
-    real.step_ahead(None, _moves(n))
+    real.step_ahead(pos + _moves(n), None)
     with pytest.raises(RuntimeError, match="draw failed"):
-        real.advance(pos + 1.0, None)
+        real.advance()
     assert _state_bytes(real) == before
 
     legs = full_pair_legs(pos)
@@ -794,31 +847,32 @@ def test_a_failing_step_ahead_fails_the_next_advance(monkeypatch):
 
 
 def test_step_ahead_checks_its_arguments_before_any_draw(monkeypatch):
-    # A realization built without `speeds` has no displacement of its own,
-    # so its step needs each vehicle's. Without one, or with one of another
-    # shape than (n, 2) (a scalar or a per-pair matrix included),
-    # `step_ahead` must fail on the calling thread: no normal drawn,
-    # nothing pending, no matrix written. `advance` with no step pending
-    # fails too, and so does a second `step_ahead` before the `advance`.
+    # Positions of another shape than (n, 2) (none, a scalar, a per-pair
+    # matrix, one vehicle short or a third coordinate) must make
+    # `step_ahead` fail on the calling thread: no normal drawn, nothing
+    # pending, no matrix written. `advance` with no step pending fails too,
+    # and so does a second `step_ahead` before the `advance`.
     monkeypatch.setattr(channel, "WORKERS", 2)
     n = THREE_BLOCKS
-    pos, moved = _line(n), _moves(n)
+    pos = _line(n)
+    ahead = pos + _moves(n)
     rng = np.random.default_rng(13)
     real = ChannelRealization.initial(PARAMS, pos, None, None, rng)
     before, state = _state_bytes(real), rng.bit_generator.state
-    for wrong in (None, np.zeros((n, 3)), moved[:-1], 10.0, np.inf, np.zeros((n, n))):
-        with pytest.raises(ValueError, match="moved"):
-            real.step_ahead(None, wrong)
+    for wrong in (None, 10.0, np.inf, np.zeros((n, n)), np.zeros((n, 3)), ahead[:-1],
+                  ahead.ravel()):
+        with pytest.raises(ValueError, match="positions"):
+            real.step_ahead(wrong, None)
     with pytest.raises(RuntimeError, match="step_ahead"):
-        real.advance(pos + 1.0, None)
+        real.advance()
     assert _state_bytes(real) == before and rng.bit_generator.state == state
-    real.step_ahead(None, moved)
+    real.step_ahead(ahead, None)
     with pytest.raises(RuntimeError, match="pending"):
-        real.step_ahead(None, moved)
-    real.advance(pos + 1.0, None)
+        real.step_ahead(ahead, None)
+    real.advance()
     twin_rng = np.random.default_rng(13)
     twin = ChannelRealization.initial(PARAMS, pos, None, None, twin_rng)
-    twin.step_ahead(None, moved)
-    twin.advance(pos + 1.0, None)
+    twin.step_ahead(ahead, None)
+    twin.advance()
     assert _state_bytes(real) == _state_bytes(twin)
     assert rng.bit_generator.state == twin_rng.bit_generator.state

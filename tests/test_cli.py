@@ -154,7 +154,13 @@ def test_invalid_config_exits_2(tmp_path, monkeypatch):
                        ("tx_power_dbm", inf), ("tx_power_dbm", -inf),
                        ("antenna_gain_db", inf), ("antenna_gain_db", -inf),
                        ("noise_figure_db", inf), ("ibe_attenuation_db", -inf),
-                       ("sinr_min_db", inf), ("shadow_sigma_los_db", inf)):
+                       ("sinr_min_db", inf), ("shadow_sigma_los_db", inf),
+                       # a threshold the 3 dB escalation never leaves
+                       ("p_th_dbm", -inf), ("p_th_dbm", inf),
+                       # a shadow step of inf / -inf, NaN in every power
+                       ("decorr_dist_m", inf), ("decorr_dist_m", 0.0),
+                       # a gap limit that drops every interpolated instant
+                       ("max_trace_gap_s", -1.0)):
         cfg = write_cfg(tmp_path, dict(SMALL_CFG, **{key: value}), name="f.yaml")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, (key, value)
     cfg = write_cfg(tmp_path, SMALL_CFG, name="hn.yaml")

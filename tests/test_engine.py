@@ -381,10 +381,12 @@ def test_a_highway_with_obstacles_hands_the_channel_no_square_array(tmp_path, mo
 
 def test_a_trace_with_churn_hands_the_channel_no_square_array(tmp_path, monkeypatch):
     # Five vehicles pass a building; vehicle 3 leaves for 0.3 s and vehicle
-    # 4 joins late. The shadow step takes each vehicle's displacement since
-    # the previous period, NaN where it is absent in either, so no argument
-    # of the channel's constructor, `initial`, `step_ahead` or `advance` is
-    # an (n, n) array.
+    # 4 joins late. `step_ahead` gets each next period's positions and
+    # blocked keys, and `advance` no array at all, so no argument of the
+    # channel's constructor, `initial`, `step_ahead` or `advance` is an
+    # (n, n) array. The channel steps its shadow by each vehicle's
+    # displacement since the previous period, NaN where it is absent in
+    # either.
     rows = []
     for k in range(11):
         t = k * 0.1
@@ -413,6 +415,13 @@ def test_a_trace_with_churn_hands_the_channel_no_square_array(tmp_path, monkeypa
                         classmethod(spy("initial", Realization.initial.__func__)))
     monkeypatch.setattr(Realization, "step_ahead", spy("step_ahead", Realization.step_ahead))
     monkeypatch.setattr(Realization, "advance", spy("advance", Realization.advance))
+    stepped, step = [], Realization._step
+
+    def steps_by(self, blocked, moved):
+        stepped.append(moved)
+        return step(self, blocked, moved)
+
+    monkeypatch.setattr(Realization, "_step", steps_by)
     world = SimulationEngine(cfg)
     n, frames = world.n, world.frames
     for period in range(world.n_periods):
@@ -423,12 +432,17 @@ def test_a_trace_with_churn_hands_the_channel_no_square_array(tmp_path, monkeypa
     for name, args in calls:
         assert not any(np.shape(arg)[:2] == (n, n) for arg in args
                        if isinstance(arg, np.ndarray)), name
-    steps = [args[2] for name, args in calls if name == "step_ahead"]
-    for period, moved in enumerate(steps, start=1):
+    handed = [args[1] for name, args in calls if name == "step_ahead"]
+    for period, positions in enumerate(handed, start=1):
+        assert np.array_equal(positions, frames[period], equal_nan=True)
+    assert all(args[1:] == (False,) for name, args in calls if name == "advance")
+    assert any(len(args[2]) for name, args in calls if name == "step_ahead")
+    # The constructor's fresh draw, then one step per period.
+    assert stepped[0] == np.inf and len(stepped) == 10
+    for period, moved in enumerate(stepped[1:], start=1):
         assert np.array_equal(moved, frames[period] - frames[period - 1], equal_nan=True)
     # NaN rows: vehicle 3 in the steps to periods 3-6, vehicle 4 in those to 1-4.
-    assert sum(np.isnan(moved).all(axis=1).sum() for moved in steps) == 8
-    assert any(len(args[2]) for name, args in calls if name == "advance")
+    assert sum(np.isnan(moved).all(axis=1).sum() for moved in stepped[1:]) == 8
 
 
 def _churning_trace(path, n, periods):
@@ -499,9 +513,10 @@ def test_blocked_pairs_are_enumerated_a_block_of_rows_at_a_time(tmp_path):
 def test_each_period_steps_and_refreshes_on_the_keys_of_one_los_pass(tmp_path, monkeypatch):
     # Vehicles pass a building, so the blocked pairs change from period to
     # period. The world finds each period's keys with one `los_state` call,
-    # one period ahead, and hands the same keys to that period's shadow step
-    # and to its refresh: the constructor gets period 0's, then
-    # `step_ahead` and `advance` each get the keys of period p in turn.
+    # one period ahead, and hands them to the channel once: the constructor
+    # gets period 0's, then `step_ahead` the keys of period p, and
+    # `advance` no keys. The channel's refresh of period p takes the keys
+    # its step took.
     rows = []
     for k in range(11):
         t = k * 0.1
@@ -530,15 +545,19 @@ def test_each_period_steps_and_refreshes_on_the_keys_of_one_los_pass(tmp_path, m
 
     monkeypatch.setattr(engine_module, "los_state", counted)
     monkeypatch.setattr(Realization, "__init__", spy("initial", Realization.__init__, 4))
-    monkeypatch.setattr(Realization, "step_ahead", spy("step", Realization.step_ahead, 1))
-    monkeypatch.setattr(Realization, "advance", spy("advance", Realization.advance, 2))
+    monkeypatch.setattr(Realization, "step_ahead", spy("step", Realization.step_ahead, 2))
+    monkeypatch.setattr(Realization, "advance", spy("advance", Realization.advance, slice(1, None)))
+    monkeypatch.setattr(Realization, "_refresh", spy("refresh", Realization._refresh, 2))
     world = SimulationEngine(cfg)
     for period in range(world.n_periods):
         world.advance(period * world.t_b)
     assert len(los_calls) == world.n_periods == 10
-    assert [name for name, _ in handed] == ["initial"] + ["step", "advance"] * 9
-    keys = [handed[0][1]] + [step for _, step in handed[1::2]]
-    assert all(step is refresh for (_, step), (_, refresh) in zip(handed[1::2], handed[2::2]))
+    assert [name for name, _ in handed] == (["initial", "refresh"]
+                                            + ["step", "advance", "refresh"] * 9)
+    assert all(args == (False,) for name, args in handed if name == "advance")
+    keys = [handed[0][1]] + [got for name, got in handed if name == "step"]
+    refreshed = [got for name, got in handed if name == "refresh"]
+    assert all(got is want for got, want in zip(refreshed, keys, strict=True))
     for period, got in enumerate(keys):
         want = world._blocked_pairs(world.frames[period])
         assert got.tolist() == want.tolist(), period
