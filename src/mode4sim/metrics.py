@@ -215,7 +215,7 @@ def hidden_node_probability(power_lin: np.ndarray, neighbours, noise_lin: float,
     n_bins = _n_bins(bin_width_m, max_range_m)
     snr_floor = gamma_lin * noise_lin
     # Every decodable link (a, b), a != b, sources ascending, then destinations.
-    src, dst = np.nonzero(power_lin > snr_floor)
+    src, dst = np.divmod(np.flatnonzero(power_lin > snr_floor), n)
     keep = src != dst
     src, dst = src[keep], dst[keep]
     link_power = power_lin[src, dst]

@@ -135,6 +135,85 @@ def test_array_los_matches_scalar_on_a_lattice(monkeypatch):
     assert 0 < sum(want) < len(want)
 
 
+# Axis-parallel and slanted edges, a repeated vertex (a zero-length edge)
+# and two zero-area slivers, one slanted and one axis-parallel.
+NEAR_EDGE_MAP = ObstacleMap(polygons=[
+    [(0, 0), (4, 0), (4, 0), (4, 4), (0, 4)],
+    [(6.1, 1.3), (9.7, 2.9), (7.3, 5.2)],
+    [(1.0, 7.0), (5.0, 9.0), (3.0, 8.0)],
+    [(6.0, 7.0), (9.0, 7.0), (7.5, 7.0)],
+])
+
+
+@st.composite
+def _edge_segment(draw):
+    """A segment whose ends each lie on the line of one edge of
+    NEAR_EDGE_MAP, one ulp or less off one of its vertices, or anywhere on
+    the map."""
+    b1, b2 = NEAR_EDGE_MAP.edges
+    k = draw(st.integers(0, len(b1) - 1))
+    ends = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["line", "vertex", "free"]))
+        if kind == "line":
+            t = draw(st.floats(-2, 3))
+            ends.append(tuple(b1[k] + t * (b2[k] - b1[k])))
+        elif kind == "vertex":
+            vertex = draw(st.sampled_from([b1[k], b2[k]]))
+            toward = draw(st.tuples(*[st.sampled_from([-np.inf, 0.0, np.inf])] * 2))
+            ends.append(tuple(np.where(np.equal(toward, 0.0), vertex,
+                                       np.nextafter(vertex, toward))))
+        else:
+            ends.append(draw(st.tuples(st.floats(-2, 11), st.floats(-2, 11))))
+    return tuple(ends)
+
+
+@given(st.lists(_edge_segment(), min_size=1, max_size=4))
+# The scalar rule reads this segment, on the line of the edge from (9.7,
+# 2.9) to (7.3, 5.2) and 0.3 m past its end, as crossing it: the rounded
+# orientations of the four ends have opposite signs. A cull that dropped
+# slanted edges' pairs by their boxes would call it clear.
+@example([((4.440605523786859, 7.940253039704261), (7.085943266936088, 5.405137702519583))])
+@settings(max_examples=150, deadline=None)
+def test_array_los_matches_scalar_blocks_near_edges(segments):
+    # Every pair of ends: each segment along or across its edge, and the
+    # ends of different segments joined across the map.
+    points = np.array(segments, dtype=float).reshape(-1, 2)
+    a, b = np.triu_indices(len(points), 1)
+    want = [not blocks(NEAR_EDGE_MAP, points[i], points[j]) for i, j in zip(a, b)]
+    assert los_state(NEAR_EDGE_MAP, points, a, b).tolist() == want
+
+
+def test_los_state_with_no_candidate_pair(monkeypatch):
+    # Every segment's box misses every edge's box, so the exact stage runs
+    # on empty arrays and every pair is LOS.
+    sizes = []
+    intersect = channel._intersect
+
+    def counted(a1, a2, b1, b2):
+        sizes.append(a1.shape[1])
+        return intersect(a1, a2, b1, b2)
+
+    monkeypatch.setattr(channel, "_intersect", counted)
+    points = np.array([(0, 0), (30, 0), (0, 30), (100, -30), (100, 30)], dtype=float)
+    a, b = np.array([0, 0, 1, 3]), np.array([1, 2, 2, 4])
+    assert los_state(SQUARE, points, a, b).tolist() == [True] * 4
+    assert sizes and not any(sizes)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_los_state_with_tiles_smaller_than_the_edge_count(monkeypatch, chunk):
+    # LATTICE_MAP has 20 edges: a tile holds one edge of a few pairs.
+    rng = np.random.default_rng(5)
+    points = np.column_stack([rng.integers(-2, 15, 40), rng.integers(-2, 18, 40)]).astype(float)
+    a, b = np.triu_indices(len(points), 1)
+    want = [not blocks(LATTICE_MAP, points[i], points[j]) for i, j in zip(a, b)]
+    monkeypatch.setattr(channel, "LOS_CHUNK_ELEMENTS", chunk)
+    assert chunk < len(LATTICE_MAP.edges[0])
+    assert los_state(LATTICE_MAP, points, a, b).tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
 def test_los_state_forms_and_errors():
     none = np.empty(0, dtype=int)
     for obstacles in (None, SQUARE):
