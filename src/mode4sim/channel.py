@@ -79,12 +79,12 @@ def pathloss_nlos_db(leg1_m, leg2_m, carrier_ghz: float):
 # ---------------------------------------------------------------------------
 
 # The array LOS test works in tiles of pairs x edges (or points x edges).
-# A tile holds at most this many elements of 8-byte temporaries, 32 KB
-# each: so many in the inside test and against slanted edges. The box cull
-# takes four times as many, for its temporaries are one byte per element
-# and the exact test after it sees only the candidates it keeps: about a
-# sixth on the urban benchmark, at about 17 eight-byte values each, and at
-# most all of them.
+# A tile of the inside test holds at most this many elements of 8-byte
+# temporaries, 32 KB each. A tile of the edge test holds four times as
+# many, for the box cull's temporaries are one byte per element and the
+# exact test after it sees only the candidates it keeps: about a sixth on
+# the urban benchmark, at about 17 eight-byte values each, and at most all
+# of them.
 LOS_CHUNK_ELEMENTS = 1 << 12
 
 
@@ -120,12 +120,8 @@ class ObstacleMap:
         else:
             start = end = np.empty((0, 2))
         self.edges = (start, end)
-        # Each edge's box (lo, hi), for the cull in `_touches_edge`, and
-        # the indices of the slanted edges, which the cull cannot drop
-        # (README, "LOS") and of the axis-parallel ones, which it can.
+        # Each edge's box (lo, hi), for the cull in `_touches_edge`.
         self.boxes = (np.minimum(start, end), np.maximum(start, end))
-        slanted = (start != end).all(axis=1)
-        self.slanted, self.straight = np.flatnonzero(slanted), np.flatnonzero(~slanted)
         self.edge_starts = np.cumsum([0] + [len(poly) for poly in clean[:-1]])
 
     @classmethod
@@ -179,9 +175,9 @@ def _straddle(o, w, a, b):
 
 
 def _intersect(a1, a2, b1, b2):
-    """`_segments_intersect` for (2, ...) arrays of points that broadcast
-    together: per element, whether segment a1-a2 crosses or touches
-    segment b1-b2."""
+    """`_segments_intersect` after its box test, for (2, ...) arrays of
+    points that broadcast together: per element, whether segment a1-a2
+    crosses or touches segment b1-b2, given that their boxes overlap."""
     across_b, on_b1, on_b2 = _straddle(b1, b2, a1, a2)  # d1, d2
     across_a, on_a1, on_a2 = _straddle(a1, a2, b1, b2)  # d3, d4
     hit = across_b & across_a
@@ -208,22 +204,19 @@ def _outcodes(pts, lo, hi):
     return code
 
 
-def _tile_hits(xy, ends, i, j, group, codes):
+def _tile_hits(xy, ends, i, j, codes):
     """Positions in the tile's pairs (i, j) of the pairs whose segment
-    between columns of the (2, m) points `xy` crosses or touches an edge in
-    `group`; `ends` are the (2, edges) starts and ends of all edges. With
-    `codes`, the points' outcodes against the group's edges, `_intersect`
-    tests only the (pair, edge) candidates whose boxes overlap."""
-    e1, e2 = ends
-    if codes is None:
-        cross = _intersect(xy[:, i, None], xy[:, j, None], e1[:, None, group], e2[:, None, group])
-        return np.flatnonzero(cross.any(axis=1))
+    between columns of the (2, m) points `xy` crosses or touches an edge of
+    the group: `ends` are the (2, edges) starts and ends of the group's
+    edges and `codes` the points' outcodes against their boxes.
+    `_intersect` tests only the (pair, edge) candidates whose boxes
+    overlap."""
     # Boxes miss when both ends lie left of the edge's box, or both right,
     # below or above it: a shared outcode bit.
     near = codes.take(i, axis=0)
     near &= codes.take(j, axis=0)
-    rows, cols = np.divmod(np.flatnonzero(near == 0), len(group))
-    cols = group.take(cols)
+    rows, cols = np.divmod(np.flatnonzero(near == 0), codes.shape[1])
+    e1, e2 = ends
     cross = _intersect(xy.take(i.take(rows), axis=1), xy.take(j.take(rows), axis=1),
                        e1.take(cols, axis=1), e2.take(cols, axis=1))
     return rows[cross]
@@ -233,30 +226,28 @@ def _touches_edge(obstacles: ObstacleMap, points, a, b):
     """Per pair k, whether segment points[a[k]]-points[b[k]] crosses or
     touches any edge.
 
-    The edges come in groups, the axis-parallel ones first, and a pair an
-    edge blocks skips the later groups. Against axis-parallel edges each
-    tile of pairs x edges takes two stages: a cull keeps the (pair, edge)
-    candidates whose boxes overlap, by comparisons only, and `_intersect`
-    tests them alone. Against slanted edges `_intersect` tests the whole
-    tile. Both evaluate the per-element expressions of a whole (pairs,
-    edges) test, so every decision keeps its bits."""
+    The edges go in groups, and a pair an edge blocks skips the later
+    groups. Each tile of pairs x edges takes two stages: a cull keeps the
+    (pair, edge) candidates whose boxes overlap, by comparisons only, and
+    `_intersect` tests them alone. The cull is the rule's box test, which
+    any crossing or contact passes, and `_intersect` the rest of the rule
+    in its per-element expressions, so every decision keeps its bits."""
     xy, ends = points.T, tuple(end.T for end in obstacles.edges)
     hit = np.zeros(len(a), dtype=bool)
     unblocked = np.arange(len(a))
-    for edges, tile, cull in ((obstacles.straight, 4 * LOS_CHUNK_ELEMENTS, True),
-                              (obstacles.slanted, LOS_CHUNK_ELEMENTS, False)):
-        e0 = 0
-        while e0 < len(edges) and len(unblocked):
-            # As many edges as one tile holds for the pairs left, and no
-            # more than it holds for all the points (the outcodes).
-            width = max(1, min(tile // len(unblocked), tile // max(len(points), 1)))
-            group, e0 = edges[e0:e0 + width], e0 + width
-            codes = _outcodes(points, *(c[group] for c in obstacles.boxes)) if cull else None
-            step = max(1, tile // len(group))
-            for s in range(0, len(unblocked), step):
-                k = unblocked[s:s + step]
-                hit[k[_tile_hits(xy, ends, a.take(k), b.take(k), group, codes)]] = True
-            unblocked = unblocked[~hit.take(unblocked)]
+    tile, e0 = 4 * LOS_CHUNK_ELEMENTS, 0
+    while e0 < len(obstacles.edges[0]) and len(unblocked):
+        # As many edges as one tile holds for the pairs left, and no more
+        # than it holds for all the points (the outcodes).
+        width = max(1, min(tile // len(unblocked), tile // max(len(points), 1)))
+        group, e0 = slice(e0, e0 + width), e0 + width
+        codes = _outcodes(points, *(c[group] for c in obstacles.boxes))
+        group_ends = tuple(end[:, group] for end in ends)
+        step = max(1, tile // codes.shape[1])
+        for s in range(0, len(unblocked), step):
+            k = unblocked[s:s + step]
+            hit[k[_tile_hits(xy, group_ends, a.take(k), b.take(k), codes)]] = True
+        unblocked = unblocked[~hit.take(unblocked)]
     return hit
 
 
@@ -430,7 +421,7 @@ class ChannelRealization:
         self._pending = None  # (take the step, positions, blocked) from `step_ahead`
         self._speeds = speeds  # m/s on a highway, None on a trace
         self._positions = np.array(positions, dtype=float)  # those of the last step
-        self._step(blocked, np.inf)  # forget the zero state
+        self._step(blocked, np.full((n, 2), np.nan))  # forget the zero state
         self._refresh(self._positions, blocked, neighbours)
 
     @classmethod
@@ -506,12 +497,13 @@ class ChannelRealization:
         whole-matrix step. Each block draws its full rows of the period's
         (n, n) standard normals into one draw buffer, so the stream is that
         of one (n, n) call, and uses their columns r0:. A pair moves d apart:
-        |moved_i - moved_j|, |v_i - v_j| * period for None (a highway), and
-        infinity for the constructor's fresh draw (`np.inf`)."""
+        |moved_i - moved_j| for an (n, 2) displacement, infinitely far
+        (rho = 0, a fresh sample) where either row is NaN, as in the
+        constructor's draw, and |v_i - v_j| * period for None (a highway)."""
         cfg, n = self.cfg, len(self._rx_lin)
         size = min(self._rows, n) * n
         draw, scratch = np.empty(size), np.empty(size)
-        legs = np.empty(size) if np.ndim(moved) else None
+        legs = None if moved is None else np.empty(size)
         for (r0, r1), shadow in zip(self._blocks, self._shadow):
             drawn = _view(draw, (r1 - r0, n))
             self._rng.standard_normal(out=drawn)
@@ -520,10 +512,8 @@ class ChannelRealization:
                 np.subtract(self._speeds[r0:r1, None], self._speeds[None, r0:], out=rho)
                 np.abs(rho, out=rho)
                 rho *= cfg.beacon_period_ms / 1000.0
-            elif legs is not None:
-                np.hypot(*pair_legs(moved, r0, r1, None, scratch, legs), out=rho)
             else:
-                rho.fill(moved)
+                np.hypot(*pair_legs(moved, r0, r1, None, scratch, legs), out=rho)
             np.divide(rho, -cfg.resolved_decorr_dist_m(), out=rho)
             np.exp(rho, out=rho)
             np.multiply(rho, shadow, out=shadow)

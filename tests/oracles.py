@@ -698,6 +698,11 @@ def _on_segment(p, q, r):
 
 
 def _segments_intersect(a1, a2, b1, b2):
+    # Segments that meet share a point, so their boxes overlap (inclusive):
+    # rounded orientations never join two segments whose boxes are apart.
+    for ax in (0, 1):
+        if max(a1[ax], a2[ax]) < min(b1[ax], b2[ax]) or max(b1[ax], b2[ax]) < min(a1[ax], a2[ax]):
+            return False
     d1 = _orient(b1, b2, a1)
     d2 = _orient(b1, b2, a2)
     d3 = _orient(a1, a2, b1)

@@ -6,6 +6,7 @@ import signal
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -88,6 +89,23 @@ LATTICE_MAP = ObstacleMap(polygons=[
     [(1, 12), (5, 12), (5, 16), (4, 16), (3, 13), (2, 16), (1, 16)],  # notch
 ])
 
+
+def _turned(points, degrees=30.0):
+    """(k, 2) points turned about the origin."""
+    t = np.radians(degrees)
+    return np.asarray(points, dtype=float) @ np.array([[np.cos(t), np.sin(t)],
+                                                      [-np.sin(t), np.cos(t)]])
+
+
+# LATTICE_MAP turned by 30 degrees, so every edge is slanted.
+TURNED_LATTICE_MAP = ObstacleMap(polygons=[_turned(poly) for poly in LATTICE_MAP.polygons])
+
+
+def _lattice_inputs(points):
+    """LATTICE_MAP with the (k, 2) points, then both turned."""
+    return (LATTICE_MAP, points), (TURNED_LATTICE_MAP, _turned(points))
+
+
 lattice_points = st.tuples(st.integers(-2, 14), st.integers(-2, 17))
 float_points = st.tuples(st.floats(-2, 14), st.floats(-2, 17))
 
@@ -124,15 +142,19 @@ def test_array_los_contact_cases(p, q, los):
 
 
 def test_array_los_matches_scalar_on_a_lattice(monkeypatch):
-    # Enough lattice segments that every contact rule decides some of them.
+    # Enough lattice segments that every contact rule decides some of them,
+    # on the lattice and turned, where every edge is slanted.
+    assert np.not_equal(*TURNED_LATTICE_MAP.edges).all()
     rng = np.random.default_rng(11)
-    points = np.column_stack([rng.integers(-2, 15, 200), rng.integers(-2, 18, 200)]).astype(float)
-    a, b = rng.integers(0, len(points), size=(2, 2000))
-    want = [not blocks(LATTICE_MAP, points[i], points[j]) for i, j in zip(a, b)]
-    assert los_state(LATTICE_MAP, points, a, b).tolist() == want
-    monkeypatch.setattr(channel, "LOS_CHUNK_ELEMENTS", 50)  # chunks of 2 pairs or points
-    assert los_state(LATTICE_MAP, points, a, b).tolist() == want
-    assert 0 < sum(want) < len(want)
+    lattice = np.column_stack([rng.integers(-2, 15, 200), rng.integers(-2, 18, 200)]).astype(float)
+    a, b = rng.integers(0, len(lattice), size=(2, 2000))
+    for obstacles, points in _lattice_inputs(lattice):
+        want = [not blocks(obstacles, points[i], points[j]) for i, j in zip(a, b)]
+        assert los_state(obstacles, points, a, b).tolist() == want
+        with monkeypatch.context() as patch:
+            patch.setattr(channel, "LOS_CHUNK_ELEMENTS", 50)  # chunks of 2 pairs or points
+            assert los_state(obstacles, points, a, b).tolist() == want
+        assert 0 < sum(want) < len(want)
 
 
 # Axis-parallel and slanted edges, a repeated vertex (a zero-length edge)
@@ -168,12 +190,17 @@ def _edge_segment(draw):
     return tuple(ends)
 
 
+# A segment on the line of the second polygon's edge (9.7, 2.9)-(7.3, 5.2),
+# 0.3 m past its end, and that polygon alone.
+PAST_THE_EDGE = ((4.440605523786859, 7.940253039704261), (7.085943266936088, 5.405137702519583))
+TRIANGLE = ObstacleMap(polygons=[[(6.1, 1.3), (9.7, 2.9), (7.3, 5.2)]])
+
+
 @given(st.lists(_edge_segment(), min_size=1, max_size=4))
-# The scalar rule reads this segment, on the line of the edge from (9.7,
-# 2.9) to (7.3, 5.2) and 0.3 m past its end, as crossing it: the rounded
-# orientations of the four ends have opposite signs. A cull that dropped
-# slanted edges' pairs by their boxes would call it clear.
-@example([((4.440605523786859, 7.940253039704261), (7.085943266936088, 5.405137702519583))])
+# The rounded orientations of PAST_THE_EDGE's and the edge's ends have
+# opposite signs, but its box misses the edge's box, so both rules call it
+# LOS (`test_a_segment_on_a_slanted_edge_line_past_its_end_is_los`).
+@example([PAST_THE_EDGE])
 @settings(max_examples=150, deadline=None)
 def test_array_los_matches_scalar_blocks_near_edges(segments):
     # Every pair of ends: each segment along or across its edge, and the
@@ -182,6 +209,20 @@ def test_array_los_matches_scalar_blocks_near_edges(segments):
     a, b = np.triu_indices(len(points), 1)
     want = [not blocks(NEAR_EDGE_MAP, points[i], points[j]) for i, j in zip(a, b)]
     assert los_state(NEAR_EDGE_MAP, points, a, b).tolist() == want
+
+
+def test_a_segment_on_a_slanted_edge_line_past_its_end_is_los():
+    # In exact arithmetic on the floats the segment's box lies past the x
+    # range of the edge (9.7, 2.9)-(7.3, 5.2) and above the triangle's box,
+    # so it touches no edge and neither end lies inside: LOS under any
+    # rounding of the orientations.
+    p, q = PAST_THE_EDGE
+    seg_x, seg_y = ([Fraction(p[ax]), Fraction(q[ax])] for ax in (0, 1))
+    edge_x = [Fraction(9.7), Fraction(7.3)]
+    assert max(seg_x) < min(edge_x)
+    assert min(seg_y) > max(Fraction(y) for _, y in TRIANGLE.polygons[0])
+    assert not blocks(TRIANGLE, p, q)
+    assert _clear(TRIANGLE, p, q)
 
 
 def test_los_state_with_no_candidate_pair(monkeypatch):
@@ -203,15 +244,16 @@ def test_los_state_with_no_candidate_pair(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_los_state_with_tiles_smaller_than_the_edge_count(monkeypatch, chunk):
-    # LATTICE_MAP has 20 edges: a tile holds one edge of a few pairs.
+    # The lattice maps have 20 edges: a tile holds one edge of a few pairs.
     rng = np.random.default_rng(5)
-    points = np.column_stack([rng.integers(-2, 15, 40), rng.integers(-2, 18, 40)]).astype(float)
-    a, b = np.triu_indices(len(points), 1)
-    want = [not blocks(LATTICE_MAP, points[i], points[j]) for i, j in zip(a, b)]
+    lattice = np.column_stack([rng.integers(-2, 15, 40), rng.integers(-2, 18, 40)]).astype(float)
+    a, b = np.triu_indices(len(lattice), 1)
     monkeypatch.setattr(channel, "LOS_CHUNK_ELEMENTS", chunk)
-    assert chunk < len(LATTICE_MAP.edges[0])
-    assert los_state(LATTICE_MAP, points, a, b).tolist() == want
-    assert 0 < sum(want) < len(want)
+    for obstacles, points in _lattice_inputs(lattice):
+        want = [not blocks(obstacles, points[i], points[j]) for i, j in zip(a, b)]
+        assert chunk < len(obstacles.edges[0])
+        assert los_state(obstacles, points, a, b).tolist() == want
+        assert 0 < sum(want) < len(want)
 
 
 def test_los_state_forms_and_errors():

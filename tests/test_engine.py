@@ -437,8 +437,8 @@ def test_a_trace_with_churn_hands_the_channel_no_square_array(tmp_path, monkeypa
         assert np.array_equal(positions, frames[period], equal_nan=True)
     assert all(args[1:] == (False,) for name, args in calls if name == "advance")
     assert any(len(args[2]) for name, args in calls if name == "step_ahead")
-    # The constructor's fresh draw, then one step per period.
-    assert stepped[0] == np.inf and len(stepped) == 10
+    # The constructor's fresh draw (an all-NaN displacement), then one step per period.
+    assert stepped[0].shape == (n, 2) and np.isnan(stepped[0]).all() and len(stepped) == 10
     for period, moved in enumerate(stepped[1:], start=1):
         assert np.array_equal(moved, frames[period] - frames[period - 1], equal_nan=True)
     # NaN rows: vehicle 3 in the steps to periods 3-6, vehicle 4 in those to 1-4.
